@@ -1,9 +1,20 @@
 """Limited-memory BFGS minimizer with a strong Wolfe line search.
 
-The search direction comes from the classic two-loop recursion over the
-last ``history`` curvature pairs (s, y), scaled by ``(s.y)/(y.y)``. Step
-lengths are chosen by a bracket-and-zoom line search with safeguarded cubic
-interpolation that enforces the strong Wolfe conditions
+The search direction is the two-loop recursion's -H.g over the last
+``history`` curvature pairs (s, y), scaled by ``(s.y)/(y.y)``, computed in
+the compact, vector-free form (Byrd, Nocedal & Schnabel, Math. Prog. 63,
+1994; Chen, Wang & Zhou, "Large-scale L-BFGS using MapReduce", NIPS 2014).
+The pairs live in one preallocated (2 * history, n) ring of rows
+s_1, y_1, s_2, y_2, ..., next to the Gram matrix of the rows' inner
+products and the rows' inner products with the gradient. The recursion then
+runs on 2 * history + 1 scalar coefficients, and each iteration touches the
+stored rows in two matrix-vector products: one forms the direction, the
+other the inner products with the next gradient. The new pair's remaining
+inner products need no pass over the rows: s lies in the span of the rows
+and the gradient, and rows.y = rows.g_new - rows.g.
+
+Step lengths are chosen by a bracket-and-zoom line search with safeguarded
+cubic interpolation that enforces the strong Wolfe conditions
 
     f(x + a d) <= f(x) + c1 * a * g.d        (sufficient decrease)
     |g(x + a d).d| <= c2 * |g.d|             (curvature)
@@ -178,24 +189,102 @@ def strong_wolfe_line_search(
     return result(False, 0.0, phi0, None)
 
 
-def _two_loop_direction(grad, s_history, y_history, rho_history):
-    """Search direction -H.g from the two-loop recursion."""
-    q = grad.copy()
-    depth = len(s_history)
-    alphas = np.empty(depth)
-    scratch = np.empty_like(q)
-    for i in range(depth - 1, -1, -1):
-        alphas[i] = rho_history[i] * float(s_history[i] @ q)
-        np.multiply(y_history[i], alphas[i], out=scratch)
-        q -= scratch
-    if depth:
-        s, y = s_history[-1], y_history[-1]
-        q *= float(s @ y) / float(y @ y)
-    for i in range(depth):
-        beta = rho_history[i] * float(y_history[i] @ q)
-        np.multiply(s_history[i], alphas[i] - beta, out=scratch)
-        q += scratch
-    return -q
+class _CurvatureHistory:
+    """The last ``depth`` accepted curvature pairs, with their inner products.
+
+    ``rows`` is a ring of ``depth`` slots: slot j holds s in row 2j and y in
+    row 2j + 1. After :meth:`clear` pairs fill slots 0, 1, ... in order, so
+    until the ring is full only the written prefix ``rows[:2 * count]`` is
+    read; once full, each accepted pair overwrites the oldest. ``gram`` holds
+    the rows' inner products with each other and ``bg`` with the current
+    gradient, both indexed like ``rows``.
+    """
+
+    def __init__(self, depth: int, size: int):
+        self.depth = depth
+        self.rows = np.empty((2 * depth, size))
+        self.gram = np.empty((2 * depth, 2 * depth))
+        self.bg = np.empty(2 * depth)
+        self.clear()
+
+    def clear(self):
+        """Drop every pair; the next direction is steepest descent."""
+        self.count = 0
+        self.oldest = 0
+        self._coef = np.zeros(0)
+        self._coef_g = 1.0
+
+    def direction(self, grad):
+        """Search direction -H.g of the two-loop recursion.
+
+        The recursion runs on the coefficients of q over (rows, grad), whose
+        inner products all come from ``gram`` and ``bg``; the direction is
+        then a single GEMV over the stored rows.
+        """
+        if self.count == 0:
+            return -grad
+        k = 2 * self.count
+        gram, bg = self.gram[:k, :k], self.bg
+        slots = [
+            2 * ((self.oldest + i) % self.depth) for i in range(self.count)
+        ]
+        coef = np.zeros(k)
+        coef_g = 1.0
+        alphas = []
+        for s in reversed(slots):
+            alpha = (gram[s] @ coef + coef_g * bg[s]) / gram[s, s + 1]
+            coef[s + 1] -= alpha
+            alphas.append(alpha)
+        newest = slots[-1]
+        gamma = gram[newest, newest + 1] / gram[newest + 1, newest + 1]
+        coef *= gamma
+        coef_g *= gamma
+        for s, alpha in zip(slots, reversed(alphas)):
+            beta = (gram[s + 1] @ coef + coef_g * bg[s + 1]) / gram[s, s + 1]
+            coef[s] += alpha - beta
+        self._coef, self._coef_g = coef, coef_g
+        direction = (-coef) @ self.rows[:k]
+        direction -= coef_g * grad
+        return direction
+
+    def update(self, step, direction, grad, new_grad):
+        """Offer the pair (step * direction, new_grad - grad); move to new_grad.
+
+        ``direction`` must be the last one :meth:`direction` returned, or
+        ``-grad`` right after :meth:`clear`: the new s row's inner products
+        with the stored rows come from its coefficients, and the y row's
+        from ``bg`` before and after the one GEMV with ``new_grad``.
+        """
+        y = new_grad - grad
+        sy = step * float(direction @ y)
+        ss = step * step * float(direction @ direction)
+        yy = float(y @ y)
+        k = 2 * self.count
+        if not sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
+            np.dot(self.rows[:k], new_grad, out=self.bg[:k])
+            return
+        rows_s = -step * (
+            self.gram[:k, :k] @ self._coef + self._coef_g * self.bg[:k]
+        )
+        bg_old = self.bg[:k].copy()
+        if self.count < self.depth:
+            slot = k
+            self.count += 1
+        else:
+            slot = 2 * self.oldest
+            self.oldest = (self.oldest + 1) % self.depth
+        np.multiply(direction, step, out=self.rows[slot])
+        self.rows[slot + 1] = y
+        k_new = 2 * self.count
+        np.dot(self.rows[:k_new], new_grad, out=self.bg[:k_new])
+        # In a full ring entries slot and slot + 1 belong to the evicted pair
+        # and are overwritten by the 2x2 block below.
+        gram = self.gram
+        gram[:k, slot] = gram[slot, :k] = rows_s
+        gram[:k, slot + 1] = gram[slot + 1, :k] = self.bg[:k] - bg_old
+        gram[slot, slot] = ss
+        gram[slot, slot + 1] = gram[slot + 1, slot] = sy
+        gram[slot + 1, slot + 1] = yy
 
 
 def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
@@ -231,23 +320,19 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
 
     grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
-    s_history: list[np.ndarray] = []
-    y_history: list[np.ndarray] = []
-    rho_history: list[float] = []
+    history = _CurvatureHistory(cfg.lbfgs_history, x.size)
     line_search_failed = False
     iteration = 0
 
     while iteration < cfg.max_iterations and grad_inf > cfg.gradient_tolerance:
-        direction = _two_loop_direction(grad, s_history, y_history, rho_history)
+        direction = history.direction(grad)
         if float(direction @ grad) >= 0.0:
             # Stale curvature produced an ascent direction; restart from
             # steepest descent.
-            s_history.clear()
-            y_history.clear()
-            rho_history.clear()
+            history.clear()
             direction = -grad
         initial_step = 1.0
-        if not s_history and iteration == 0:
+        if history.count == 0 and iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, float(np.abs(grad).sum())))
 
         search = strong_wolfe_line_search(
@@ -268,22 +353,10 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
 
         step = search.step
         new_grad = search.grad
-        s = step * direction
-        y = new_grad - grad
-        sy = float(s @ y)
-        if sy > _CURVATURE_GUARD * float(np.linalg.norm(s)) * float(
-            np.linalg.norm(y)
-        ):
-            s_history.append(s)
-            y_history.append(y)
-            rho_history.append(1.0 / sy)
-            if len(s_history) > cfg.lbfgs_history:
-                s_history.pop(0)
-                y_history.pop(0)
-                rho_history.pop(0)
+        history.update(step, direction, grad, new_grad)
 
         iteration += 1
-        x = x + s
+        x = x + step * direction
         fval = float(search.fval)
         grad = new_grad
         grad_inf = float(np.abs(grad).max())

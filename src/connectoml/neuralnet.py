@@ -234,26 +234,25 @@ def loss_and_gradient(params: MlpParameters, xs, ys, l2_alpha: float):
         float(np.dot(w.ravel(), w.ravel())) for w in params.layer_weights
     )
 
-    dz3 = ((prob - y) / n)[:, None]
-    grad_w3 = a2.T @ dz3 + 2.0 * l2_alpha * w3
-    grad_b3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ w3.T) * (z2 > 0)
-    grad_w2 = a1.T @ dz2 + 2.0 * l2_alpha * w2
-    grad_b2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2.T) * (z1 > 0)
-    grad_w1 = x.T @ dz1 + 2.0 * l2_alpha * w1
-    grad_b1 = dz1.sum(axis=0)
+    # Each layer's gradient is written straight into its view of one vector.
+    grad = np.empty(params.n_parameters)
+    views = unflatten_parameters(grad, params.input_dim)
+    grad_w1, grad_w2, grad_w3 = views.layer_weights
+    grad_b1, grad_b2, grad_b3 = views.layer_biases
+    decay = 2.0 * l2_alpha
 
-    grad = np.concatenate(
-        [
-            grad_w1.ravel(),
-            grad_b1,
-            grad_w2.ravel(),
-            grad_b2,
-            grad_w3.ravel(),
-            grad_b3,
-        ]
-    )
+    dz3 = ((prob - y) / n)[:, None]
+    np.matmul(a2.T, dz3, out=grad_w3)
+    grad_w3 += decay * w3
+    dz3.sum(axis=0, out=grad_b3)
+    dz2 = (dz3 @ w3.T) * (z2 > 0)
+    np.matmul(a1.T, dz2, out=grad_w2)
+    grad_w2 += decay * w2
+    dz2.sum(axis=0, out=grad_b2)
+    dz1 = (dz2 @ w2.T) * (z1 > 0)
+    np.matmul(x.T, dz1, out=grad_w1)
+    grad_w1 += decay * w1
+    dz1.sum(axis=0, out=grad_b1)
     return cross_entropy + penalty, grad
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately re-derive results through different algorithms
 than the library uses (truncated series instead of eigendecomposition,
 Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
-sums) so that agreement is evidence, not tautology.
+sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
+agreement is evidence, not tautology.
 """
 
 import itertools
@@ -119,6 +120,24 @@ def mann_whitney_exact_oracle(sample_a, sample_b):
             extreme += 1
         total += 1
     return observed, extreme / total
+
+
+def two_loop_direction(grad, s_history, y_history, rho_history):
+    """L-BFGS search direction -H.g by the classic two-loop recursion over
+    lists of pairs (oldest first), as explicit level-1 vector updates."""
+    q = grad.copy()
+    depth = len(s_history)
+    alphas = np.empty(depth)
+    for i in range(depth - 1, -1, -1):
+        alphas[i] = rho_history[i] * float(s_history[i] @ q)
+        q -= alphas[i] * y_history[i]
+    if depth:
+        s, y = s_history[-1], y_history[-1]
+        q *= float(s @ y) / float(y @ y)
+    for i in range(depth):
+        beta = rho_history[i] * float(y_history[i] @ q)
+        q += (alphas[i] - beta) * s_history[i]
+    return -q
 
 
 def make_cohort(features, labels, ids=None):

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import two_loop_direction
 
 from connectoml import NumericalError, TrainConfig, lbfgs_minimize
-from connectoml.lbfgs import WOLFE_C1, WOLFE_C2, strong_wolfe_line_search
+from connectoml.lbfgs import (
+    WOLFE_C1,
+    WOLFE_C2,
+    _CurvatureHistory,
+    strong_wolfe_line_search,
+)
 
 
 def rosenbrock(x):
@@ -163,3 +169,78 @@ class TestLbfgs:
         second = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
         assert np.array_equal(first.x, second.x)
         assert first.fval == second.fval
+
+
+def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
+    """Feed a history the call sequence of ``lbfgs_minimize`` and yield each
+    (pairs held, pairs accepted since the last clear, direction, two-loop
+    oracle direction on the same pairs).
+
+    Accepted pairs have y = C s + noise with C diagonal in [0.5, 2] and
+    |noise| <= 0.1 |s|, so s.y > 0.4 |s|^2. Steps in ``reject_at`` get
+    y = -c s, which the curvature guard must refuse; steps in ``restart_at``
+    take the ascent-restart path. Every array of the history starts as NaN,
+    so reading a row, Gram entry or inner product never written shows up.
+    """
+    rng = np.random.default_rng(seed)
+    curvature = rng.uniform(0.5, 2.0, size)
+    history = _CurvatureHistory(depth, size)
+    for array in (history.rows, history.gram, history.bg):
+        array.fill(np.nan)
+    s_list, y_list, rho_list = [], [], []
+    accepted = 0
+    grad = rng.normal(size=size)
+    for k in range(n_steps):
+        direction = history.direction(grad)
+        yield history.count, accepted, direction, two_loop_direction(
+            grad, s_list, y_list, rho_list
+        )
+        if k in restart_at:
+            history.clear()
+            s_list.clear()
+            y_list.clear()
+            rho_list.clear()
+            accepted = 0
+            direction = -grad
+        step = rng.uniform(0.2, 1.5)
+        s = step * direction
+        if k in reject_at:
+            y = -rng.uniform(0.1, 1.0) * s
+        else:
+            bound = 0.1 * np.linalg.norm(s) / np.sqrt(size)
+            y = curvature * s + rng.uniform(-bound, bound, size)
+        new_grad = grad + y
+        history.update(step, direction, grad, new_grad)
+        if k not in reject_at:
+            accepted += 1
+            y = new_grad - grad
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / float(s @ y))
+            if len(s_list) > depth:
+                del s_list[0], y_list[0], rho_list[0]
+        assert history.count == len(s_list)
+        grad = new_grad
+
+
+class TestCurvatureHistory:
+    @pytest.mark.parametrize("size", [1, 50, 100_003])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_direction_matches_two_loop_oracle(self, size, depth):
+        n_steps = 3 * depth + 4
+        states = set()
+        for count, accepted, direction, expected in drive_history(
+            size,
+            depth,
+            n_steps,
+            seed=size + depth,
+            reject_at={2, depth + 2},
+            restart_at={2 * depth + 2},
+        ):
+            states.add((count < depth, accepted > depth))
+            if count == 0:
+                np.testing.assert_array_equal(direction, expected)
+            error = np.linalg.norm(direction - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+        # Filling ring, ring just full, ring wrapped past its depth.
+        assert states >= {(True, False), (False, False), (False, True)}

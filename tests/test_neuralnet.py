@@ -19,9 +19,32 @@ from connectoml import (
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MlpParameters,
+    _forward_pass,
     flatten_parameters,
+    loss_and_gradient,
     unflatten_parameters,
 )
+
+
+def concatenated_gradient(params, xs, ys, l2_alpha):
+    """Backward pass with one temporary per layer gradient, joined at the end
+    by np.concatenate."""
+    n = xs.shape[0]
+    w1, w2, w3 = params.layer_weights
+    z1, a1, z2, a2, prob = _forward_pass(params, xs)
+    dz3 = ((prob - ys) / n)[:, None]
+    grad_w3 = a2.T @ dz3 + 2.0 * l2_alpha * w3
+    grad_b3 = dz3.sum(axis=0)
+    dz2 = (dz3 @ w3.T) * (z2 > 0)
+    grad_w2 = a1.T @ dz2 + 2.0 * l2_alpha * w2
+    grad_b2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ w2.T) * (z1 > 0)
+    grad_w1 = xs.T @ dz1 + 2.0 * l2_alpha * w1
+    grad_b1 = dz1.sum(axis=0)
+    return np.concatenate(
+        [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2,
+         grad_w3.ravel(), grad_b3]
+    )
 
 
 def zero_parameters(input_dim):
@@ -246,6 +269,20 @@ class TestGradient:
         first = gradient(params, xs, ys, 1e-4)
         second = gradient(params, xs, ys, 1e-4)
         assert np.array_equal(first, second)
+
+    def test_bit_identical_to_concatenated_layer_gradients(self):
+        rng = np.random.default_rng(14)
+        for d, n, l2_alpha in ((1, 3, 0.0), (7, 40, 1e-4), (300, 105, 1e-2)):
+            xs = rng.random(size=(n, d))
+            ys = (rng.random(n) < 0.5).astype(float)
+            params = init_parameters(d, seed=d)
+            theta = flatten_parameters(params)
+            theta = theta + rng.normal(0, 0.2, theta.size)
+            params = unflatten_parameters(theta, d)
+            grad = loss_and_gradient(params, xs, ys, l2_alpha)[1]
+            assert np.array_equal(
+                grad, concatenated_gradient(params, xs, ys, l2_alpha)
+            )
 
     def test_flatten_unflatten_roundtrip(self):
         params = init_parameters(6, seed=5)
