@@ -203,25 +203,36 @@ def _dijkstra_all_sources(lengths: np.ndarray) -> np.ndarray:
     """All-pairs shortest path distances on a dense length matrix.
 
     ``lengths[u, v]`` is the edge length from u to v, ``inf`` where there is
-    no edge. Runs one dense argmin-based Dijkstra per source, all sources
-    advanced in lockstep so the inner loop is vectorized; each row evolves
-    exactly as an independent single-source run would.
+    no edge; lengths are never negative. Runs one dense argmin-based
+    Dijkstra per source, all sources advanced in lockstep so the inner loop
+    is vectorized; each row evolves exactly as an independent single-source
+    run would.
+
+    ``masked`` is ``dist`` with settled entries set to ``inf``, kept up to
+    date in place. Relaxation needs no mask for settled entries: sources
+    settle nodes in nondecreasing distance, so a settled entry's distance
+    is at most ``current_dist``, and a candidate ``current_dist + length``
+    with ``length >= 0`` is never strictly below it (rounding is monotone).
     """
     n = lengths.shape[0]
     sources = np.arange(n)
     dist = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
-    done = np.zeros((n, n), dtype=bool)
+    masked = dist.copy()
+    candidate = np.empty((n, n))
+    improve = np.empty((n, n), dtype=bool)
     for _ in range(n):
-        masked = np.where(done, np.inf, dist)
         current = np.argmin(masked, axis=1)
         current_dist = masked[sources, current]
         active = np.isfinite(current_dist)
         if not active.any():
             break
-        done[sources[active], current[active]] = True
-        candidate = current_dist[:, None] + lengths[current]
-        improve = (candidate < dist) & ~done & active[:, None]
-        dist[improve] = candidate[improve]
+        masked[sources, current] = np.inf
+        np.take(lengths, current, axis=0, out=candidate)
+        candidate += current_dist[:, None]
+        np.less(candidate, dist, out=improve)
+        improve &= active[:, None]
+        np.copyto(dist, candidate, where=improve)
+        np.copyto(masked, candidate, where=improve)
     return dist
 
 

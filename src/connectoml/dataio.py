@@ -7,7 +7,12 @@ File formats
 * Cohort manifest: CSV with header ``subject_id,label,path``; labels are
   ``HC`` or ``MCI``; relative paths resolve against the manifest's directory.
 * Feature store: one CSV per measure (``features_<measure>.csv``) with
-  header ``subject_id,label,f0,f1,...``.
+  header ``subject_id,label,f0,f1,...``. The bytes are a contract, pinned
+  by a golden test: ``subject_id`` and ``label`` are quoted as
+  :func:`csv.writer` quotes them (minimal quoting, so an id containing a
+  comma, a double quote or a line break is quoted), every feature value is
+  written as ``%.17g`` (17 significant digits, which round-trips a float64
+  exactly), and every row, the header included, ends in ``\r\n``.
 * Report: a single JSON document; floats use Python's shortest round-trip
   representation, so exporting and re-parsing reproduces every number
   exactly.
@@ -16,6 +21,7 @@ File formats
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -46,7 +52,7 @@ def load_matrix_file(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                rows.append(np.array(line.split(","), dtype=np.float64))
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}: line {line_number}: {exc}"
@@ -249,28 +255,41 @@ def materialize_cohort(subject_ids, labels, matrices, out_dir) -> Path:
     return manifest_path
 
 
+def _row_prefixes(cohort: LabeledCohort) -> list[str]:
+    """Each subject's ``subject_id,label`` as :func:`csv.writer` quotes it,
+    without the line terminator."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    prefixes = []
+    for subject_id, label in zip(cohort.subject_ids, cohort.labels):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([subject_id, LABEL_NAMES[int(label)]])
+        prefixes.append(buffer.getvalue()[: -len("\r\n")])
+    return prefixes
+
+
 def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
-    """One CSV per measure: subject_id, label, then the feature columns."""
+    """One CSV per measure: subject_id, label, then the feature columns.
+
+    Each row's numbers are formatted by one ``%``-template call; ``%.17g``
+    of a Python float is the same text as ``format(value, ".17g")``.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    prefixes = _row_prefixes(cohort)
     paths = []
     for measure in MEASURES:
         matrix = cohort.features[measure]
         path = out_dir / f"features_{measure}.csv"
+        numbers = ",%.17g" * matrix.shape[1] + "\r\n"
         with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
+            csv.writer(handle).writerow(
                 ["subject_id", "label"]
                 + [f"f{i}" for i in range(matrix.shape[1])]
             )
-            for row_index in range(cohort.size):
-                writer.writerow(
-                    [
-                        cohort.subject_ids[row_index],
-                        LABEL_NAMES[int(cohort.labels[row_index])],
-                    ]
-                    + [format(v, ".17g") for v in matrix[row_index]]
-                )
+            for prefix, row in zip(prefixes, matrix):
+                handle.write(prefix + numbers % tuple(row.tolist()))
         paths.append(path)
     return paths
 
@@ -308,7 +327,7 @@ def load_feature_csvs(directory) -> LabeledCohort:
                 ids.append(row[0])
                 measure_labels.append(LABEL_CODES[row[1]])
                 try:
-                    rows.append([float(cell) for cell in row[2:]])
+                    rows.append(np.array(row[2:], dtype=np.float64))
                 except ValueError as exc:
                     raise ValidationError(
                         f"{path}: line {line_number}: {exc}"

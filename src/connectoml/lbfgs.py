@@ -116,15 +116,17 @@ def strong_wolfe_line_search(
     c2: float = WOLFE_C2,
     initial_step: float = 1.0,
     max_evals: int = 30,
+    slope: float | None = None,
 ) -> LineSearchResult:
     """Find a step along ``direction`` satisfying the strong Wolfe conditions.
 
     ``objective`` maps a point to ``(f, grad)``. ``direction`` must be a
-    descent direction at ``x``. Non-finite trial values are treated as
+    descent direction at ``x``. ``slope`` is ``grad . direction`` when the
+    caller has already computed it. Non-finite trial values are treated as
     infinitely bad, which shrinks the bracket back toward known-good steps.
     """
     phi0 = fval
-    dphi0 = float(grad @ direction)
+    dphi0 = float(grad @ direction) if slope is None else slope
     if dphi0 >= 0.0:
         return LineSearchResult(False, 0.0, phi0, None, 0)
 
@@ -326,17 +328,25 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
 
     while iteration < cfg.max_iterations and grad_inf > cfg.gradient_tolerance:
         direction = history.direction(grad)
-        if float(direction @ grad) >= 0.0:
+        slope = float(direction @ grad)
+        if slope >= 0.0:
             # Stale curvature produced an ascent direction; restart from
             # steepest descent.
             history.clear()
             direction = -grad
+            slope = float(direction @ grad)
         initial_step = 1.0
         if history.count == 0 and iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, float(np.abs(grad).sum())))
 
         search = strong_wolfe_line_search(
-            objective, x, fval, grad, direction, initial_step=initial_step
+            objective,
+            x,
+            fval,
+            grad,
+            direction,
+            initial_step=initial_step,
+            slope=slope,
         )
         if not search.success:
             line_search_failed = True

@@ -4,14 +4,20 @@ The oracles here deliberately re-derive results through different algorithms
 than the library uses (truncated series instead of eigendecomposition,
 Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
 sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
-agreement is evidence, not tautology.
+agreement is evidence, not tautology. The bit-identity oracles
+(``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``) are
+the straightforward forms of optimized library code, kept so tests can
+require exactly the same floats and bytes.
 """
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 
 from connectoml import LabeledCohort, MEASURES, validate_matrix
+from connectoml.cohort import LABEL_NAMES
 
 
 def taylor_expm(a, terms=60):
@@ -32,6 +38,27 @@ def floyd_warshall(lengths):
     n = dist.shape[0]
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    return dist
+
+
+def dijkstra_all_sources_reference(lengths):
+    """Lockstep all-sources Dijkstra that rebuilds the settled mask every
+    round and masks settled entries out of each relaxation."""
+    n = lengths.shape[0]
+    sources = np.arange(n)
+    dist = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
+    done = np.zeros((n, n), dtype=bool)
+    for _ in range(n):
+        masked = np.where(done, np.inf, dist)
+        current = np.argmin(masked, axis=1)
+        current_dist = masked[sources, current]
+        active = np.isfinite(current_dist)
+        if not active.any():
+            break
+        done[sources[active], current[active]] = True
+        candidate = current_dist[:, None] + lengths[current]
+        improve = (candidate < dist) & ~done & active[:, None]
+        dist[improve] = candidate[improve]
     return dist
 
 
@@ -138,6 +165,33 @@ def two_loop_direction(grad, s_history, y_history, rho_history):
         beta = rho_history[i] * float(y_history[i] @ q)
         q += (alphas[i] - beta) * s_history[i]
     return -q
+
+
+def write_feature_csvs_reference(cohort, out_dir):
+    """Feature store written cell by cell through ``csv.writer``, every
+    value formatted by ``format(v, ".17g")``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for measure in MEASURES:
+        matrix = cohort.features[measure]
+        path = out_dir / f"features_{measure}.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(
+                ["subject_id", "label"]
+                + [f"f{i}" for i in range(matrix.shape[1])]
+            )
+            for row_index in range(cohort.size):
+                writer.writerow(
+                    [
+                        cohort.subject_ids[row_index],
+                        LABEL_NAMES[int(cohort.labels[row_index])],
+                    ]
+                    + [format(v, ".17g") for v in matrix[row_index]]
+                )
+        paths.append(path)
+    return paths
 
 
 def make_cohort(features, labels, ids=None):

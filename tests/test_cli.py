@@ -182,6 +182,35 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_bad_feature_store_cell_is_two(self, cohort_dir, tmp_path, capsys):
+        features = tmp_path / "features"
+        extract = [
+            "extract",
+            "--manifest", str(cohort_dir / "manifest.csv"),
+            "--out-dir", str(features),
+        ]
+        assert run_cli(extract) == 0
+        path = features / "features_weights.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")
+        cells[3] = "1.5.2"
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--features-dir", str(features),
+                "--out", str(tmp_path / "r.json"),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 5: could not convert string to float:"
+            " '1.5.2'\n"
+        )
+
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalError("synthetic numerical failure")

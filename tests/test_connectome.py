@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    dijkstra_all_sources_reference,
     random_connectome,
     shortest_path_oracle,
     taylor_expm,
@@ -22,6 +23,7 @@ from connectoml import (
     unflatten_upper_triangle,
     validate_matrix,
 )
+from connectoml.connectome import _dijkstra_all_sources
 
 
 class TestValidateMatrix:
@@ -181,6 +183,31 @@ class TestShortestPaths:
             np.testing.assert_allclose(
                 shortest_path_matrix(m), oracle, rtol=1e-12, atol=0
             )
+
+    @pytest.mark.parametrize(
+        "seed, kind",
+        enumerate(["dense", "sparse", "disconnected", "ties", "two_nodes"]),
+    )
+    def test_lockstep_dijkstra_bit_identical_to_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = 2 if kind == "two_nodes" else int(rng.integers(3, 41))
+            density = {"dense": 0.9, "sparse": 0.08}.get(
+                kind, float(rng.uniform(0.1, 0.9))
+            )
+            weights = random_connectome(rng, n, density).weights.copy()
+            if kind == "disconnected":
+                # Cut every edge between two random node groups.
+                group = rng.random(n) < 0.5
+                weights[np.ix_(group, ~group)] = 0.0
+                weights[np.ix_(~group, group)] = 0.0
+            if kind == "ties":
+                weights[weights > 0] = 1.0
+            with np.errstate(divide="ignore"):
+                lengths = np.where(weights > 0, 1.0 / weights, np.inf)
+            np.fill_diagonal(lengths, np.inf)
+            expected = dijkstra_all_sources_reference(lengths)
+            assert np.array_equal(_dijkstra_all_sources(lengths), expected)
 
     def test_symmetry_zero_diagonal_triangle_inequality(self):
         rng = np.random.default_rng(5)

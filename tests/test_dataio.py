@@ -1,9 +1,11 @@
 """Tests for manifest loading, the synthetic generator, and report files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from conftest import make_measure_cohort, write_feature_csvs_reference
 
 from connectoml import (
     MEASURES,
@@ -51,13 +53,37 @@ class TestMatrixFiles:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n1,zero\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
+        message = f"{path}: line 2: could not convert string to float: 'zero'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
+
+    @pytest.mark.parametrize("cell", ["0x10", "", "1__0", "1.5e", "١x"])
+    def test_rejected_cell_message_is_pinned(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1\n\n{cell},0\n", encoding="utf-8")
+        message = (
+            f"{path}: line 3: could not convert string to float: {cell!r}"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_matrix_file(path)
+
+    def test_accepts_what_float_accepts(self, tmp_path):
+        path = tmp_path / "lenient.csv"
+        path.write_text(
+            "\n0, 1_000 ,\t2.5\n\n  1000,0,1e-320\n2.5,1e-320,-0\n\n",
+            encoding="utf-8",
+        )
+        parsed = load_matrix_file(path)
+        expected = [[0.0, 1000.0, 2.5], [1000.0, 0.0, 1e-320],
+                    [2.5, 1e-320, -0.0]]
+        assert parsed.tolist() == expected
+        assert np.signbit(parsed[2, 2])
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0,1\n1\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2"):
+        message = f"{path}: line 2: expected 2 columns, got 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
 
 
@@ -262,4 +288,50 @@ class TestFeatureStore:
         write_feature_csvs(cohort, tmp_path)
         (tmp_path / "features_communicability.csv").unlink()
         with pytest.raises(FileNotFoundError, match="communicability"):
+            load_feature_csvs(tmp_path)
+
+    def test_bytes_equal_reference_writer(self, tmp_path):
+        values = np.array(
+            [
+                [0.0, 1e-300, 1e300],
+                [0.1, 30.0, -0.0],
+                [1 / 3, 2.5e-7, 7.0],
+                [5e-324, 1.7976931348623157e308, 123456789.125],
+            ]
+        )
+        cohort = make_measure_cohort(
+            {
+                "weights": values,
+                "shortest_path": values[:, ::-1],
+                "communicability": values / 3.0,
+            },
+            [0, 1, 1, 0],
+            ids=("a,b", 'say "hi"', " padded", "two\nlines"),
+        )
+        new_paths = write_feature_csvs(cohort, tmp_path / "new")
+        old_paths = write_feature_csvs_reference(cohort, tmp_path / "old")
+        for new, old in zip(new_paths, old_paths):
+            assert new.name == old.name
+            assert new.read_bytes() == old.read_bytes()
+        assert new_paths[0].read_bytes().splitlines(keepends=True)[1:3] == [
+            b'"a,b",HC,0,1e-300,1.0000000000000001e+300\r\n',
+            b'"say ""hi""",MCI,0.10000000000000001,30,-0\r\n',
+        ]
+        reloaded = load_feature_csvs(tmp_path / "new")
+        assert reloaded.subject_ids == cohort.subject_ids
+        assert np.array_equal(reloaded.labels, cohort.labels)
+        for measure in MEASURES:
+            assert np.array_equal(
+                reloaded.features[measure], cohort.features[measure]
+            )
+
+    def test_bad_cell_message_is_pinned(self, tmp_path):
+        cfg = SyntheticCohortConfig(n_nodes=8, n_hc=2, n_mci=2, seed=6)
+        write_feature_csvs(generate_synthetic_cohort(cfg), tmp_path)
+        path = tmp_path / "features_shortest_path.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}: line 3: could not convert string to float: 'x'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_feature_csvs(tmp_path)

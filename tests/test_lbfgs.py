@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import two_loop_direction
 
-from connectoml import NumericalError, TrainConfig, lbfgs_minimize
+from connectoml import NumericalError, TrainConfig, lbfgs, lbfgs_minimize
 from connectoml.lbfgs import (
     WOLFE_C1,
     WOLFE_C2,
@@ -169,6 +169,36 @@ class TestLbfgs:
         second = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
         assert np.array_equal(first.x, second.x)
         assert first.fval == second.fval
+
+    @pytest.mark.parametrize(
+        "size, ascent", [(2, False), (100_003, False), (50, True)]
+    )
+    def test_line_search_receives_the_slope_it_would_compute(
+        self, size, ascent, monkeypatch
+    ):
+        rng = np.random.default_rng(size)
+        curvature = rng.uniform(0.5, 2.0, size)
+
+        def objective(x):
+            return float(0.5 * x @ (curvature * x)), curvature * x
+
+        slopes = []
+        search = lbfgs.strong_wolfe_line_search
+
+        def recording(objective, x, fval, grad, direction, **kwargs):
+            slopes.append((kwargs["slope"], float(grad @ direction)))
+            return search(objective, x, fval, grad, direction, **kwargs)
+
+        monkeypatch.setattr(lbfgs, "strong_wolfe_line_search", recording)
+        if ascent:
+            # Every direction is uphill, so every iteration restarts.
+            monkeypatch.setattr(
+                lbfgs._CurvatureHistory, "direction", lambda self, g: g.copy()
+            )
+        cfg = TrainConfig(max_iterations=8, gradient_tolerance=1e-300)
+        lbfgs_minimize(objective, rng.normal(size=size), cfg)
+        assert len(slopes) >= 2
+        assert all(passed == own for passed, own in slopes)
 
 
 def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
