@@ -5,7 +5,6 @@ impairment)."""
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
 from .connectome import (
     MEASURE_COMMUNICABILITY,
-    MEASURE_FUSED,
     MEASURE_SHORTEST_PATH,
     MEASURE_WEIGHTS,
     MEASURES,
@@ -32,23 +31,19 @@ from .dataio import (
     load_cohort,
     load_report,
 )
-from .ensemble import (
-    EnsembleModel,
-    fuse_features,
-    predict_label,
-    soft_vote,
-    train_ensemble,
-)
 from .errors import ConnectomlError, NumericalError, ValidationError
 from .evaluation import (
     METRIC_NAMES,
     STRATEGIES,
     EvaluationReport,
     FoldMetrics,
+    FoldModels,
     aggregate_metrics,
     auc,
     compute_fold_metrics,
+    fit_fold,
     mann_whitney_u,
+    predict_label,
     run_experiment,
 )
 from .folds import FoldAssignment, derive_seed, stratified_kfold
@@ -61,9 +56,7 @@ from .neuralnet import (
     fit_normalizer,
     flatten_parameters,
     forward,
-    gradient,
     init_parameters,
-    loss,
     loss_and_gradient,
     predict_proba,
     train_classifier,

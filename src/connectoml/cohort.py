@@ -20,8 +20,10 @@ LABEL_CODES = {"HC": LABEL_HC, "MCI": LABEL_MCI}
 class LabeledCohort:
     """Subjects with labels (0 = HC, 1 = MCI) and one feature matrix per measure.
 
-    All three measures must be present with identical row counts; row i of
-    every matrix belongs to ``subject_ids[i]``.
+    All three measures must be present with identical row counts and
+    identical column counts (the single-measure models share one input
+    width, and fusion concatenates equal-width blocks); row i of every
+    matrix belongs to ``subject_ids[i]``.
     """
 
     subject_ids: tuple
@@ -51,6 +53,12 @@ class LabeledCohort:
                     f" subject (got shape {matrix.shape} for {n} subjects)"
                 )
             features[measure] = matrix
+        widths = {m: features[m].shape[1] for m in MEASURES}
+        if len(set(widths.values())) != 1:
+            raise ValidationError(
+                f"feature matrices must have the same number of columns for"
+                f" every measure (got {widths})"
+            )
         object.__setattr__(self, "features", features)
 
     @property

@@ -25,12 +25,9 @@ from .errors import NumericalError, ValidationError
 MEASURE_WEIGHTS = "weights"
 MEASURE_SHORTEST_PATH = "shortest_path"
 MEASURE_COMMUNICABILITY = "communicability"
-MEASURE_FUSED = "fused"
 
 #: The three single-measure feature sets, in canonical order.
 MEASURES = (MEASURE_WEIGHTS, MEASURE_SHORTEST_PATH, MEASURE_COMMUNICABILITY)
-
-KNOWN_MEASURES = MEASURES + (MEASURE_FUSED,)
 
 DEFAULT_SYMMETRY_TOLERANCE = 1e-9
 
@@ -58,25 +55,11 @@ class ConnectivityMatrix:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Flattened feature values for one subject under one measure."""
+    """One measure's flattened features for one subject, as returned by
+    :func:`extract_features`; ``values`` is a 1-D float64 array."""
 
     measure: str
     values: np.ndarray
-
-    def __post_init__(self):
-        if self.measure not in KNOWN_MEASURES:
-            raise ValidationError(f"unknown measure tag {self.measure!r}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValidationError("feature values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(
-                f"non-finite value in {self.measure!r} feature vector"
-            )
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def feature_length(n_nodes: int) -> int:
@@ -172,31 +155,33 @@ def unflatten_upper_triangle(values, n_nodes: int) -> np.ndarray:
     return out + out.T
 
 
-def weight_features(matrix: ConnectivityMatrix) -> FeatureVector:
+def weight_features(matrix: ConnectivityMatrix) -> np.ndarray:
     """Raw-weight features: the flattened upper triangle of the weights."""
-    return FeatureVector(MEASURE_WEIGHTS, flatten_upper_triangle(matrix.weights))
+    return flatten_upper_triangle(matrix.weights)
 
 
 def _normalize_disconnected_policy(policy):
-    """Accept 'max_finite', 'error', ('constant', v) or 'constant:<v>'."""
+    """Accept 'max_finite', 'error', ('constant', v) or 'constant:<v>'.
+
+    The constant ``v`` must be a finite number in either form: it becomes a
+    feature value, and every feature value must be finite.
+    """
     if isinstance(policy, str):
         if policy in (POLICY_MAX_FINITE, POLICY_ERROR):
             return policy, None
-        if policy.startswith(POLICY_CONSTANT + ":"):
-            try:
-                return POLICY_CONSTANT, float(policy.split(":", 1)[1])
-            except ValueError:
-                pass
-        raise ValidationError(f"unknown disconnected-pair policy {policy!r}")
+        name, _, value = policy.partition(":")
+    else:
+        try:
+            name, value = policy
+        except (TypeError, ValueError):
+            name, value = None, None
     try:
-        name, value = policy
+        value = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(
-            f"unknown disconnected-pair policy {policy!r}"
-        ) from None
+        value = np.nan  # rejected below, like a non-finite constant
     if name != POLICY_CONSTANT or not np.isfinite(value):
         raise ValidationError(f"unknown disconnected-pair policy {policy!r}")
-    return POLICY_CONSTANT, float(value)
+    return POLICY_CONSTANT, value
 
 
 def _dijkstra_all_sources(lengths: np.ndarray) -> np.ndarray:
@@ -249,7 +234,7 @@ def shortest_path_matrix(
         What to store for node pairs with no connecting path:
         ``"max_finite"`` (default) uses the subject's largest finite
         shortest-path length, ``("constant", v)`` or ``"constant:<v>"``
-        uses the fixed value ``v``, and ``"error"`` raises.
+        uses the fixed finite value ``v``, and ``"error"`` raises.
 
     Returns
     -------
@@ -259,9 +244,10 @@ def shortest_path_matrix(
     Raises
     ------
     ValidationError
-        Under the ``"error"`` policy if any pair is disconnected, or under
-        ``"max_finite"`` if every pair is disconnected so no finite maximum
-        exists.
+        If the policy is unknown or its constant is not finite (checked
+        before any path is computed), under the ``"error"`` policy if any
+        pair is disconnected, or under ``"max_finite"`` if every pair is
+        disconnected so no finite maximum exists.
     """
     policy, constant = _normalize_disconnected_policy(disconnected)
     weights = matrix.weights
@@ -301,12 +287,9 @@ def shortest_path_matrix(
 
 def shortest_path_lengths(
     matrix: ConnectivityMatrix, disconnected="max_finite"
-) -> FeatureVector:
+) -> np.ndarray:
     """Shortest-path features: flattened upper triangle of path lengths."""
-    return FeatureVector(
-        MEASURE_SHORTEST_PATH,
-        flatten_upper_triangle(shortest_path_matrix(matrix, disconnected)),
-    )
+    return flatten_upper_triangle(shortest_path_matrix(matrix, disconnected))
 
 
 def matrix_exponential_symmetric(a) -> np.ndarray:
@@ -361,20 +344,18 @@ def communicability_matrix(matrix: ConnectivityMatrix) -> np.ndarray:
     return matrix_exponential_symmetric(normalized_adjacency(matrix))
 
 
-def communicability(matrix: ConnectivityMatrix) -> FeatureVector:
+def communicability(matrix: ConnectivityMatrix) -> np.ndarray:
     """Communicability features: flattened upper triangle."""
-    return FeatureVector(
-        MEASURE_COMMUNICABILITY,
-        flatten_upper_triangle(communicability_matrix(matrix)),
-    )
+    return flatten_upper_triangle(communicability_matrix(matrix))
 
 
 def extract_features(
     matrix: ConnectivityMatrix, disconnected="max_finite"
 ) -> dict[str, FeatureVector]:
     """All three feature sets for one subject, keyed by measure."""
-    return {
+    features = {
         MEASURE_WEIGHTS: weight_features(matrix),
         MEASURE_SHORTEST_PATH: shortest_path_lengths(matrix, disconnected),
         MEASURE_COMMUNICABILITY: communicability(matrix),
     }
+    return {m: FeatureVector(m, values) for m, values in features.items()}

@@ -91,7 +91,8 @@ def read_manifest(manifest_path):
                 f"{manifest_path}: manifest must have columns"
                 " subject_id,label,path"
             )
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
+            line_number = reader.line_num
             subject_id = (row["subject_id"] or "").strip()
             label = (row["label"] or "").strip()
             raw_path = (row["path"] or "").strip()
@@ -314,7 +315,10 @@ def load_feature_csvs(directory) -> LabeledCohort:
                 raise ValidationError(
                     f"{path}: expected header subject_id,label,f0,..."
                 )
-            for line_number, row in enumerate(reader, start=2):
+            for row in reader:
+                # The physical line the record ends on: a quoted id may
+                # span several lines.
+                line_number = reader.line_num
                 if len(row) != len(header):
                     raise ValidationError(
                         f"{path}: line {line_number}: expected"

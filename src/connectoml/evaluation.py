@@ -3,10 +3,13 @@
 One experiment evaluates five classification strategies on the same folds:
 the three single-measure classifiers, a classifier on the fused feature
 vector, and the soft-voting ensemble (which reuses the three single-measure
-models trained in the same fold). Metrics are computed per test fold with
-MCI as the positive class and aggregated as mean and standard error over
-all repetitions * folds values; strategies are compared pairwise with the
-Mann-Whitney U test on those per-fold samples.
+models trained in the same fold). :func:`fit_fold` trains the four models of
+one fold and :meth:`FoldModels.scores` scores the test subjects under all
+five strategies; :func:`run_experiment` trains and scores through these
+alone. Metrics are computed per test fold with MCI as the positive class and
+aggregated as mean and standard error over all repetitions * folds values;
+strategies are compared pairwise with the Mann-Whitney U test on those
+per-fold samples.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import LabeledCohort
+from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
 from .connectome import MEASURES
-from .ensemble import predict_label
 from .errors import ValidationError
 from .folds import derive_seed, stratified_kfold
-from .neuralnet import TrainConfig, predict_proba, train_classifier
+from .neuralnet import MlpModel, TrainConfig, predict_proba, train_classifier
 from .sampling import MODE_FOLD, SamplerConfig, apply_sampler
 
 STRATEGY_FUSION = "fusion"
@@ -256,19 +258,54 @@ class EvaluationReport:
         )
 
 
-def _fold_scores(train: LabeledCohort, test: LabeledCohort, cfg: TrainConfig):
-    """Train the four models of one fold and score the test subjects."""
-    member_scores = {}
-    for measure in MEASURES:
-        model = train_classifier(train.features[measure], train.labels, cfg)
-        member_scores[measure] = predict_proba(model, test.features[measure])
-    fusion_model = train_classifier(train.fused(), train.labels, cfg)
-    scores = dict(member_scores)
-    scores[STRATEGY_FUSION] = predict_proba(fusion_model, test.fused())
-    scores[STRATEGY_ENSEMBLE] = np.mean(
-        [member_scores[m] for m in MEASURES], axis=0
-    )
-    return scores
+@dataclass(frozen=True)
+class FoldModels:
+    """The four models trained in one fold.
+
+    ``members`` holds one classifier per measure, keyed by measure tag;
+    ``fusion`` is the classifier on the fused (concatenated) features.
+    """
+
+    members: dict
+    fusion: MlpModel
+
+    def scores(self, test: LabeledCohort) -> dict:
+        """MCI probabilities of the test subjects under every strategy.
+
+        Keys follow :data:`STRATEGIES`. The ensemble score is the mean of
+        the three member scores (soft voting).
+        """
+        scores = {
+            measure: predict_proba(
+                self.members[measure], test.features[measure]
+            )
+            for measure in MEASURES
+        }
+        scores[STRATEGY_FUSION] = predict_proba(self.fusion, test.fused())
+        scores[STRATEGY_ENSEMBLE] = np.mean(
+            [scores[m] for m in MEASURES], axis=0
+        )
+        return scores
+
+
+def fit_fold(train: LabeledCohort, cfg: TrainConfig) -> FoldModels:
+    """Train one classifier per measure and one on the fused features.
+
+    All four models share the hyper-parameters and seed in ``cfg``.
+    """
+    members = {
+        measure: train_classifier(train.features[measure], train.labels, cfg)
+        for measure in MEASURES
+    }
+    fusion = train_classifier(train.fused(), train.labels, cfg)
+    return FoldModels(members=members, fusion=fusion)
+
+
+def predict_label(probability, threshold: float = 0.5):
+    """Binary decision: MCI (1) iff probability >= threshold, ties to MCI."""
+    arr = np.asarray(probability, dtype=np.float64)
+    labels = np.where(arr >= threshold, LABEL_MCI, LABEL_HC)
+    return int(labels) if arr.ndim == 0 else labels
 
 
 def run_experiment(
@@ -315,7 +352,7 @@ def run_experiment(
                 train_cfg,
                 seed=derive_seed(train_cfg.seed, repetition, fold.fold),
             )
-            scores = _fold_scores(train, test, fold_cfg)
+            scores = fit_fold(train, fold_cfg).scores(test)
             for strategy in STRATEGIES:
                 metrics = compute_fold_metrics(
                     test.labels,

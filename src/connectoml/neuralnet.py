@@ -126,7 +126,8 @@ def flatten_parameters(params: MlpParameters) -> np.ndarray:
     """Pack parameters into one vector.
 
     Layout: for each layer in order, the weight matrix in row-major order
-    followed by the bias vector. :func:`gradient` uses the same layout.
+    followed by the bias vector. The gradient of :func:`loss_and_gradient`
+    uses the same layout.
     """
     parts = []
     for w, b in zip(params.layer_weights, params.layer_biases):
@@ -217,9 +218,11 @@ def _validate_dataset(xs, ys, input_dim=None):
 
 
 def loss_and_gradient(params: MlpParameters, xs, ys, l2_alpha: float):
-    """Objective value and its gradient in one backward pass.
+    """Objective value and its exact gradient in one backward pass.
 
-    The gradient layout matches :func:`flatten_parameters`.
+    The value is the mean cross-entropy plus the L2 penalty on the weight
+    matrices (see the module docstring); the gradient comes from
+    reverse-mode accumulation, laid out as :func:`flatten_parameters`.
     """
     x, y = _validate_dataset(xs, ys, params.input_dim)
     n = x.shape[0]
@@ -254,16 +257,6 @@ def loss_and_gradient(params: MlpParameters, xs, ys, l2_alpha: float):
     grad_w1 += decay * w1
     dz1.sum(axis=0, out=grad_b1)
     return cross_entropy + penalty, grad
-
-
-def loss(params: MlpParameters, xs, ys, l2_alpha: float) -> float:
-    """Mean cross-entropy plus L2 penalty on the weight matrices."""
-    return loss_and_gradient(params, xs, ys, l2_alpha)[0]
-
-
-def gradient(params: MlpParameters, xs, ys, l2_alpha: float) -> np.ndarray:
-    """Exact gradient of :func:`loss` via reverse-mode accumulation."""
-    return loss_and_gradient(params, xs, ys, l2_alpha)[1]
 
 
 def fit_normalizer(xs) -> MinMaxNormalizer:

@@ -5,9 +5,9 @@ than the library uses (truncated series instead of eigendecomposition,
 Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
 sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
 agreement is evidence, not tautology. The bit-identity oracles
-(``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``) are
-the straightforward forms of optimized library code, kept so tests can
-require exactly the same floats and bytes.
+(``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
+``fold_scores_reference``) are the straightforward or earlier forms of
+library code, kept so tests can require exactly the same floats and bytes.
 """
 
 import csv
@@ -16,8 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from connectoml import LabeledCohort, MEASURES, validate_matrix
+from connectoml import (
+    MEASURES,
+    LabeledCohort,
+    predict_proba,
+    train_classifier,
+    validate_matrix,
+)
 from connectoml.cohort import LABEL_NAMES
+from connectoml.evaluation import STRATEGY_ENSEMBLE, STRATEGY_FUSION
 
 
 def taylor_expm(a, terms=60):
@@ -192,6 +199,23 @@ def write_feature_csvs_reference(cohort, out_dir):
                 )
         paths.append(path)
     return paths
+
+
+def fold_scores_reference(train, test, cfg):
+    """Train the four models of one fold and score the test subjects,
+    each member scored right after it is trained (the inline fold of
+    ``run_experiment`` before ``fit_fold`` existed)."""
+    member_scores = {}
+    for measure in MEASURES:
+        model = train_classifier(train.features[measure], train.labels, cfg)
+        member_scores[measure] = predict_proba(model, test.features[measure])
+    fusion_model = train_classifier(train.fused(), train.labels, cfg)
+    scores = dict(member_scores)
+    scores[STRATEGY_FUSION] = predict_proba(fusion_model, test.fused())
+    scores[STRATEGY_ENSEMBLE] = np.mean(
+        [member_scores[m] for m in MEASURES], axis=0
+    )
+    return scores
 
 
 def make_cohort(features, labels, ids=None):

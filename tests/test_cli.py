@@ -211,6 +211,54 @@ class TestExitCodes:
             " '1.5.2'\n"
         )
 
+    def test_non_finite_disconnected_constant_is_two(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "extract",
+                "--manifest", str(cohort_dir / "manifest.csv"),
+                "--out-dir", str(tmp_path / "features"),
+                "--disconnected", "constant:inf",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown disconnected-pair policy 'constant:inf'\n"
+        )
+
+    def test_feature_store_with_mismatched_widths_is_two(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        features = tmp_path / "features"
+        extract = [
+            "extract",
+            "--manifest", str(cohort_dir / "manifest.csv"),
+            "--out-dir", str(features),
+        ]
+        assert run_cli(extract) == 0
+        # Drop the last feature column of one measure, header included.
+        path = features / "features_communicability.csv"
+        records = path.read_bytes().split(b"\r\n")
+        path.write_bytes(
+            b"\r\n".join(r.rsplit(b",", 1)[0] if r else r for r in records)
+        )
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--features-dir", str(features),
+                "--out", str(tmp_path / "r.json"),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        assert "same number of columns for every measure" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalError("synthetic numerical failure")

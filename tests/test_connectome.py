@@ -1,5 +1,7 @@
 """Tests for matrix validation and the three graph feature sets."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,9 +12,11 @@ from conftest import (
 )
 
 from connectoml import (
+    MEASURES,
     ValidationError,
     communicability,
     communicability_matrix,
+    extract_features,
     feature_length,
     flatten_upper_triangle,
     matrix_exponential_symmetric,
@@ -22,6 +26,7 @@ from connectoml import (
     shortest_path_matrix,
     unflatten_upper_triangle,
     validate_matrix,
+    weight_features,
 )
 from connectoml.connectome import _dijkstra_all_sources
 
@@ -109,7 +114,7 @@ class TestFlatten:
 class TestShortestPaths:
     def test_single_edge_inverts_weight(self):
         m = validate_matrix([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(shortest_path_lengths(m).values, [0.5])
+        assert np.array_equal(shortest_path_lengths(m), [0.5])
 
     def test_detour_beats_direct_edge(self):
         weights = np.zeros((3, 3))
@@ -139,6 +144,27 @@ class TestShortestPaths:
         assert dist[0, 1] == 0.5
         string_form = shortest_path_matrix(m, "constant:9.0")
         np.testing.assert_array_equal(dist, string_form)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            "constant:inf",
+            "constant:nan",
+            "constant:-inf",
+            "constant:x",
+            ("constant", np.inf),
+            ("constant", np.nan),
+            ("constant", "x"),
+            ("constant", None),
+        ],
+    )
+    def test_constant_must_be_a_finite_number_in_both_forms(self, policy):
+        # Rejected even for a fully connected subject, where the constant
+        # would never be written: the policy is checked before any path.
+        m = validate_matrix(np.ones((3, 3)))
+        message = f"unknown disconnected-pair policy {policy!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            shortest_path_matrix(m, policy)
 
     def test_error_policy_raises(self):
         weights = np.zeros((3, 3))
@@ -288,7 +314,7 @@ class TestCommunicability:
             np.diag(matrix), np.cosh(1.0), rtol=1e-14
         )
         np.testing.assert_allclose(
-            communicability(m).values, [np.sinh(1.0)], rtol=1e-14
+            communicability(m), [np.sinh(1.0)], rtol=1e-14
         )
 
     def test_matches_taylor_oracle_on_random_matrices(self):
@@ -324,3 +350,22 @@ class TestCommunicability:
             m = random_connectome(rng, 8, 0.7)
             eigenvalues = np.linalg.eigvalsh(normalized_adjacency(m))
             assert np.abs(eigenvalues).max() <= 1.0 + 1e-12
+
+
+class TestExtractFeatures:
+    def test_three_measures_as_plain_float_arrays(self):
+        rng = np.random.default_rng(35)
+        m = random_connectome(rng, 7, 0.5)
+        features = extract_features(m, "constant:4.0")
+        assert tuple(features) == MEASURES
+        expected = {
+            "weights": weight_features(m),
+            "shortest_path": shortest_path_lengths(m, "constant:4.0"),
+            "communicability": communicability(m),
+        }
+        for measure in MEASURES:
+            assert type(expected[measure]) is np.ndarray
+            assert expected[measure].dtype == np.float64
+            assert expected[measure].shape == (feature_length(7),)
+            assert features[measure].measure == measure
+            assert np.array_equal(features[measure].values, expected[measure])

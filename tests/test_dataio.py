@@ -126,6 +126,22 @@ class TestLoadCohort:
         with pytest.raises(ValidationError, match="duplicate"):
             load_cohort(manifest)
 
+    def test_error_names_the_physical_line_after_a_multiline_id(
+        self, tmp_path
+    ):
+        tiny_matrix_file(tmp_path / "a.csv", [[0, 1], [1, 0]])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            'subject_id,label,path\na,HC,a.csv\n"two\nlines",MCI,a.csv\n'
+            "c,AD,a.csv\n",
+            encoding="utf-8",
+        )
+        message = (
+            f"{manifest}: line 5: unknown label 'AD' (expected HC or MCI)"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_cohort(manifest)
+
     def test_validation_error_names_subject(self, tmp_path):
         tiny_matrix_file(tmp_path / "a.csv", [[0, -1], [-1, 0]])
         manifest = tmp_path / "manifest.csv"
@@ -333,5 +349,23 @@ class TestFeatureStore:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         message = f"{path}: line 3: could not convert string to float: 'x'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_feature_csvs(tmp_path)
+
+    def test_error_names_the_physical_line_after_a_multiline_id(
+        self, tmp_path
+    ):
+        cohort = make_measure_cohort(
+            {m: np.full((3, 2), 1.5) for m in MEASURES},
+            [0, 1, 0],
+            ids=("a", "two\nlines", "c"),
+        )
+        write_feature_csvs(cohort, tmp_path)
+        path = tmp_path / "features_weights.csv"
+        records = path.read_bytes().split(b"\r\n")
+        assert records[3] == b"c,HC,1.5,1.5"  # physical line 5
+        records[3] = b"c,HC,1.5,x"
+        path.write_bytes(b"\r\n".join(records))
+        message = f"{path}: line 5: could not convert string to float: 'x'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_feature_csvs(tmp_path)

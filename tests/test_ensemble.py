@@ -1,22 +1,31 @@
-"""Tests for soft voting, feature fusion, and the decision rule."""
+"""Tests for the fold path: ``fit_fold`` trains the four models of a fold,
+``FoldModels.scores`` soft-votes the members and scores fusion, and
+``predict_label`` turns scores into decisions."""
 
 import numpy as np
 import pytest
-from conftest import make_cohort, make_measure_cohort
+from conftest import fold_scores_reference, make_cohort, make_measure_cohort
 
+import connectoml.evaluation
 from connectoml import (
     MEASURES,
-    FeatureVector,
+    STRATEGIES,
+    FoldModels,
+    LabeledCohort,
     TrainConfig,
     ValidationError,
     auc,
-    fuse_features,
+    fit_fold,
     predict_label,
     predict_proba,
-    soft_vote,
-    train_ensemble,
+    train_classifier,
 )
-from connectoml.ensemble import EnsembleModel
+from connectoml.neuralnet import (
+    HIDDEN_UNITS,
+    MinMaxNormalizer,
+    MlpModel,
+    MlpParameters,
+)
 
 
 def separable_cohort(rng, n_per_class=40, dim=6, shift=3.0):
@@ -30,37 +39,119 @@ def separable_cohort(rng, n_per_class=40, dim=6, shift=3.0):
     return make_cohort(xs, ys)
 
 
+def distinct_measure_cohort(rng, n_hc, n_mci, dim=5):
+    """Different features per measure, MCI rows shifted by a per-measure
+    amount."""
+    labels = np.array([0] * n_hc + [1] * n_mci)
+    features = {
+        m: rng.normal(size=(labels.size, dim)) + (i + 0.5) * labels[:, None]
+        for i, m in enumerate(MEASURES)
+    }
+    return make_measure_cohort(features, labels)
+
+
+def split_alternating(cohort):
+    """Even rows train, odd rows test; both classes land on both sides."""
+    rows = np.arange(cohort.size)
+    return cohort.subset(rows[0::2]), cohort.subset(rows[1::2])
+
+
+def constant_model(probability, input_dim=1):
+    """Model whose output is ``probability`` (up to rounding) for any input:
+    zero weights and the output bias at logit(probability)."""
+    shapes = (
+        (input_dim, HIDDEN_UNITS),
+        (HIDDEN_UNITS, HIDDEN_UNITS),
+        (HIDDEN_UNITS, 1),
+    )
+    biases = (
+        np.zeros(HIDDEN_UNITS),
+        np.zeros(HIDDEN_UNITS),
+        np.array([np.log(probability / (1.0 - probability))]),
+    )
+    return MlpModel(
+        parameters=MlpParameters(tuple(np.zeros(s) for s in shapes), biases),
+        normalizer=MinMaxNormalizer(np.zeros(input_dim), np.ones(input_dim)),
+        input_dim=input_dim,
+    )
+
+
+def models_of(fold):
+    return [fold.members[m] for m in MEASURES] + [fold.fusion]
+
+
+class TestFitFold:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: separable_cohort(rng, n_per_class=12, dim=4),
+            lambda rng: distinct_measure_cohort(rng, 14, 14),
+            lambda rng: distinct_measure_cohort(rng, 8, 22, dim=3),
+        ],
+        ids=["shared_features", "distinct_measures", "unequal_classes"],
+    )
+    def test_scores_bit_identical_to_reference(self, build):
+        train, test = split_alternating(build(np.random.default_rng(20)))
+        cfg = TrainConfig(seed=4, max_iterations=15)
+        expected = fold_scores_reference(train, test, cfg)
+        scores = fit_fold(train, cfg).scores(test)
+        assert tuple(scores) == STRATEGIES == tuple(expected)
+        for strategy in STRATEGIES:
+            assert np.array_equal(scores[strategy], expected[strategy])
+
+    def test_trains_four_models_through_the_module_global(self, monkeypatch):
+        widths = []
+        original = connectoml.evaluation.train_classifier
+
+        def recording_train(xs, ys, cfg):
+            widths.append(np.asarray(xs).shape[1])
+            return original(xs, ys, cfg)
+
+        monkeypatch.setattr(
+            connectoml.evaluation, "train_classifier", recording_train
+        )
+        train = distinct_measure_cohort(np.random.default_rng(21), 6, 6, 2)
+        fold = fit_fold(train, TrainConfig(seed=1, max_iterations=3))
+        assert widths == [2, 2, 2, 6]
+        assert [model.input_dim for model in models_of(fold)] == widths
+
+
 class TestTrainEnsemble:
     def test_identical_members_vote_like_any_single_member(self):
         rng = np.random.default_rng(0)
         cohort = separable_cohort(rng)
-        cfg = TrainConfig(seed=5, max_iterations=20)
-        model = train_ensemble(cohort, cfg)
-        subject = {m: cohort.features[m][3] for m in MEASURES}
-        vote = soft_vote(model, subject)
-        member = predict_proba(model.members[MEASURES[0]], subject[MEASURES[0]])
-        assert vote == member
+        scores = fit_fold(cohort, TrainConfig(seed=5, max_iterations=20)).scores(
+            cohort
+        )
+        first = scores[MEASURES[0]]
+        for measure in MEASURES:
+            assert np.array_equal(scores[measure], first)
+        # (x + x + x) / 3 may round one ulp away from x.
+        np.testing.assert_allclose(scores["ensemble"], first, rtol=1e-15)
 
     def test_held_out_auc_on_separable_cohort(self):
         rng = np.random.default_rng(1)
         train = separable_cohort(rng)
         test = separable_cohort(rng)
-        model = train_ensemble(train, TrainConfig(seed=2, max_iterations=40))
-        scores = soft_vote(model, {m: test.features[m] for m in MEASURES})
-        assert auc(test.labels, scores) >= 0.95
+        fold = fit_fold(train, TrainConfig(seed=2, max_iterations=40))
+        assert auc(test.labels, fold.scores(test)["ensemble"]) >= 0.95
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        cohort = separable_cohort(rng, n_per_class=15)
+        cohort = distinct_measure_cohort(rng, 15, 15, dim=4)
         cfg = TrainConfig(seed=7, max_iterations=15)
-        first = train_ensemble(cohort, cfg)
-        second = train_ensemble(cohort, cfg)
-        for measure in MEASURES:
-            for a, b in zip(
-                first.members[measure].parameters.layer_weights,
-                second.members[measure].parameters.layer_weights,
+        first = fit_fold(cohort, cfg)
+        second = fit_fold(cohort, cfg)
+        for a, b in zip(models_of(first), models_of(second)):
+            for x, y in zip(
+                a.parameters.layer_weights + a.parameters.layer_biases,
+                b.parameters.layer_weights + b.parameters.layer_biases,
             ):
-                assert np.array_equal(a, b)
+                assert np.array_equal(x, y)
+        for strategy in STRATEGIES:
+            assert np.array_equal(
+                first.scores(cohort)[strategy], second.scores(cohort)[strategy]
+            )
 
     def test_member_training_order_does_not_matter(self):
         rng = np.random.default_rng(3)
@@ -71,105 +162,120 @@ class TestTrainEnsemble:
         labels[:2] = [0, 1]  # both classes guaranteed
         cohort = make_measure_cohort(features, labels)
         cfg = TrainConfig(seed=1, max_iterations=10)
-        forward_order = {
-            m: predict_proba(
-                train_ensemble(cohort, cfg).members[m], cohort.features[m]
-            )
-            for m in MEASURES
-        }
-        # Train members individually in reversed order; results must agree.
-        from connectoml import train_classifier
-
+        scores = fit_fold(cohort, cfg).scores(cohort)
+        # Train each model on its own, in reversed order; results agree.
+        fusion = train_classifier(cohort.fused(), cohort.labels, cfg)
+        np.testing.assert_array_equal(
+            predict_proba(fusion, cohort.fused()), scores["fusion"]
+        )
         for measure in reversed(MEASURES):
             model = train_classifier(
                 cohort.features[measure], cohort.labels, cfg
             )
             np.testing.assert_array_equal(
                 predict_proba(model, cohort.features[measure]),
-                forward_order[measure],
+                scores[measure],
             )
 
 
 class TestSoftVote:
     def test_mean_of_member_probabilities(self):
         rng = np.random.default_rng(4)
-        cohort = separable_cohort(rng, n_per_class=12)
-        model = train_ensemble(cohort, TrainConfig(seed=3, max_iterations=10))
-        batch = {m: cohort.features[m] for m in MEASURES}
-        vote = soft_vote(model, batch)
+        train, test = split_alternating(distinct_measure_cohort(rng, 12, 16))
+        fold = fit_fold(train, TrainConfig(seed=3, max_iterations=10))
         members = np.array(
-            [predict_proba(model.members[m], batch[m]) for m in MEASURES]
+            [
+                predict_proba(fold.members[m], test.features[m])
+                for m in MEASURES
+            ]
         )
-        np.testing.assert_array_equal(vote, members.mean(axis=0))
+        assert np.array_equal(
+            fold.scores(test)["ensemble"], members.mean(axis=0)
+        )
 
     def test_hand_values_average(self):
-        # (0.2 + 0.4 + 0.9) / 3 == 0.5 checked through the mean identity.
-        assert np.mean([0.2, 0.4, 0.9]) == pytest.approx(0.5)
+        fold = FoldModels(
+            members={
+                m: constant_model(p) for m, p in zip(MEASURES, (0.2, 0.4, 0.9))
+            },
+            fusion=constant_model(0.7, input_dim=3),
+        )
+        cohort = make_cohort(np.arange(4.0)[:, None], [0, 1, 0, 1])
+        scores = fold.scores(cohort)
+        np.testing.assert_allclose(scores["ensemble"], 0.5, rtol=1e-12)
+        np.testing.assert_allclose(scores["fusion"], 0.7, rtol=1e-12)
+        for measure, p in zip(MEASURES, (0.2, 0.4, 0.9)):
+            np.testing.assert_allclose(scores[measure], p, rtol=1e-12)
 
     def test_missing_measure_rejected(self):
-        rng = np.random.default_rng(5)
-        cohort = separable_cohort(rng, n_per_class=10)
-        model = train_ensemble(cohort, TrainConfig(seed=4, max_iterations=5))
+        # Every subject carries all three measures: the cohort, the only
+        # input of the fold path, refuses to exist otherwise.
         with pytest.raises(ValidationError, match="missing measures"):
-            soft_vote(model, {MEASURES[0]: cohort.features[MEASURES[0]][0]})
+            LabeledCohort(
+                subject_ids=("a", "b"),
+                labels=[0, 1],
+                features={MEASURES[0]: np.zeros((2, 3))},
+            )
 
     def test_vote_stays_inside_unit_interval(self):
         rng = np.random.default_rng(6)
         cohort = separable_cohort(rng, n_per_class=10)
-        model = train_ensemble(cohort, TrainConfig(seed=5, max_iterations=5))
-        votes = soft_vote(model, {m: cohort.features[m] for m in MEASURES})
+        fold = fit_fold(cohort, TrainConfig(seed=5, max_iterations=5))
+        votes = fold.scores(cohort)["ensemble"]
         assert np.all(votes > 0) and np.all(votes < 1)
-
-
-class TestEnsembleModelValidation:
-    def test_missing_member_rejected(self):
-        rng = np.random.default_rng(7)
-        cohort = separable_cohort(rng, n_per_class=10)
-        model = train_ensemble(cohort, TrainConfig(seed=6, max_iterations=5))
-        partial = {MEASURES[0]: model.members[MEASURES[0]]}
-        with pytest.raises(ValidationError, match="missing members"):
-            EnsembleModel(members=partial)
 
 
 class TestFuseFeatures:
     def test_lengths_concatenate(self):
-        w = FeatureVector("weights", np.zeros(7140))
-        s = FeatureVector("shortest_path", np.zeros(7140))
-        c = FeatureVector("communicability", np.zeros(7140))
-        fused = fuse_features(w, s, c)
-        assert fused.measure == "fused"
-        assert len(fused) == 21420
+        cohort = make_cohort(np.zeros((2, 7140)), [0, 1])
+        assert cohort.fused().shape == (2, 21420)
 
     def test_tiny_example(self):
-        fused = fuse_features(
-            FeatureVector("weights", [1.0]),
-            FeatureVector("shortest_path", [2.0]),
-            FeatureVector("communicability", [3.0]),
+        cohort = make_measure_cohort(
+            {
+                "weights": [[1.0]],
+                "shortest_path": [[2.0]],
+                "communicability": [[3.0]],
+            },
+            [1],
         )
-        assert np.array_equal(fused.values, [1.0, 2.0, 3.0])
+        assert np.array_equal(cohort.fused(), [[1.0, 2.0, 3.0]])
 
     def test_order_follows_measure_tags_not_argument_order(self):
-        w = FeatureVector("weights", [10.0])
-        s = FeatureVector("shortest_path", [20.0])
-        c = FeatureVector("communicability", [30.0])
-        fused = fuse_features(c, w, s)
-        assert np.array_equal(fused.values, [10.0, 20.0, 30.0])
+        rng = np.random.default_rng(8)
+        labels = np.array([0, 1] * 6)
+        shifts = {"communicability": 30.0, "weights": 10.0,
+                  "shortest_path": 20.0}
+        cohort = LabeledCohort(
+            subject_ids=tuple(f"s{i}" for i in range(12)),
+            labels=labels,
+            features={
+                m: rng.normal(size=(12, 2)) + shift
+                for m, shift in shifts.items()
+            },
+        )
+        assert np.array_equal(
+            cohort.fused(),
+            np.hstack([cohort.features[m] for m in MEASURES]),
+        )
+        fold = fit_fold(cohort, TrainConfig(seed=2, max_iterations=3))
+        assert np.array_equal(
+            fold.fusion.normalizer.minimum,
+            np.concatenate(
+                [fold.members[m].normalizer.minimum for m in MEASURES]
+            ),
+        )
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValidationError, match="mismatched lengths"):
-            fuse_features(
-                FeatureVector("weights", [1.0, 2.0]),
-                FeatureVector("shortest_path", [2.0]),
-                FeatureVector("communicability", [3.0]),
+        with pytest.raises(ValidationError, match="same number of columns"):
+            make_measure_cohort(
+                {
+                    "weights": np.zeros((2, 2)),
+                    "shortest_path": np.zeros((2, 1)),
+                    "communicability": np.zeros((2, 1)),
+                },
+                [0, 1],
             )
-
-    def test_duplicate_or_missing_measures_rejected(self):
-        w = FeatureVector("weights", [1.0])
-        s = FeatureVector("shortest_path", [2.0])
-        with pytest.raises(ValidationError, match="duplicate"):
-            fuse_features(w, w, s)
-        with pytest.raises(ValidationError, match="cannot fuse"):
-            fuse_features(w, s, FeatureVector("fused", [3.0]))
 
 
 class TestPredictLabel:

@@ -10,9 +10,8 @@ from connectoml import (
     ValidationError,
     fit_normalizer,
     forward,
-    gradient,
     init_parameters,
-    loss,
+    loss_and_gradient,
     predict_proba,
     train_classifier,
 )
@@ -21,7 +20,6 @@ from connectoml.neuralnet import (
     MlpParameters,
     _forward_pass,
     flatten_parameters,
-    loss_and_gradient,
     unflatten_parameters,
 )
 
@@ -99,8 +97,8 @@ def finite_difference_gradient(params, xs, ys, l2_alpha, indices, step=1e-6):
             params_minus, xs
         ):
             continue
-        f_plus = loss(params_plus, xs, ys, l2_alpha)
-        f_minus = loss(params_minus, xs, ys, l2_alpha)
+        f_plus = loss_and_gradient(params_plus, xs, ys, l2_alpha)[0]
+        f_minus = loss_and_gradient(params_minus, xs, ys, l2_alpha)[0]
         out[i] = (f_plus - f_minus) / (2 * step)
     return out
 
@@ -112,7 +110,7 @@ def assert_gradient_matches(
     roughly eps(loss evaluation) / step, around 1e-8 here. Above that floor
     the comparison is relative at ``tol``; below it only agreement within
     the floor itself is meaningful."""
-    analytic = gradient(params, xs, ys, l2_alpha)
+    analytic = loss_and_gradient(params, xs, ys, l2_alpha)[1]
     numeric = finite_difference_gradient(params, xs, ys, l2_alpha, indices)
     assert numeric, "every sampled coordinate straddled a kink"
     for i, fd in numeric.items():
@@ -193,7 +191,9 @@ class TestForward:
 class TestLoss:
     def test_single_sample_at_half_is_log_two(self):
         params = zero_parameters(2)
-        value = loss(params, np.array([[1.0, 2.0]]), np.array([1.0]), 0.0)
+        value = loss_and_gradient(
+            params, np.array([[1.0, 2.0]]), np.array([1.0]), 0.0
+        )[0]
         assert value == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_correct_predictions_give_tiny_loss(self):
@@ -206,7 +206,7 @@ class TestLoss:
         params.layer_biases[2][0] = -100.0
         xs = np.array([[1.0], [0.0]])
         ys = np.array([1.0, 0.0])
-        assert loss(params, xs, ys, 0.0) <= 1e-10
+        assert loss_and_gradient(params, xs, ys, 0.0)[0] <= 1e-10
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(9)
@@ -217,7 +217,7 @@ class TestLoss:
             ys = (rng.random(xs.shape[0]) < 0.5).astype(float)
             alpha = float(rng.uniform(0, 0.01))
             np.testing.assert_allclose(
-                loss(params, xs, ys, alpha),
+                loss_and_gradient(params, xs, ys, alpha)[0],
                 reference_loss(params, xs, ys, alpha),
                 rtol=1e-12,
             )
@@ -226,17 +226,20 @@ class TestLoss:
         params = init_parameters(3, seed=4)
         xs = np.array([[0.2, 0.4, 0.6], [0.9, 0.1, 0.5]])
         ys = np.array([0.0, 1.0])
-        assert loss(params, xs, ys, 1e-3) > loss(params, xs, ys, 0.0)
+        assert (
+            loss_and_gradient(params, xs, ys, 1e-3)[0]
+            > loss_and_gradient(params, xs, ys, 0.0)[0]
+        )
 
     def test_empty_dataset_rejected(self):
         params = init_parameters(2, seed=0)
         with pytest.raises(ValidationError, match="nonempty"):
-            loss(params, np.zeros((0, 2)), np.zeros(0), 0.0)
+            loss_and_gradient(params, np.zeros((0, 2)), np.zeros(0), 0.0)[0]
 
     def test_non_binary_labels_rejected(self):
         params = init_parameters(2, seed=0)
         with pytest.raises(ValidationError, match="binary"):
-            loss(params, np.zeros((1, 2)), np.array([0.5]), 0.0)
+            loss_and_gradient(params, np.zeros((1, 2)), np.array([0.5]), 0.0)[0]
 
 
 class TestGradient:
@@ -257,7 +260,7 @@ class TestGradient:
         params = zero_parameters(2)
         xs = np.array([[3.0, -1.0]])
         ys = np.array([1.0])
-        grad = gradient(params, xs, ys, 0.0)
+        grad = loss_and_gradient(params, xs, ys, 0.0)[1]
         # Last flattened coordinate is the output bias: (h - y) / N.
         assert grad[-1] == pytest.approx(-0.5, rel=1e-14)
 
@@ -266,8 +269,8 @@ class TestGradient:
         params = init_parameters(5, seed=2)
         xs = rng.normal(size=(8, 5))
         ys = (rng.random(8) < 0.5).astype(float)
-        first = gradient(params, xs, ys, 1e-4)
-        second = gradient(params, xs, ys, 1e-4)
+        first = loss_and_gradient(params, xs, ys, 1e-4)[1]
+        second = loss_and_gradient(params, xs, ys, 1e-4)[1]
         assert np.array_equal(first, second)
 
     def test_bit_identical_to_concatenated_layer_gradients(self):
@@ -351,10 +354,12 @@ class TestTrainClassifier:
         cfg = TrainConfig(seed=3, max_iterations=30)
         model = train_classifier(xs, ys, cfg)
         norm = model.normalizer
-        initial = loss(
+        initial = loss_and_gradient(
             init_parameters(4, cfg.seed), norm.transform(xs), ys, cfg.l2_alpha
-        )
-        final = loss(model.parameters, norm.transform(xs), ys, cfg.l2_alpha)
+        )[0]
+        final = loss_and_gradient(
+            model.parameters, norm.transform(xs), ys, cfg.l2_alpha
+        )[0]
         assert final <= initial
 
     def test_single_class_rejected(self):
