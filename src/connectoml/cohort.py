@@ -20,9 +20,9 @@ LABEL_CODES = {"HC": LABEL_HC, "MCI": LABEL_MCI}
 class LabeledCohort:
     """Subjects with labels (0 = HC, 1 = MCI) and one feature matrix per measure.
 
-    All three measures must be present with identical row counts and
-    identical column counts (the single-measure models share one input
-    width, and fusion concatenates equal-width blocks); row i of every
+    The feature keys must be exactly the three measures, with identical row
+    counts and identical column counts (the single-measure models share one
+    input width, and fusion concatenates equal-width blocks); row i of every
     matrix belongs to ``subject_ids[i]``.
     """
 
@@ -41,6 +41,9 @@ class LabeledCohort:
             raise ValidationError("labels must be binary (0 = HC, 1 = MCI)")
         if len(set(self.subject_ids)) != n:
             raise ValidationError("duplicate subject id in cohort")
+        unknown = [key for key in self.features if key not in MEASURES]
+        if unknown:
+            raise ValidationError(f"unknown feature keys in cohort: {unknown}")
         missing = [m for m in MEASURES if m not in self.features]
         if missing:
             raise ValidationError(f"cohort is missing measures: {missing}")

@@ -67,22 +67,16 @@ def feature_length(n_nodes: int) -> int:
     return n_nodes * (n_nodes - 1) // 2
 
 
-def validate_matrix(
-    raw,
-    symmetry_tolerance: float = DEFAULT_SYMMETRY_TOLERANCE,
-    subject_id: str = "",
-) -> ConnectivityMatrix:
+def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     """Validate a raw square matrix and return a clean connectivity matrix.
 
     Parameters
     ----------
     raw : array_like
         Square matrix of edge weights. Small asymmetries (parser rounding
-        noise) are tolerated and averaged away; the diagonal is forced to
-        zero regardless of its input values.
-    symmetry_tolerance : float
-        Relative tolerance for asymmetry: the largest ``|raw - raw.T|``
-        entry may not exceed ``symmetry_tolerance * max(|raw|)``.
+        noise, up to :data:`DEFAULT_SYMMETRY_TOLERANCE` relative to the
+        largest weight) are tolerated and averaged away; the diagonal is
+        forced to zero regardless of its input values.
     subject_id : str
         Identifier carried along for error messages and bookkeeping.
 
@@ -113,10 +107,11 @@ def validate_matrix(
         )
     scale = np.abs(weights).max()
     asymmetry = np.abs(weights - weights.T).max()
-    if asymmetry > symmetry_tolerance * scale:
+    if asymmetry > DEFAULT_SYMMETRY_TOLERANCE * scale:
         raise ValidationError(
             f"asymmetry {asymmetry:g} exceeds tolerance"
-            f" {symmetry_tolerance:g} * {scale:g} in connectivity matrix{tag}"
+            f" {DEFAULT_SYMMETRY_TOLERANCE:g} * {scale:g}"
+            f" in connectivity matrix{tag}"
         )
     weights = (weights + weights.T) / 2.0
     np.fill_diagonal(weights, 0.0)

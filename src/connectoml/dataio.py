@@ -31,7 +31,6 @@ import numpy as np
 
 from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
 from .connectome import (
-    DEFAULT_SYMMETRY_TOLERANCE,
     MEASURES,
     extract_features,
     feature_length,
@@ -139,11 +138,7 @@ def cohort_from_matrices(
     )
 
 
-def load_cohort(
-    manifest_path,
-    symmetry_tolerance: float = DEFAULT_SYMMETRY_TOLERANCE,
-    disconnected="max_finite",
-) -> LabeledCohort:
+def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
     """Load, validate, and featurize every subject listed in a manifest.
 
     Subject order follows the manifest. Missing matrix files raise
@@ -161,9 +156,7 @@ def load_cohort(
                 f" {matrix_path}"
             )
         raw = load_matrix_file(matrix_path)
-        matrices.append(
-            validate_matrix(raw, symmetry_tolerance, subject_id=subject_id)
-        )
+        matrices.append(validate_matrix(raw, subject_id=subject_id))
         subject_ids.append(subject_id)
         labels.append(label)
     return cohort_from_matrices(subject_ids, labels, matrices, disconnected)

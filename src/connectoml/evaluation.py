@@ -101,17 +101,14 @@ def compute_fold_metrics(true_labels, predicted_labels, scores) -> FoldMetrics:
     """Confusion-matrix metrics plus AUC for one fold (MCI = positive)."""
     y = np.asarray(true_labels)
     pred = np.asarray(predicted_labels)
-    if y.size == 0:
-        raise ValidationError("cannot compute metrics on an empty fold")
-    if np.unique(y).size < 2:
-        raise ValidationError("fold metrics require both classes in the fold")
+    fold_auc = auc(y, scores)  # also rejects empty and one-class folds
     tp = int(np.sum((y == 1) & (pred == 1)))
     fn = int(np.sum((y == 1) & (pred == 0)))
     tn = int(np.sum((y == 0) & (pred == 0)))
     fp = int(np.sum((y == 0) & (pred == 1)))
     return FoldMetrics(
         accuracy=(tp + tn) / y.size,
-        auc=auc(y, scores),
+        auc=fold_auc,
         sensitivity=tp / (tp + fn),
         specificity=tn / (tn + fp),
         f1=2 * tp / (2 * tp + fp + fn),
@@ -327,6 +324,8 @@ def run_experiment(
     """
     if repetitions < 1:
         raise ValidationError("repetitions must be positive")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold!r}")
     working = cohort
     if sampler.mode != MODE_FOLD:
         working = apply_sampler(cohort, sampler)
@@ -337,7 +336,7 @@ def run_experiment(
     }
     for repetition in range(repetitions):
         folds = stratified_kfold(
-            working.labels, k, derive_seed(seed, repetition), repetition
+            working.labels, k, derive_seed(seed, repetition)
         )
         for fold in folds:
             train = working.subset(fold.train_indices)

@@ -11,9 +11,8 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Train/test index split for one fold of one repetition."""
+    """Train/test index split for one fold."""
 
-    repetition: int
     fold: int
     train_indices: np.ndarray
     test_indices: np.ndarray
@@ -30,27 +29,25 @@ def derive_seed(master_seed: int, *stream: int) -> int:
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
-def stratified_kfold(
-    labels, k: int, seed: int, repetition: int = 0
-) -> list[FoldAssignment]:
+def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
     """Partition subjects into k disjoint folds preserving class balance.
 
     Each class is shuffled with its own seeded permutation and dealt to the
     folds round-robin, so per-fold class counts differ by at most one from
     perfect stratification. Index arrays are sorted ascending.
 
-    Raises ``ValidationError`` when any class has fewer than k members.
+    Raises ``ValidationError`` when k < 2 or any class has fewer than k members.
     """
     labels = np.asarray(labels)
-    if k < 1:
-        raise ValidationError("k must be positive")
+    if k < 2:
+        raise ValidationError("k must be at least 2")
     rng = np.random.default_rng(seed)
     test_sets: list[list] = [[] for _ in range(k)]
     for cls in np.unique(labels):
         class_indices = np.flatnonzero(labels == cls)
         if class_indices.size < k:
             raise ValidationError(
-                f"class {cls!r} has {class_indices.size} members,"
+                f"class {int(cls)} has {class_indices.size} members,"
                 f" fewer than k={k} folds"
             )
         for position, index in enumerate(rng.permutation(class_indices)):
@@ -64,7 +61,6 @@ def stratified_kfold(
         train_mask[test_indices] = False
         folds.append(
             FoldAssignment(
-                repetition=repetition,
                 fold=fold_index,
                 train_indices=everything[train_mask],
                 test_indices=test_indices,

@@ -10,6 +10,10 @@ penalty on the weight matrices (biases are not penalized):
 Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs so the loss
 stays finite; the clip is inactive anywhere gradients matter. Features are
 min-max normalized to [0, 1] with statistics fitted on training data only.
+
+Trust boundary: the objective :func:`loss_and_gradient` checks nothing; it
+expects float64 ``x`` of shape (n, input_dim), n >= 1, and 0/1 ``y``.
+:func:`train_classifier` checks both, once per fit.
 """
 
 from __future__ import annotations
@@ -177,31 +181,27 @@ def _forward_pass(params: MlpParameters, x: np.ndarray):
     return z1, a1, z2, a2, prob
 
 
-def _as_batch(x, input_dim: int):
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
+def _as_batch(x, input_dim: int) -> np.ndarray:
+    batch = np.asarray(x, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != input_dim:
         raise ValidationError(
-            f"input has {batch.shape[-1] if batch.ndim else 0} features,"
-            f" model expects {input_dim}"
+            f"input must be an (n_samples, {input_dim}) batch of features,"
+            f" got shape {batch.shape}"
         )
-    return batch, single
+    return batch
 
 
 def forward(params: MlpParameters, x):
-    """Predicted probability of the positive class.
+    """Predicted probability of the positive class for a batch of rows.
 
-    Accepts a single feature vector or a (n_samples, input_dim) batch.
-    Output is clipped away from exact 0 and 1 for downstream log safety.
+    ``x`` is an (n_samples, input_dim) batch; the result has one entry per
+    row and is clipped away from exact 0 and 1 for downstream log safety.
     """
-    batch, single = _as_batch(x, params.input_dim)
-    prob = _forward_pass(params, batch)[4]
-    prob = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(prob[0]) if single else prob
+    prob = _forward_pass(params, _as_batch(x, params.input_dim))[4]
+    return np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
-def _validate_dataset(xs, ys, input_dim=None):
+def _validate_dataset(xs, ys):
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -210,21 +210,19 @@ def _validate_dataset(xs, ys, input_dim=None):
         raise ValidationError("labels must match the number of feature rows")
     if not np.all((y == 0) | (y == 1)):
         raise ValidationError("labels must be binary (0 or 1)")
-    if input_dim is not None and x.shape[1] != input_dim:
-        raise ValidationError(
-            f"feature matrix has {x.shape[1]} columns, expected {input_dim}"
-        )
     return x, y
 
 
-def loss_and_gradient(params: MlpParameters, xs, ys, l2_alpha: float):
+def loss_and_gradient(params: MlpParameters, x, y, l2_alpha: float):
     """Objective value and its exact gradient in one backward pass.
 
     The value is the mean cross-entropy plus the L2 penalty on the weight
     matrices (see the module docstring); the gradient comes from
     reverse-mode accumulation, laid out as :func:`flatten_parameters`.
+
+    Trusts its input, checked once by :func:`train_classifier`: float64
+    ``x`` of shape (n, input_dim), n >= 1, and length-n float64 0/1 ``y``.
     """
-    x, y = _validate_dataset(xs, ys, params.input_dim)
     n = x.shape[0]
     w1, w2, w3 = params.layer_weights
     z1, a1, z2, a2, prob = _forward_pass(params, x)
@@ -270,8 +268,9 @@ def fit_normalizer(xs) -> MinMaxNormalizer:
 def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     """Fit the classifier: normalize, initialize per seed, minimize the loss.
 
-    Deterministic in (data, cfg). Raises ``ValidationError`` when the labels
-    contain a single class.
+    Deterministic in (data, cfg). Checks the data once: ``ValidationError``
+    unless ``xs`` is a nonempty 2-D matrix, ``ys`` has one 0/1 label per
+    row, and both classes are present.
     """
     x, y = _validate_dataset(xs, ys)
     if np.unique(y).size < 2:
@@ -296,7 +295,6 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
 
 
 def predict_proba(model: MlpModel, x):
-    """Probability of the positive class for raw (unnormalized) features."""
-    batch, single = _as_batch(x, model.input_dim)
-    prob = forward(model.parameters, model.normalizer.transform(batch))
-    return float(prob[0]) if single else prob
+    """Positive-class probability per row of a raw (n, input_dim) batch."""
+    batch = _as_batch(x, model.input_dim)
+    return forward(model.parameters, model.normalizer.transform(batch))

@@ -259,6 +259,34 @@ class TestExitCodes:
         )
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--folds", "1"], "k must be at least 2"),
+            (["--threshold", "7"], "threshold must be in [0, 1], got 7.0"),
+            (["--threshold", "nan"], "threshold must be in [0, 1], got nan"),
+        ],
+        ids=["one_fold", "threshold_7", "threshold_nan"],
+    )
+    def test_bad_evaluate_configuration_is_two(
+        self, cohort_dir, tmp_path, capsys, flags, message
+    ):
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(cohort_dir / "manifest.csv"),
+                "--out", str(tmp_path / "r.json"),
+                "--max-iter", "5",
+                "--folds", "3",
+                "--repeats", "1",
+            ]
+            + flags
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalError("synthetic numerical failure")

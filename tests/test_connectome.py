@@ -40,11 +40,11 @@ class TestValidateMatrix:
     def test_asymmetry_beyond_tolerance_rejected(self):
         raw = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError, match="asymmetry"):
-            validate_matrix(raw, symmetry_tolerance=1e-9)
+            validate_matrix(raw)
 
     def test_small_asymmetry_averaged_away(self):
         raw = np.array([[0.0, 1.0 + 1e-13], [1.0, 0.0]])
-        m = validate_matrix(raw, symmetry_tolerance=1e-9)
+        m = validate_matrix(raw)
         assert np.array_equal(m.weights, m.weights.T)
         assert m.weights[0, 1] == pytest.approx(1.0, abs=1e-12)
 

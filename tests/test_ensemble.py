@@ -217,6 +217,24 @@ class TestSoftVote:
                 features={MEASURES[0]: np.zeros((2, 3))},
             )
 
+    @pytest.mark.parametrize(
+        "rename, extra",
+        [({"weights": "weigths"}, {}), ({}, {"fused": np.zeros((2, 9))})],
+        ids=["misspelled", "extra"],
+    )
+    def test_unknown_feature_key_rejected(self, rename, extra):
+        # A misspelled or extra matrix is named, not silently dropped.
+        features = {rename.get(m, m): np.zeros((2, 3)) for m in MEASURES}
+        features.update(extra)
+        (unknown,) = set(rename.values()) | set(extra)
+        with pytest.raises(ValidationError) as excinfo:
+            LabeledCohort(
+                subject_ids=("a", "b"), labels=[0, 1], features=features
+            )
+        assert str(excinfo.value) == (
+            f"unknown feature keys in cohort: [{unknown!r}]"
+        )
+
     def test_vote_stays_inside_unit_interval(self):
         rng = np.random.default_rng(6)
         cohort = separable_cohort(rng, n_per_class=10)

@@ -61,8 +61,18 @@ class TestStratifiedKfold:
 
     def test_class_smaller_than_k_rejected(self):
         labels = np.concatenate([np.zeros(3), np.ones(30)]).astype(int)
-        with pytest.raises(ValidationError, match="fewer than k"):
+        with pytest.raises(ValidationError) as excinfo:
             stratified_kfold(labels, k=5, seed=0)
+        assert str(excinfo.value) == (
+            "class 0 has 3 members, fewer than k=5 folds"
+        )
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, k):
+        labels = np.concatenate([np.zeros(10), np.ones(10)]).astype(int)
+        with pytest.raises(ValidationError) as excinfo:
+            stratified_kfold(labels, k=k, seed=0)
+        assert str(excinfo.value) == "k must be at least 2"
 
 
 class TestFoldMetrics:
@@ -253,6 +263,18 @@ class TestRunExperiment:
         for metric in METRIC_NAMES:
             assert len(report.tests[metric]) == n_pairs
 
+    @pytest.mark.parametrize("threshold", [7.0, -0.1, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        cohort = quick_cohort(np.random.default_rng(6))
+        with pytest.raises(ValidationError) as excinfo:
+            run_experiment(
+                cohort, SamplerConfig(method="none"), FAST_TRAIN,
+                k=2, repetitions=1, threshold=threshold,
+            )
+        assert str(excinfo.value) == (
+            f"threshold must be in [0, 1], got {threshold!r}"
+        )
+
     def test_byte_identical_rerun(self):
         rng = np.random.default_rng(7)
         cohort = quick_cohort(rng)
@@ -293,7 +315,8 @@ class TestRunExperiment:
         assert len(recorded) == 8
         fold_members = recorded[0:3]
         ensemble_auc = report.fold_values["ensemble"]["auc"][0]
-        folds = stratified_kfold(cohort.labels, 2, __import__("connectoml").derive_seed(0, 0), 0)
+        derive = __import__("connectoml").derive_seed
+        folds = stratified_kfold(cohort.labels, 2, derive(0, 0))
         y_test = cohort.labels[folds[0].test_indices]
         assert ensemble_auc == auc(y_test, np.mean(fold_members, axis=0))
 
@@ -343,7 +366,7 @@ class TestRunExperiment:
             seed=6,
         )
         derive = __import__("connectoml").derive_seed
-        folds = stratified_kfold(cohort.labels, k, derive(6, 0), 0)
+        folds = stratified_kfold(cohort.labels, k, derive(6, 0))
         # Four fits per fold (three members + fusion), in fold order.
         assert len(fitted_rows) == 4 * k
         for fold_index, fold in enumerate(folds):

@@ -15,6 +15,7 @@ from connectoml import (
     predict_proba,
     train_classifier,
 )
+import connectoml.neuralnet as neuralnet
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MlpParameters,
@@ -155,7 +156,10 @@ class TestInitParameters:
 class TestForward:
     def test_zero_parameters_give_half(self):
         params = zero_parameters(3)
-        assert forward(params, np.array([5.0, -2.0, 0.1])) == 0.5
+        assert np.array_equal(
+            forward(params, np.array([[5.0, -2.0, 0.1], [0.0, 1.0, 9.0]])),
+            [0.5, 0.5],
+        )
 
     def test_hand_computed_single_unit_path(self):
         # Only one unit per layer carries signal; the rest stay at zero.
@@ -166,26 +170,31 @@ class TestForward:
         params.layer_biases[0][0] = 0.5
         params.layer_biases[1][0] = 4.0
         params.layer_biases[2][0] = -1.0
-        x = 1.25
-        h1 = max(2.0 * x + 0.5, 0.0)
-        h2 = max(-1.5 * h1 + 4.0, 0.0)
-        z = 3.0 * h2 - 1.0
-        expected = 1.0 / (1.0 + math.exp(-z))
-        assert forward(params, np.array([x])) == pytest.approx(
-            expected, rel=1e-14
+        inputs = (1.25, -3.0)
+        expected = []
+        for x in inputs:
+            h1 = max(2.0 * x + 0.5, 0.0)
+            h2 = max(-1.5 * h1 + 4.0, 0.0)
+            z = 3.0 * h2 - 1.0
+            expected.append(1.0 / (1.0 + math.exp(-z)))
+        np.testing.assert_allclose(
+            forward(params, np.array(inputs)[:, None]), expected, rtol=1e-14
         )
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         params = init_parameters(8, seed=3)
-        for _ in range(20):
-            p = forward(params, rng.normal(size=8) * 100)
-            assert 0.0 < p < 1.0
+        p = forward(params, rng.normal(size=(20, 8)) * 100)
+        assert p.shape == (20,)
+        assert np.all((p > 0.0) & (p < 1.0))
 
     def test_dimension_mismatch_rejected(self):
         params = init_parameters(4, seed=0)
         with pytest.raises(ValidationError, match="features"):
-            forward(params, np.zeros(5))
+            forward(params, np.zeros((2, 5)))
+        # One feature row must still come as a (1, input_dim) batch.
+        with pytest.raises(ValidationError, match="features"):
+            forward(params, np.zeros(4))
 
 
 class TestLoss:
@@ -230,16 +239,6 @@ class TestLoss:
             loss_and_gradient(params, xs, ys, 1e-3)[0]
             > loss_and_gradient(params, xs, ys, 0.0)[0]
         )
-
-    def test_empty_dataset_rejected(self):
-        params = init_parameters(2, seed=0)
-        with pytest.raises(ValidationError, match="nonempty"):
-            loss_and_gradient(params, np.zeros((0, 2)), np.zeros(0), 0.0)[0]
-
-    def test_non_binary_labels_rejected(self):
-        params = init_parameters(2, seed=0)
-        with pytest.raises(ValidationError, match="binary"):
-            loss_and_gradient(params, np.zeros((1, 2)), np.array([0.5]), 0.0)[0]
 
 
 class TestGradient:
@@ -367,6 +366,41 @@ class TestTrainClassifier:
         with pytest.raises(ValidationError, match="single class"):
             train_classifier(xs, np.zeros(10), TrainConfig())
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            train_classifier(np.zeros((0, 2)), np.zeros(0), TrainConfig())
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(ValidationError, match="binary"):
+            train_classifier(
+                np.zeros((2, 2)), np.array([0.5, 1.0]), TrainConfig()
+            )
+
+    def test_data_checked_once_per_fit(self, monkeypatch):
+        # The objective trusts the data train_classifier checked: however
+        # many evaluations the optimizer makes, the check runs once.
+        checks = []
+        evaluations = []
+        check = neuralnet._validate_dataset
+        objective = neuralnet.loss_and_gradient
+
+        def counting_check(*args):
+            checks.append(1)
+            return check(*args)
+
+        def counting_objective(*args):
+            evaluations.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(neuralnet, "_validate_dataset", counting_check)
+        monkeypatch.setattr(neuralnet, "loss_and_gradient", counting_objective)
+        rng = np.random.default_rng(22)
+        xs = rng.normal(size=(30, 3))
+        ys = (xs[:, 0] > 0).astype(float)
+        train_classifier(xs, ys, TrainConfig(seed=1, max_iterations=10))
+        assert len(evaluations) >= 5
+        assert len(checks) == 1
+
     def test_normalizer_fitted_on_training_rows_only(self):
         rng = np.random.default_rng(17)
         xs = rng.normal(size=(25, 3))
@@ -382,9 +416,9 @@ class TestPredictProba:
         xs = rng.normal(size=(20, 3)) * 10
         ys = (rng.random(20) < 0.5).astype(float)
         model = train_classifier(xs, ys, TrainConfig(max_iterations=10))
-        x = xs[4]
+        x = xs[4:7]
         expected = forward(model.parameters, model.normalizer.transform(x))
-        assert predict_proba(model, x) == expected
+        assert np.array_equal(predict_proba(model, x), expected)
 
     def test_batch_equals_per_sample_loop(self):
         rng = np.random.default_rng(19)
@@ -392,7 +426,9 @@ class TestPredictProba:
         ys = (rng.random(15) < 0.5).astype(float)
         model = train_classifier(xs, ys, TrainConfig(max_iterations=10))
         batch = predict_proba(model, xs)
-        singles = np.array([predict_proba(model, row) for row in xs])
+        singles = np.concatenate(
+            [predict_proba(model, xs[i : i + 1]) for i in range(len(xs))]
+        )
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
     def test_output_in_open_unit_interval(self):
@@ -409,7 +445,9 @@ class TestPredictProba:
         ys = (rng.random(10) < 0.5).astype(float)
         model = train_classifier(xs, ys, TrainConfig(max_iterations=5))
         with pytest.raises(ValidationError, match="features"):
-            predict_proba(model, np.zeros(4))
+            predict_proba(model, np.zeros((1, 4)))
+        with pytest.raises(ValidationError, match="features"):
+            predict_proba(model, np.zeros(3))
 
 
 class TestTrainConfigValidation:
