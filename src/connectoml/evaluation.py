@@ -23,7 +23,7 @@ import numpy as np
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
 from .connectome import MEASURES
 from .errors import ValidationError
-from .folds import derive_seed, stratified_kfold
+from .folds import check_fold_count, derive_seed, stratified_kfold
 from .neuralnet import MlpModel, TrainConfig, predict_proba, train_classifier
 from .sampling import MODE_FOLD, SamplerConfig, apply_sampler
 
@@ -326,6 +326,9 @@ def run_experiment(
         raise ValidationError("repetitions must be positive")
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must be in [0, 1], got {threshold!r}")
+    # Every sampler keeps the minority class whole, so the folds can be
+    # checked before a dataset-mode sampler spends any work.
+    check_fold_count(cohort.labels, k)
     working = cohort
     if sampler.mode != MODE_FOLD:
         working = apply_sampler(cohort, sampler)

@@ -29,6 +29,19 @@ def derive_seed(master_seed: int, *stream: int) -> int:
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
+def check_fold_count(labels, k: int) -> None:
+    """``ValidationError`` unless k >= 2 and every class has k members."""
+    if k < 2:
+        raise ValidationError("k must be at least 2")
+    classes, counts = np.unique(np.asarray(labels), return_counts=True)
+    for cls, count in zip(classes, counts):
+        if count < k:
+            raise ValidationError(
+                f"class {int(cls)} has {int(count)} members,"
+                f" fewer than k={k} folds"
+            )
+
+
 def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
     """Partition subjects into k disjoint folds preserving class balance.
 
@@ -36,20 +49,14 @@ def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
     folds round-robin, so per-fold class counts differ by at most one from
     perfect stratification. Index arrays are sorted ascending.
 
-    Raises ``ValidationError`` when k < 2 or any class has fewer than k members.
+    Raises ``ValidationError`` as :func:`check_fold_count` does.
     """
     labels = np.asarray(labels)
-    if k < 2:
-        raise ValidationError("k must be at least 2")
+    check_fold_count(labels, k)
     rng = np.random.default_rng(seed)
     test_sets: list[list] = [[] for _ in range(k)]
     for cls in np.unique(labels):
         class_indices = np.flatnonzero(labels == cls)
-        if class_indices.size < k:
-            raise ValidationError(
-                f"class {int(cls)} has {class_indices.size} members,"
-                f" fewer than k={k} folds"
-            )
         for position, index in enumerate(rng.permutation(class_indices)):
             test_sets[position % k].append(int(index))
 

@@ -53,9 +53,11 @@ class LbfgsResult:
     """Outcome of a minimization run.
 
     ``converged`` means the infinity norm of the gradient reached the
-    requested tolerance. ``line_search_failed`` flags an early stop where no
-    step satisfying the strong Wolfe conditions could be found; the best
-    iterate seen so far is returned in that case.
+    requested tolerance. ``grad_inf`` is that norm as the ``norm`` argument
+    of :func:`lbfgs_minimize` reported it: exact at or below the tolerance,
+    possibly only a lower bound above it. ``line_search_failed`` flags an
+    early stop where no step satisfying the strong Wolfe conditions could be
+    found; the best iterate seen so far is returned in that case.
     """
 
     x: np.ndarray
@@ -289,7 +291,15 @@ class _CurvatureHistory:
         gram[slot + 1, slot + 1] = yy
 
 
-def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
+def gradient_norm(grad: np.ndarray, order: float) -> float:
+    """Infinity (``order=np.inf``) or L1 (``order=1``) norm of a gradient."""
+    if not grad.size:
+        return 0.0
+    magnitudes = np.abs(grad)
+    return float(magnitudes.max() if order == np.inf else magnitudes.sum())
+
+
+def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
     Parameters
@@ -301,6 +311,13 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
     cfg
         Any object with ``lbfgs_history``, ``max_iterations`` and
         ``gradient_tolerance`` attributes (e.g. ``TrainConfig``).
+    norm : callable
+        ``norm(gradient, order)`` with ``order`` ``np.inf`` or 1, as
+        :func:`gradient_norm`. The infinity norm decides convergence and the
+        L1 norm sizes the first step. A caller minimizing in coordinates of
+        a subspace passes the norms of the gradient in the full space; above
+        ``cfg.gradient_tolerance`` its infinity norm may be any lower bound
+        that is itself above the tolerance.
 
     Returns
     -------
@@ -320,7 +337,7 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
     if not np.isfinite(fval) or not np.all(np.isfinite(grad)):
         raise NumericalError("objective is not finite at the starting point")
 
-    grad_inf = float(np.abs(grad).max()) if grad.size else 0.0
+    grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
     history = _CurvatureHistory(cfg.lbfgs_history, x.size)
     line_search_failed = False
@@ -337,7 +354,7 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
             slope = float(direction @ grad)
         initial_step = 1.0
         if history.count == 0 and iteration == 0:
-            initial_step = min(1.0, 1.0 / max(1.0, float(np.abs(grad).sum())))
+            initial_step = min(1.0, 1.0 / max(1.0, norm(grad, 1)))
 
         search = strong_wolfe_line_search(
             objective,
@@ -355,7 +372,7 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
                 x = x + search.best_step * direction
                 fval = search.best_fval
                 grad = search.best_grad
-                grad_inf = float(np.abs(grad).max())
+                grad_inf = norm(grad, np.inf)
                 trace.append(
                     LbfgsIterate(iteration, fval, grad_inf, search.best_step)
                 )
@@ -369,7 +386,7 @@ def lbfgs_minimize(objective, x0, cfg) -> LbfgsResult:
         x = x + step * direction
         fval = float(search.fval)
         grad = new_grad
-        grad_inf = float(np.abs(grad).max())
+        grad_inf = norm(grad, np.inf)
         trace.append(LbfgsIterate(iteration, fval, grad_inf, step))
 
     return LbfgsResult(

@@ -11,6 +11,26 @@ Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs so the loss
 stays finite; the clip is inactive anywhere gradients matter. Features are
 min-max normalized to [0, 1] with statistics fitted on training data only.
 
+Row-space coordinates. A fit often has far more inputs d than rows n
+(7,140 per measure and 21,420 fused at 120 nodes, against ~105 rows). The
+first-layer weight gradient is ``x^T.dz1 + 2a.W1``, so by induction every
+vector L-BFGS forms (iterates, gradients, steps, curvature pairs, trial
+points) has a first-layer block ``c.W1_0 + x^T.B``, c a scalar and B an
+(n, 32) matrix. When d > n, :func:`train_classifier` runs L-BFGS on
+coordinates of that subspace: ``Q^T.W1`` (r, 32) for an orthonormal basis Q
+of the rows of x, the other layers as they are, and ``u = c.||w_perp||``
+along ``w_perp = W1_0 - Q.Q^T.W1_0``. The map is an isometry, the penalty
+is ``||Q^T.W1||^2 + u^2`` and ``x.w_perp = 0``, so in exact arithmetic
+L-BFGS sees the same values and inner products and takes the same steps as
+in the full space (the representer argument of Schoelkopf, Herbrich &
+Smola, COLT 2001, applied to the span of the L-BFGS vectors rather than
+the optimum). The first layer then costs n.r.32 flops instead of n.d.32.
+Q keeps the eigenvalues of ``x.x^T`` above :data:`RANK_CUTOFF` times the
+largest, which drops the directions that duplicate rows or rounding leave.
+Convergence and the first step use norms of the full-space gradient. When
+d <= n the same code runs with the identity basis and no ``u``, and takes
+the full-space steps bit for bit.
+
 Trust boundary: the objective :func:`loss_and_gradient` checks nothing; it
 expects float64 ``x`` of shape (n, input_dim), n >= 1, and 0/1 ``y``.
 :func:`train_classifier` checks both, once per fit.
@@ -18,16 +38,20 @@ expects float64 ``x`` of shape (n, input_dim), n >= 1, and 0/1 ``y``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .lbfgs import lbfgs_minimize
+from .lbfgs import gradient_norm, lbfgs_minimize
 
 HIDDEN_UNITS = 32
 
 PROB_CLIP = 1e-12
+
+#: Eigenvalues of ``x.x^T`` at or below this fraction of the largest are
+#: left out of the row-space basis (see :func:`train_classifier`).
+RANK_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -191,14 +215,18 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
     return batch
 
 
+def _probabilities(params: MlpParameters, batch: np.ndarray) -> np.ndarray:
+    prob = _forward_pass(params, batch)[4]
+    return np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
+
+
 def forward(params: MlpParameters, x):
     """Predicted probability of the positive class for a batch of rows.
 
     ``x`` is an (n_samples, input_dim) batch; the result has one entry per
     row and is clipped away from exact 0 and 1 for downstream log safety.
     """
-    prob = _forward_pass(params, _as_batch(x, params.input_dim))[4]
-    return np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
+    return _probabilities(params, _as_batch(x, params.input_dim))
 
 
 def _validate_dataset(xs, ys):
@@ -265,30 +293,119 @@ def fit_normalizer(xs) -> MinMaxNormalizer:
     return MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
 
 
+@dataclass(frozen=True)
+class _FirstLayerBasis:
+    """Coordinates for first-layer weights of the form ``c * W1_0 + x.T @ B``.
+
+    ``batch`` is the training batch and ``coords`` the initial weights
+    ``W1_0`` in these coordinates, ``tail`` the initial coordinate along
+    ``w_perp`` (empty for the identity basis). :meth:`lift` maps a
+    coordinate block and tail back to a (d, 32) matrix.
+    """
+
+    batch: np.ndarray
+    coords: np.ndarray
+    tail: np.ndarray
+    rows: np.ndarray | None = None
+    to_rows: np.ndarray | None = None
+    w_perp: np.ndarray | None = None
+
+    def lift(self, block: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        if self.to_rows is None:
+            return block
+        return self.rows.T @ (self.to_rows @ block) + tail[0] * self.w_perp
+
+
+def _first_layer_basis(x: np.ndarray, w1: np.ndarray) -> _FirstLayerBasis:
+    """Identity basis when d <= n, the row space of ``x`` when d > n.
+
+    With ``x.x^T = V.L.V^T`` restricted to eigenvalues above
+    :data:`RANK_CUTOFF` times the largest, ``Q = x^T.V.L^-1/2`` is an
+    orthonormal basis of the rows; it is applied as ``x^T @ (to_rows @ .)``
+    and never stored. The batch in Q's coordinates is ``x @ Q = V.L^1/2``.
+    The unit vector ``w_perp`` is the part of ``W1_0`` orthogonal to Q.
+    """
+    n, d = x.shape
+    if d <= n:
+        return _FirstLayerBasis(batch=x, coords=w1, tail=np.zeros(0))
+    eigenvalues, vectors = np.linalg.eigh(x @ x.T)
+    keep = eigenvalues > RANK_CUTOFF * eigenvalues[-1]
+    root = np.sqrt(eigenvalues[keep])
+    vectors = vectors[:, keep]
+    to_rows = vectors / root
+    coords = to_rows.T @ (x @ w1)
+    w_perp = w1 - x.T @ (to_rows @ coords)
+    length = float(np.linalg.norm(w_perp))
+    return _FirstLayerBasis(
+        batch=vectors * root,
+        coords=coords,
+        tail=np.array([length]),
+        rows=x,
+        to_rows=to_rows,
+        w_perp=w_perp / length,
+    )
+
+
 def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     """Fit the classifier: normalize, initialize per seed, minimize the loss.
 
     Deterministic in (data, cfg). Checks the data once: ``ValidationError``
     unless ``xs`` is a nonempty 2-D matrix, ``ys`` has one 0/1 label per
     row, and both classes are present.
+
+    The optimizer's vector is :func:`flatten_parameters` of the model with
+    the first layer in the coordinates of :func:`_first_layer_basis`,
+    followed by the basis's tail; the objective is :func:`loss_and_gradient`
+    on the batch in those coordinates plus ``l2_alpha * tail^2``. The full
+    first-layer gradient, needed for the stopping norms, is formed only
+    when the other layers' gradient does not already exceed the tolerance.
     """
     x, y = _validate_dataset(xs, ys)
     if np.unique(y).size < 2:
         raise ValidationError("training set contains a single class")
     input_dim = x.shape[1]
-    normalizer = fit_normalizer(x)
-    x_normalized = normalizer.transform(x)
-    theta0 = flatten_parameters(init_parameters(input_dim, cfg.seed))
+    normalizer = MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
+    init = init_parameters(input_dim, cfg.seed)
+    basis = _first_layer_basis(
+        normalizer.transform(x), init.layer_weights[0]
+    )
+    rank = basis.coords.shape[0]
+    first_in_basis = replace(
+        init, layer_weights=(basis.coords,) + init.layer_weights[1:]
+    )
+    theta0 = np.concatenate([flatten_parameters(first_in_basis), basis.tail])
+    split = rank * HIDDEN_UNITS
+    core = theta0.size - basis.tail.size
+    alpha = cfg.l2_alpha
 
     def objective(theta):
-        return loss_and_gradient(
-            unflatten_parameters(theta, input_dim), x_normalized, y,
-            cfg.l2_alpha,
+        value, grad = loss_and_gradient(
+            unflatten_parameters(theta[:core], rank), basis.batch, y, alpha
+        )
+        tail = theta[core:]
+        return (
+            value + alpha * float(tail @ tail),
+            np.concatenate([grad, 2.0 * alpha * tail]),
         )
 
-    result = lbfgs_minimize(objective, theta0, cfg)
+    def full_norm(grad, order):
+        rest = grad[split:core]
+        if order == np.inf:
+            bound = gradient_norm(rest, order)
+            if bound > cfg.gradient_tolerance:
+                return bound
+        first = basis.lift(
+            grad[:split].reshape(rank, HIDDEN_UNITS), grad[core:]
+        )
+        return gradient_norm(np.concatenate([first.ravel(), rest]), order)
+
+    result = lbfgs_minimize(objective, theta0, cfg, norm=full_norm)
+    fitted = unflatten_parameters(result.x[:core], rank)
+    w1 = basis.lift(fitted.layer_weights[0], result.x[core:])
     return MlpModel(
-        parameters=unflatten_parameters(result.x, input_dim),
+        parameters=replace(
+            fitted, layer_weights=(w1,) + fitted.layer_weights[1:]
+        ),
         normalizer=normalizer,
         input_dim=input_dim,
     )
@@ -297,4 +414,6 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
 def predict_proba(model: MlpModel, x):
     """Positive-class probability per row of a raw (n, input_dim) batch."""
     batch = _as_batch(x, model.input_dim)
-    return forward(model.parameters, model.normalizer.transform(batch))
+    return _probabilities(
+        model.parameters, model.normalizer.transform(batch)
+    )

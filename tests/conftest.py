@@ -8,6 +8,8 @@ agreement is evidence, not tautology. The bit-identity oracles
 (``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
 ``fold_scores_reference``) are the straightforward or earlier forms of
 library code, kept so tests can require exactly the same floats and bytes.
+``train_classifier_reference`` is the full-space fit that the row-space
+fit of ``train_classifier`` must reproduce.
 """
 
 import csv
@@ -24,6 +26,15 @@ from connectoml import (
     validate_matrix,
 )
 from connectoml.cohort import LABEL_NAMES
+from connectoml.lbfgs import lbfgs_minimize
+from connectoml.neuralnet import (
+    MlpModel,
+    fit_normalizer,
+    flatten_parameters,
+    init_parameters,
+    loss_and_gradient,
+    unflatten_parameters,
+)
 from connectoml.evaluation import STRATEGY_ENSEMBLE, STRATEGY_FUSION
 
 
@@ -172,6 +183,32 @@ def two_loop_direction(grad, s_history, y_history, rho_history):
         beta = rho_history[i] * float(y_history[i] @ q)
         q += (alphas[i] - beta) * s_history[i]
     return -q
+
+
+def train_classifier_reference(xs, ys, cfg):
+    """The classifier fitted by L-BFGS on every parameter in the full space:
+    each vector is as long as all the weights, and the first layer's
+    products run over every input. Returns (model, LbfgsResult)."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    input_dim = x.shape[1]
+    normalizer = fit_normalizer(x)
+    x_normalized = normalizer.transform(x)
+    theta0 = flatten_parameters(init_parameters(input_dim, cfg.seed))
+
+    def objective(theta):
+        return loss_and_gradient(
+            unflatten_parameters(theta, input_dim), x_normalized, y,
+            cfg.l2_alpha,
+        )
+
+    result = lbfgs_minimize(objective, theta0, cfg)
+    model = MlpModel(
+        parameters=unflatten_parameters(result.x, input_dim),
+        normalizer=normalizer,
+        input_dim=input_dim,
+    )
+    return model, result
 
 
 def write_feature_csvs_reference(cohort, out_dir):

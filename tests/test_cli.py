@@ -5,6 +5,7 @@ import json
 import pytest
 
 import connectoml.cli as cli
+import connectoml.sampling as sampling
 from connectoml.errors import NumericalError
 
 
@@ -285,6 +286,44 @@ class TestExitCodes:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "folds, message",
+        [
+            ("1", "k must be at least 2"),
+            ("7", "class 0 has 6 members, fewer than k=7 folds"),
+        ],
+        ids=["one_fold", "more_folds_than_hc"],
+    )
+    def test_bad_folds_exit_before_the_dataset_sampler_trains(
+        self, cohort_dir, tmp_path, capsys, monkeypatch, folds, message
+    ):
+        # The IHT sampler trains its models through this module global; a
+        # fold count the cohort cannot meet must stop before the first one.
+        fits = []
+        original = sampling.train_classifier
+
+        def counting_train(*args):
+            fits.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(sampling, "train_classifier", counting_train)
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(cohort_dir / "manifest.csv"),
+                "--out", str(tmp_path / "r.json"),
+                "--max-iter", "5",
+                "--repeats", "1",
+                "--sampler", "iht",
+                "--folds", folds,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert fits == []
         assert not (tmp_path / "r.json").exists()
 
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):

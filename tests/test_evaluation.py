@@ -347,14 +347,18 @@ class TestRunExperiment:
         cohort = make_cohort(xs, ys)
 
         fitted_rows = []
-        original = connectoml.neuralnet.fit_normalizer
+        original = connectoml.evaluation.train_classifier
 
-        def recording_fit(rows):
-            fitted_rows.append(np.asarray(rows)[:, 0].copy())
-            return original(rows)
+        def recording_train(rows, labels, cfg):
+            model = original(rows, labels, cfg)
+            rows = np.asarray(rows)
+            assert np.array_equal(model.normalizer.minimum, rows.min(axis=0))
+            assert np.array_equal(model.normalizer.maximum, rows.max(axis=0))
+            fitted_rows.append(rows[:, 0].copy())
+            return model
 
         monkeypatch.setattr(
-            connectoml.neuralnet, "fit_normalizer", recording_fit
+            connectoml.evaluation, "train_classifier", recording_train
         )
         k, reps = 3, 1
         run_experiment(

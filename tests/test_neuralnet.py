@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import train_classifier_reference
 
 from connectoml import (
     TrainConfig,
@@ -408,6 +409,118 @@ class TestTrainClassifier:
         model = train_classifier(xs, ys, TrainConfig(max_iterations=5))
         assert np.array_equal(model.normalizer.minimum, xs.min(axis=0))
         assert np.array_equal(model.normalizer.maximum, xs.max(axis=0))
+
+
+def row_space_problem(
+    n, d, seed, duplicate_rows=0, constant_columns=0, n_test=30
+):
+    """Seeded (train x, train y, test x) with a class signal in a fifth of
+    the columns; optionally the last training rows repeat the first ones
+    (with their labels) and the first columns are constant."""
+    rng = np.random.default_rng(seed)
+    ys = (np.arange(n + n_test) % 2).astype(float)
+    xs = rng.normal(size=(n + n_test, d))
+    xs += 0.8 * ys[:, None] * (rng.random(d) < 0.2)
+    if duplicate_rows:
+        xs[n - duplicate_rows : n] = xs[:duplicate_rows]
+        ys[n - duplicate_rows : n] = ys[:duplicate_rows]
+    xs[:, :constant_columns] = 3.0
+    return xs[:n], ys[:n], xs[n:]
+
+
+ROW_SPACE_PROBLEMS = {
+    "d_much_larger_than_n": dict(n=24, d=400),
+    "d_slightly_larger_than_n": dict(n=24, d=30),
+    "duplicate_rows": dict(n=24, d=200, duplicate_rows=4),
+    "constant_columns": dict(n=24, d=200, constant_columns=50),
+    "d_at_most_n": dict(n=40, d=10),
+}
+
+
+def fit_with_outcome(monkeypatch, xs, ys, cfg):
+    """train_classifier's model and the LbfgsResult it was built from."""
+    outcomes = []
+    minimize = neuralnet.lbfgs_minimize
+
+    def recording_minimize(*args, **kwargs):
+        outcomes.append(minimize(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(neuralnet, "lbfgs_minimize", recording_minimize)
+    model = train_classifier(xs, ys, cfg)
+    (outcome,) = outcomes
+    return model, outcome
+
+
+class TestRowSpaceFit:
+    """The fit in row-space coordinates against the full-space oracle."""
+
+    @pytest.mark.parametrize(
+        "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
+    )
+    def test_probabilities_match_the_full_space_fit(self, problem):
+        # Both fits take the same steps up to rounding. Nonconvex
+        # trajectories amplify rounding differences: on these problems the
+        # test probabilities differ by about 1e-10 after 25 iterations,
+        # 1e-7 after 40 and 1e-3 after 60. So the fits stop at 25.
+        xs, ys, test = row_space_problem(seed=5, **problem)
+        cfg = TrainConfig(seed=3, max_iterations=25)
+        reference, _ = train_classifier_reference(xs, ys, cfg)
+        expected = predict_proba(reference, test)
+        got = predict_proba(train_classifier(xs, ys, cfg), test)
+        if xs.shape[1] <= xs.shape[0]:
+            # The identity basis is the full-space fit itself.
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("max_iterations", [15, 200])
+    @pytest.mark.parametrize(
+        "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
+    )
+    def test_converged_exactly_when_the_full_gradient_is_small(
+        self, monkeypatch, problem, max_iterations
+    ):
+        xs, ys, _ = row_space_problem(seed=6, **problem)
+        cfg = TrainConfig(seed=4, max_iterations=max_iterations)
+        model, outcome = fit_with_outcome(monkeypatch, xs, ys, cfg)
+        full = loss_and_gradient(
+            model.parameters, model.normalizer.transform(xs), ys, cfg.l2_alpha
+        )[1]
+        full_inf = np.abs(full).max()
+        assert outcome.converged == (full_inf <= cfg.gradient_tolerance)
+        if outcome.converged:
+            np.testing.assert_allclose(outcome.grad_inf, full_inf, rtol=1e-6)
+        else:
+            assert outcome.iterations == max_iterations
+        if max_iterations == 200 and problem["d"] > problem["n"]:
+            # The row-space fits do converge, so both sides are exercised.
+            assert outcome.converged
+
+    @pytest.mark.parametrize(
+        "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
+    )
+    def test_basis_is_orthonormal_and_spans_the_rows(self, problem):
+        xs, ys, _ = row_space_problem(seed=7, **problem)
+        x = fit_normalizer(xs).transform(xs)
+        n, d = x.shape
+        w1 = init_parameters(d, 0).layer_weights[0]
+        basis = neuralnet._first_layer_basis(x, w1)
+        rank = basis.coords.shape[0]
+        np.testing.assert_allclose(
+            basis.lift(basis.coords, basis.tail), w1, atol=1e-10
+        )
+        if d <= n:
+            assert rank == d and basis.tail.size == 0
+            return
+        # Repeated rows add nothing to the row space; constant columns
+        # normalize to zero and add nothing either.
+        assert rank == n - problem.get("duplicate_rows", 0)
+        q = x.T @ basis.to_rows
+        np.testing.assert_allclose(q.T @ q, np.eye(rank), atol=1e-8)
+        np.testing.assert_allclose(x @ q, basis.batch, atol=1e-8)
+        assert np.linalg.norm(basis.w_perp) == pytest.approx(1.0)
+        np.testing.assert_allclose(x @ basis.w_perp, 0.0, atol=1e-10)
 
 
 class TestPredictProba:
