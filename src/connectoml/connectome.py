@@ -188,31 +188,35 @@ def _dijkstra_all_sources(lengths: np.ndarray) -> np.ndarray:
     is vectorized; each row evolves exactly as an independent single-source
     run would.
 
-    ``masked`` is ``dist`` with settled entries set to ``inf``, kept up to
-    date in place. Relaxation needs no mask for settled entries: sources
-    settle nodes in nondecreasing distance, so a settled entry's distance
-    is at most ``current_dist``, and a candidate ``current_dist + length``
-    with ``length >= 0`` is never strictly below it (rounding is monotone).
+    ``masked`` is ``dist + settled_penalty``, where the penalty is 0 for an
+    unsettled entry and ``inf`` for a settled one, so it is ``dist`` with
+    settled entries set to ``inf`` (``x + 0.0 == x`` for every non-NaN x).
+    Relaxation is ``dist = minimum(dist, candidate)``, which equals copying
+    each candidate strictly below ``dist``: the two differ only on NaN, and
+    lengths are positive or ``inf``, so no NaN arises. It needs no mask:
+    * a settled entry: sources settle nodes in nondecreasing distance, so a
+      settled entry's distance is at most ``current_dist``, and a candidate
+      ``current_dist + length`` with ``length >= 0`` is never strictly below
+      it (rounding is monotone);
+    * a row with nothing left to settle: its ``current_dist`` is ``inf``, so
+      every candidate is ``inf`` and never strictly below ``dist``.
     """
     n = lengths.shape[0]
     sources = np.arange(n)
     dist = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
     masked = dist.copy()
+    settled_penalty = np.zeros((n, n))
     candidate = np.empty((n, n))
-    improve = np.empty((n, n), dtype=bool)
     for _ in range(n):
         current = np.argmin(masked, axis=1)
         current_dist = masked[sources, current]
-        active = np.isfinite(current_dist)
-        if not active.any():
+        if not np.isfinite(current_dist).any():
             break
-        masked[sources, current] = np.inf
+        settled_penalty[sources, current] = np.inf
         np.take(lengths, current, axis=0, out=candidate)
         candidate += current_dist[:, None]
-        np.less(candidate, dist, out=improve)
-        improve &= active[:, None]
-        np.copyto(dist, candidate, where=improve)
-        np.copyto(masked, candidate, where=improve)
+        np.minimum(dist, candidate, out=dist)
+        np.add(dist, settled_penalty, out=masked)
     return dist
 
 

@@ -16,14 +16,31 @@ File formats
 * Report: a single JSON document; floats use Python's shortest round-trip
   representation, so exporting and re-parsing reproduces every number
   exactly.
+
+Ingest
+------
+:func:`load_cohort` writes every subject's features into one preallocated
+``(measure, subject, feature)`` float64 buffer on an anonymous shared
+mapping, and the cohort's feature matrices are views of it. Each subject is
+parsed, validated and extracted end to end by one function, which writes
+row ``i`` of all three measures and returns nothing. It runs in forked
+workers, one per core available to the process, or in this process when
+there is one core or no ``fork``. Either way the buffer holds the same
+bits, and of several bad subjects the first in manifest order is reported.
+:func:`cohort_from_matrices` fills the same buffer from matrices in hand.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import math
+import mmap
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +49,8 @@ import numpy as np
 from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
 from .connectome import (
     MEASURES,
+    ConnectivityMatrix,
+    _normalize_disconnected_policy,
     extract_features,
     feature_length,
     unflatten_upper_triangle,
@@ -119,23 +138,138 @@ def read_manifest(manifest_path):
     return entries
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its affinity mask, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
+    """Zeroed (measure, subject, feature) float64 array on an anonymous
+    shared mapping, so forked workers write into the parent's pages."""
+    shape = (len(MEASURES), n_subjects, feature_length(n_nodes))
+    count = math.prod(shape)
+    # mmap refuses length 0 (a 1-node cohort has no features).
+    mapping = mmap.mmap(-1, max(count, 1) * 8)
+    return np.frombuffer(mapping, dtype=np.float64, count=count).reshape(
+        shape
+    )
+
+
+def _fill_subject(features, index, matrix, n_nodes, disconnected) -> None:
+    """Extract one subject's three measures into ``features[:, index]``."""
+    if matrix.n_nodes != n_nodes:
+        raise ValidationError(
+            f"connectivity matrix for subject {matrix.subject_id!r} has"
+            f" {matrix.n_nodes} nodes; the cohort's first subject has"
+            f" {n_nodes}"
+        )
+    extracted = extract_features(matrix, disconnected)
+    for rows, measure in zip(features, MEASURES):
+        rows[index] = extracted[measure].values
+
+
+def _cohort_on(features, subject_ids, labels) -> LabeledCohort:
+    return LabeledCohort(
+        subject_ids=tuple(subject_ids),
+        labels=np.asarray(labels),
+        features=dict(zip(MEASURES, features)),
+    )
+
+
 def cohort_from_matrices(
     subject_ids,
     labels,
     matrices,
     disconnected="max_finite",
 ) -> LabeledCohort:
-    """Assemble a cohort by extracting all three feature sets."""
-    feature_rows: dict = {measure: [] for measure in MEASURES}
-    for matrix in matrices:
-        features = extract_features(matrix, disconnected)
-        for measure in MEASURES:
-            feature_rows[measure].append(features[measure].values)
-    return LabeledCohort(
-        subject_ids=tuple(subject_ids),
-        labels=np.asarray(labels),
-        features={m: np.vstack(feature_rows[m]) for m in MEASURES},
-    )
+    """Assemble a cohort by extracting all three feature sets.
+
+    Every matrix must have the first one's node count.
+    """
+    matrices = list(matrices)
+    n_nodes = matrices[0].n_nodes
+    features = _feature_buffer(len(matrices), n_nodes)
+    for index, matrix in enumerate(matrices):
+        _fill_subject(features, index, matrix, n_nodes, disconnected)
+    return _cohort_on(features, subject_ids, labels)
+
+
+def _read_subject(subject_id, matrix_path) -> ConnectivityMatrix:
+    if not matrix_path.exists():
+        raise FileNotFoundError(
+            f"matrix file not found for subject {subject_id!r}:"
+            f" {matrix_path}"
+        )
+    raw = load_matrix_file(matrix_path)
+    return validate_matrix(raw, subject_id=subject_id)
+
+
+#: Thread-count setters of the OpenBLAS builds numpy ships (2.x, 1.x) or
+#: links from the system.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS this process has loaded, if any, on one thread.
+
+    A forked worker keeps the parent's BLAS thread count. With one worker
+    per core, several BLAS threads per worker made ``load_cohort`` 4-10x
+    slower than one thread each (2 cores, OpenBLAS 0.3.31). Without procfs
+    or OpenBLAS this does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {
+                line.split(maxsplit=5)[5].strip()
+                for line in maps
+                if "openblas" in line
+            }
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def _ingest_subject(state, index: int) -> None:
+    """Parse, validate and extract manifest entry ``index`` into the buffer.
+
+    ``state`` is ``(entries, disconnected, n_nodes, features)``.
+    """
+    entries, disconnected, n_nodes, features = state
+    subject_id, _, matrix_path = entries[index]
+    matrix = _read_subject(subject_id, matrix_path)
+    _fill_subject(features, index, matrix, n_nodes, disconnected)
+
+
+#: The ingest state of a forked worker, set once by its initializer.
+_worker_state = None
+
+
+def _start_worker(state) -> None:
+    global _worker_state
+    _one_blas_thread()
+    _worker_state = state
+
+
+def _ingest_in_worker(index: int) -> None:
+    _ingest_subject(_worker_state, index)
 
 
 def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
@@ -143,23 +277,38 @@ def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
 
     Subject order follows the manifest. Missing matrix files raise
     ``FileNotFoundError`` naming the subject; parse and validation errors
-    carry the offending path or subject id.
+    carry the offending path or subject id; of several bad subjects, the
+    first in manifest order is reported. Subjects are ingested on every
+    core available to the process (module docstring, Ingest); the first
+    subject is parsed once more up front, to size the buffer.
     """
     entries = read_manifest(manifest_path)
-    subject_ids = []
-    labels = []
-    matrices = []
-    for subject_id, label, matrix_path in entries:
-        if not matrix_path.exists():
-            raise FileNotFoundError(
-                f"matrix file not found for subject {subject_id!r}:"
-                f" {matrix_path}"
-            )
-        raw = load_matrix_file(matrix_path)
-        matrices.append(validate_matrix(raw, subject_id=subject_id))
-        subject_ids.append(subject_id)
-        labels.append(label)
-    return cohort_from_matrices(subject_ids, labels, matrices, disconnected)
+    _normalize_disconnected_policy(disconnected)
+    subject_id, _, matrix_path = entries[0]
+    n_nodes = _read_subject(subject_id, matrix_path).n_nodes
+    features = _feature_buffer(len(entries), n_nodes)
+    state = (entries, disconnected, n_nodes, features)
+    workers = min(_available_cores(), len(entries))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # Fork, not spawn: a worker must inherit the anonymous buffer, and
+        # under fork the initializer's ``state`` is inherited, not pickled;
+        # only an index and a failing subject's exception cross processes.
+        # Unlike ``multiprocessing.Pool``, the executor raises if a worker
+        # dies instead of waiting for it forever.
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(state,),
+        ) as pool:
+            for _ in pool.map(_ingest_in_worker, range(len(entries))):
+                pass
+    else:
+        for index in range(len(entries)):
+            _ingest_subject(state, index)
+    subject_ids = [entry[0] for entry in entries]
+    labels = [entry[1] for entry in entries]
+    return _cohort_on(features, subject_ids, labels)
 
 
 @dataclass(frozen=True)

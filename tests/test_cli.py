@@ -183,6 +183,36 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["extract", "--out-dir", "features"],
+            ["evaluate", "--out", "r.json"] + EVAL_SPEED,
+        ],
+        ids=["extract", "evaluate"],
+    )
+    def test_mixed_node_counts_are_two(self, tmp_path, capsys, command):
+        (tmp_path / "a.csv").write_text("0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n")
+        (tmp_path / "b.csv").write_text(
+            "0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n"
+        )
+        (tmp_path / "manifest.csv").write_text(
+            "subject_id,label,path\ns1,HC,a.csv\ns2,MCI,b.csv\n"
+        )
+        flag, out = command[1:3]
+        capsys.readouterr()
+        code = run_cli(
+            [command[0], "--manifest", str(tmp_path / "manifest.csv"),
+             flag, str(tmp_path / out)]
+            + command[3:]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: connectivity matrix for subject 's2' has 5 nodes; the"
+            " cohort's first subject has 4\n"
+        )
+        assert not (tmp_path / out).exists()
+
     def test_bad_feature_store_cell_is_two(self, cohort_dir, tmp_path, capsys):
         features = tmp_path / "features"
         extract = [

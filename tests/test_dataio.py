@@ -1,12 +1,19 @@
 """Tests for manifest loading, the synthetic generator, and report files."""
 
+import contextlib
+import io
 import json
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from conftest import make_measure_cohort, write_feature_csvs_reference
 
+import connectoml.cli as cli
+import connectoml.dataio as dataio
 from connectoml import (
     MEASURES,
     SamplerConfig,
@@ -15,9 +22,11 @@ from connectoml import (
     load_cohort,
     mann_whitney_u,
     run_experiment,
+    validate_matrix,
 )
 from connectoml.dataio import (
     SyntheticCohortConfig,
+    cohort_from_matrices,
     dump_fold_values_csv,
     export_report,
     generate_synthetic_cohort,
@@ -148,6 +157,203 @@ class TestLoadCohort:
         write_manifest(manifest, [("s9", "HC", "a.csv")])
         with pytest.raises(ValidationError, match="s9"):
             load_cohort(manifest)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a test whose forked workers hang instead of waiting forever."""
+
+    def expired(signum, frame):
+        raise AssertionError(f"load_cohort took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def ingest(monkeypatch, workers, manifest, disconnected="max_finite"):
+    """load_cohort with the core count forced to ``workers``; returns the
+    cohort, or the exception it raised."""
+    monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+    try:
+        with time_limit(60):
+            return load_cohort(manifest, disconnected=disconnected)
+    except Exception as exc:  # compared across worker counts by the tests
+        return exc
+
+
+def constant_cohort(directory, n_subjects=9, n_nodes=4):
+    """Subject i's off-diagonal weights all equal i + 1; returns the
+    manifest."""
+    rows = []
+    for index in range(n_subjects):
+        weights = np.full((n_nodes, n_nodes), float(index + 1))
+        np.fill_diagonal(weights, 0.0)
+        tiny_matrix_file(directory / f"m{index}.csv", weights)
+        label = "HC" if index % 2 else "MCI"
+        rows.append((f"s{index}", label, f"m{index}.csv"))
+    manifest = directory / "manifest.csv"
+    write_manifest(manifest, rows)
+    return manifest
+
+
+def same_failure(monkeypatch, manifest, disconnected="max_finite"):
+    """The error both ingest paths raise; they must agree on type and text."""
+    serial = ingest(monkeypatch, 1, manifest, disconnected)
+    pooled = ingest(monkeypatch, 2, manifest, disconnected)
+    assert isinstance(serial, Exception), serial
+    assert type(pooled) is type(serial)
+    assert str(pooled) == str(serial)
+    return serial
+
+
+class TestParallelIngest:
+    """The serial loop and the forked workers fill the same buffer alike."""
+
+    def test_pooled_cohort_equals_serial_cohort(self, tmp_path, monkeypatch):
+        cfg = SyntheticCohortConfig(n_nodes=12, n_hc=5, n_mci=8, seed=4)
+        ids, labels, matrices = generate_synthetic_matrices(cfg)
+        manifest = materialize_cohort(ids, labels, matrices, tmp_path)
+        serial = ingest(monkeypatch, 1, manifest)
+        pooled = ingest(monkeypatch, 2, manifest)
+        assert pooled.subject_ids == serial.subject_ids == tuple(ids)
+        assert pooled.labels.tolist() == serial.labels.tolist() == labels
+        for measure in MEASURES:
+            assert np.array_equal(
+                pooled.features[measure], serial.features[measure]
+            )
+
+    def test_extract_bytes_do_not_depend_on_workers(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = SyntheticCohortConfig(n_nodes=9, n_hc=4, n_mci=6, seed=8)
+        ids, labels, matrices = generate_synthetic_matrices(cfg)
+        manifest = materialize_cohort(ids, labels, matrices, tmp_path / "c")
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+            out = tmp_path / f"features{workers}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(
+                    ["extract", "--manifest", str(manifest),
+                     "--out-dir", str(out)]
+                )
+            assert code == 0
+            written[workers] = [
+                (out / f"features_{m}.csv").read_bytes() for m in MEASURES
+            ]
+        assert written[1] == written[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_each_row_lands_at_its_manifest_index(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # Five workers on fewer cores interleave their writes to the
+        # shared buffer; a row written to the wrong place or lost shows.
+        manifest = constant_cohort(tmp_path, n_subjects=40)
+        cohort = ingest(monkeypatch, workers, manifest)
+        assert cohort.subject_ids == tuple(f"s{i}" for i in range(40))
+        for index in range(40):
+            weight = float(index + 1)
+            assert cohort.features["weights"][index].tolist() == [weight] * 6
+            assert cohort.features["shortest_path"][index].tolist() == [
+                1.0 / weight
+            ] * 6
+
+    def test_missing_matrix_file(self, tmp_path, monkeypatch):
+        manifest = constant_cohort(tmp_path)
+        (tmp_path / "m4.csv").unlink()
+        error = same_failure(monkeypatch, manifest)
+        assert isinstance(error, FileNotFoundError)
+        assert str(error) == (
+            f"matrix file not found for subject 's4': {tmp_path / 'm4.csv'}"
+        )
+
+    def test_bad_cell_names_its_line(self, tmp_path, monkeypatch):
+        manifest = constant_cohort(tmp_path)
+        (tmp_path / "m6.csv").write_text("0,1\n1,one\n", encoding="utf-8")
+        error = same_failure(monkeypatch, manifest)
+        assert isinstance(error, ValidationError)
+        assert str(error) == (
+            f"{tmp_path / 'm6.csv'}: line 2: could not convert string to"
+            " float: 'one'"
+        )
+
+    def test_disconnected_error_policy(self, tmp_path, monkeypatch):
+        manifest = constant_cohort(tmp_path)
+        weights = np.zeros((4, 4))
+        weights[0, 1] = weights[1, 0] = 1.0
+        tiny_matrix_file(tmp_path / "m5.csv", weights)
+        error = same_failure(monkeypatch, manifest, disconnected="error")
+        assert isinstance(error, ValidationError)
+        assert str(error) == "no path between nodes 0 and 2 for subject 's5'"
+
+    def test_earlier_bad_subject_is_reported(self, tmp_path, monkeypatch):
+        # Subject 3 fails in extraction, subject 7 already in parsing; the
+        # parse error used to win because every file was parsed first.
+        manifest = constant_cohort(tmp_path)
+        weights = np.zeros((4, 4))
+        weights[2, 3] = weights[3, 2] = 1.0
+        tiny_matrix_file(tmp_path / "m3.csv", weights)
+        (tmp_path / "m7.csv").write_text("0,x\n", encoding="utf-8")
+        error = same_failure(monkeypatch, manifest, disconnected="error")
+        assert str(error) == "no path between nodes 0 and 1 for subject 's3'"
+
+    def test_mixed_node_counts_name_the_subject(self, tmp_path, monkeypatch):
+        manifest = constant_cohort(tmp_path)
+        weights = np.ones((5, 5))
+        np.fill_diagonal(weights, 0.0)
+        tiny_matrix_file(tmp_path / "m2.csv", weights)
+        error = same_failure(monkeypatch, manifest)
+        assert isinstance(error, ValidationError)
+        assert str(error) == (
+            "connectivity matrix for subject 's2' has 5 nodes; the cohort's"
+            " first subject has 4"
+        )
+
+    def test_mixed_node_counts_in_memory(self):
+        small = validate_matrix(np.ones((3, 3)) - np.eye(3), subject_id="a")
+        large = validate_matrix(np.ones((4, 4)) - np.eye(4), subject_id="b")
+        with pytest.raises(
+            ValidationError, match="subject 'b' has 4 nodes;.* has 3$"
+        ):
+            cohort_from_matrices(["a", "b"], [0, 1], [small, large])
+
+    def test_unknown_policy_fails_before_any_parse(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = constant_cohort(tmp_path)
+        parsed = []
+        original = dataio.load_matrix_file
+
+        def recording_parse(path):
+            parsed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(dataio, "load_matrix_file", recording_parse)
+        error = same_failure(monkeypatch, manifest, disconnected="nearest")
+        assert isinstance(error, ValidationError)
+        assert str(error) == "unknown disconnected-pair policy 'nearest'"
+        assert parsed == []
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = constant_cohort(tmp_path)
+        parent = os.getpid()
+        original = dataio.extract_features
+
+        def die_in_worker(matrix, disconnected):
+            if os.getpid() != parent and matrix.subject_id == "s5":
+                os._exit(1)
+            return original(matrix, disconnected)
+
+        monkeypatch.setattr(dataio, "extract_features", die_in_worker)
+        assert isinstance(ingest(monkeypatch, 2, manifest), BrokenProcessPool)
 
 
 class TestSyntheticCohort:
