@@ -148,6 +148,10 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # Refuse before any work, not after every fold is trained.
+    for path in (args.out, args.dump_folds):
+        if path:
+            dataio.refuse_to_overwrite(path, args.overwrite)
     if args.manifest:
         cohort = dataio.load_cohort(
             args.manifest, disconnected=args.disconnected
@@ -173,7 +177,10 @@ def _cmd_evaluate(args) -> int:
     out = dataio.export_report(report, args.out, overwrite=args.overwrite)
     print(f"wrote {out}")
     if args.dump_folds:
-        print(f"wrote {dataio.dump_fold_values_csv(report, args.dump_folds)}")
+        folds = dataio.dump_fold_values_csv(
+            report, args.dump_folds, overwrite=args.overwrite
+        )
+        print(f"wrote {folds}")
     for strategy in STRATEGIES:
         summary = report.strategies[strategy]
         cells = "  ".join(

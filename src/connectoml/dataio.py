@@ -17,24 +17,40 @@ File formats
   representation, so exporting and re-parsing reproduces every number
   exactly.
 
-Ingest
-------
+Ingest and feature writing
+--------------------------
+Both run their work units through one ordered pool, ``_ordered_map``: the
+units go to forked workers, one per core available to the process (up to
+one per unit), each pinned to one BLAS thread, and their results come back
+in unit order. With one core or no ``fork`` the same per-unit function
+runs in this process, and the results are the same. At most two results
+per worker are in flight, so the results held at once do not grow with the
+cohort. The first unit to fail, in order, raises its own exception.
+
 :func:`load_cohort` writes every subject's features into one preallocated
 ``(measure, subject, feature)`` float64 buffer on an anonymous shared
-mapping, and the cohort's feature matrices are views of it. Each subject is
-parsed, validated and extracted end to end by one function, which writes
-row ``i`` of all three measures and returns nothing. It runs in forked
-workers, one per core available to the process, or in this process when
-there is one core or no ``fork``. Either way the buffer holds the same
-bits, and of several bad subjects the first in manifest order is reported.
+mapping, and the cohort's feature matrices are views of it. The first
+subject is parsed here, which sizes the buffer, and extracted into row 0.
+Each other subject is a unit: parsed, validated and extracted end to end by
+one function, which writes row ``i`` of all three measures and returns
+nothing. Of several bad subjects the first in manifest order is reported.
 :func:`cohort_from_matrices` fills the same buffer from matrices in hand.
+
+:func:`write_feature_csvs` quotes the row prefixes, writes the headers and
+writes every file here. Its units are (measure, chunk of a few subjects)
+pairs; a worker formats one chunk's rows and returns their UTF-8 bytes,
+which are written in (measure, subject) order, so the files do not depend
+on the number of workers.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import ctypes
 import io
+import itertools
 import json
 import math
 import mmap
@@ -247,6 +263,62 @@ def _one_blas_thread() -> None:
                 break
 
 
+#: The per-unit function and state of a forked worker, set once by its
+#: initializer.
+_worker_task = None
+
+
+def _start_worker(work, state) -> None:
+    global _worker_task
+    _one_blas_thread()
+    _worker_task = (work, state)
+
+
+def _work_in_worker(unit):
+    work, state = _worker_task
+    return work(state, unit)
+
+
+def _ordered_map(work, state, units):
+    """Yield ``work(state, unit)`` for each of ``units``, in their order.
+
+    The units run in ``min(cores, len(units))`` forked workers, or in this
+    process when that is one or there is no ``fork``. At most two results
+    per worker are in flight, so the results held at once do not grow with
+    ``units``. The first unit to fail, in order, raises its own exception.
+    """
+    workers = min(_available_cores(), len(units))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        for unit in units:
+            yield work(state, unit)
+        return
+    # Fork, not spawn: under fork the initializer's ``state`` (the shared
+    # feature buffer among it) is inherited, not pickled; only units,
+    # results and a failing unit's exception cross processes. Unlike
+    # ``multiprocessing.Pool``, the executor raises if a worker dies
+    # instead of waiting for it forever.
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(work, state),
+    ) as pool:
+        remaining = iter(units)
+        in_flight = collections.deque(
+            pool.submit(_work_in_worker, unit)
+            for unit in itertools.islice(remaining, 2 * workers)
+        )
+        try:
+            while in_flight:
+                result = in_flight.popleft().result()
+                for unit in itertools.islice(remaining, 1):
+                    in_flight.append(pool.submit(_work_in_worker, unit))
+                yield result
+        finally:
+            for future in in_flight:
+                future.cancel()
+
+
 def _ingest_subject(state, index: int) -> None:
     """Parse, validate and extract manifest entry ``index`` into the buffer.
 
@@ -258,54 +330,26 @@ def _ingest_subject(state, index: int) -> None:
     _fill_subject(features, index, matrix, n_nodes, disconnected)
 
 
-#: The ingest state of a forked worker, set once by its initializer.
-_worker_state = None
-
-
-def _start_worker(state) -> None:
-    global _worker_state
-    _one_blas_thread()
-    _worker_state = state
-
-
-def _ingest_in_worker(index: int) -> None:
-    _ingest_subject(_worker_state, index)
-
-
 def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
     """Load, validate, and featurize every subject listed in a manifest.
 
     Subject order follows the manifest. Missing matrix files raise
     ``FileNotFoundError`` naming the subject; parse and validation errors
     carry the offending path or subject id; of several bad subjects, the
-    first in manifest order is reported. Subjects are ingested on every
-    core available to the process (module docstring, Ingest); the first
-    subject is parsed once more up front, to size the buffer.
+    first in manifest order is reported. The first subject is read and
+    extracted here, which sizes the buffer; the others are ingested on
+    every core available to the process (module docstring, Ingest and
+    feature writing).
     """
     entries = read_manifest(manifest_path)
     _normalize_disconnected_policy(disconnected)
     subject_id, _, matrix_path = entries[0]
-    n_nodes = _read_subject(subject_id, matrix_path).n_nodes
-    features = _feature_buffer(len(entries), n_nodes)
-    state = (entries, disconnected, n_nodes, features)
-    workers = min(_available_cores(), len(entries))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # Fork, not spawn: a worker must inherit the anonymous buffer, and
-        # under fork the initializer's ``state`` is inherited, not pickled;
-        # only an index and a failing subject's exception cross processes.
-        # Unlike ``multiprocessing.Pool``, the executor raises if a worker
-        # dies instead of waiting for it forever.
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=(state,),
-        ) as pool:
-            for _ in pool.map(_ingest_in_worker, range(len(entries))):
-                pass
-    else:
-        for index in range(len(entries)):
-            _ingest_subject(state, index)
+    first = _read_subject(subject_id, matrix_path)
+    features = _feature_buffer(len(entries), first.n_nodes)
+    _fill_subject(features, 0, first, first.n_nodes, disconnected)
+    state = (entries, disconnected, first.n_nodes, features)
+    for _ in _ordered_map(_ingest_subject, state, range(1, len(entries))):
+        pass
     subject_ids = [entry[0] for entry in entries]
     labels = [entry[1] for entry in entries]
     return _cohort_on(features, subject_ids, labels)
@@ -398,42 +442,80 @@ def materialize_cohort(subject_ids, labels, matrices, out_dir) -> Path:
     return manifest_path
 
 
-def _row_prefixes(cohort: LabeledCohort) -> list[str]:
-    """Each subject's ``subject_id,label`` as :func:`csv.writer` quotes it,
-    without the line terminator."""
+def _csv_records(rows) -> list[str]:
+    """Each row as :func:`csv.writer` quotes it, ``\\r\\n`` included."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    prefixes = []
-    for subject_id, label in zip(cohort.subject_ids, cohort.labels):
+    records = []
+    for row in rows:
         buffer.seek(0)
         buffer.truncate()
-        writer.writerow([subject_id, LABEL_NAMES[int(label)]])
-        prefixes.append(buffer.getvalue()[: -len("\r\n")])
-    return prefixes
+        writer.writerow(row)
+        records.append(buffer.getvalue())
+    return records
+
+
+#: Subjects per unit of feature-file formatting.
+_ROWS_PER_CHUNK = 4
+
+
+def _format_rows(state, unit) -> bytes:
+    """The UTF-8 feature-file rows of one ``(measure index, first subject)``
+    unit, ``_ROWS_PER_CHUNK`` subjects or the cohort's last ones.
+
+    ``state`` is ``(matrices, prefixes)``. Each row's numbers are formatted
+    by one ``%``-template call; ``%.17g`` of a Python float is the same text
+    as ``format(value, ".17g")``.
+    """
+    matrices, prefixes = state
+    measure_index, start = unit
+    chunk = slice(start, start + _ROWS_PER_CHUNK)
+    rows = matrices[measure_index][chunk]
+    numbers = ",%.17g" * rows.shape[1] + "\r\n"
+    text = "".join(
+        prefix + numbers % tuple(row.tolist())
+        for prefix, row in zip(prefixes[chunk], rows)
+    )
+    return text.encode("utf-8")
 
 
 def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     """One CSV per measure: subject_id, label, then the feature columns.
 
-    Each row's numbers are formatted by one ``%``-template call; ``%.17g``
-    of a Python float is the same text as ``format(value, ".17g")``.
+    The rows are formatted on every core available to the process and
+    written here in subject order (module docstring, Ingest and feature
+    writing).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefixes = _row_prefixes(cohort)
+    matrices = [cohort.features[measure] for measure in MEASURES]
+    prefixes = [
+        record[: -len("\r\n")]
+        for record in _csv_records(
+            [subject_id, LABEL_NAMES[int(label)]]
+            for subject_id, label in zip(cohort.subject_ids, cohort.labels)
+        )
+    ]
+    starts = range(0, cohort.size, _ROWS_PER_CHUNK)
+    units = [
+        (measure_index, start)
+        for measure_index in range(len(MEASURES))
+        for start in starts
+    ]
     paths = []
-    for measure in MEASURES:
-        matrix = cohort.features[measure]
-        path = out_dir / f"features_{measure}.csv"
-        numbers = ",%.17g" * matrix.shape[1] + "\r\n"
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle).writerow(
-                ["subject_id", "label"]
-                + [f"f{i}" for i in range(matrix.shape[1])]
-            )
-            for prefix, row in zip(prefixes, matrix):
-                handle.write(prefix + numbers % tuple(row.tolist()))
-        paths.append(path)
+    with contextlib.closing(
+        _ordered_map(_format_rows, (matrices, prefixes), units)
+    ) as chunks:
+        for measure, matrix in zip(MEASURES, matrices):
+            path = out_dir / f"features_{measure}.csv"
+            header = ["subject_id", "label"] + [
+                f"f{i}" for i in range(matrix.shape[1])
+            ]
+            with path.open("wb") as handle:
+                handle.write(_csv_records([header])[0].encode("utf-8"))
+                for _ in starts:
+                    handle.write(next(chunks))
+            paths.append(path)
     return paths
 
 
@@ -493,11 +575,18 @@ def load_feature_csvs(directory) -> LabeledCohort:
     )
 
 
-def export_report(report: EvaluationReport, path, overwrite: bool = False):
-    """Write the report as JSON; refuses to clobber without ``overwrite``."""
+def refuse_to_overwrite(path, overwrite: bool = False) -> Path:
+    """``path`` as a ``Path``; raises ``FileExistsError`` if it exists and
+    ``overwrite`` is false."""
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"refusing to overwrite existing file: {path}")
+    return path
+
+
+def export_report(report: EvaluationReport, path, overwrite: bool = False):
+    """Write the report as JSON; refuses to clobber without ``overwrite``."""
+    path = refuse_to_overwrite(path, overwrite)
     payload = json.dumps(report.to_dict(), indent=2)
     path.write_text(payload + "\n", encoding="utf-8")
     return path
@@ -517,9 +606,12 @@ def load_report(path) -> EvaluationReport:
     return EvaluationReport.from_dict(payload)
 
 
-def dump_fold_values_csv(report: EvaluationReport, path) -> Path:
-    """Plot-ready long-format CSV of every per-fold metric value."""
-    path = Path(path)
+def dump_fold_values_csv(
+    report: EvaluationReport, path, overwrite: bool = False
+) -> Path:
+    """Plot-ready long-format CSV of every per-fold metric value; refuses
+    to clobber without ``overwrite``."""
+    path = refuse_to_overwrite(path, overwrite)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["strategy", "metric", "fold_index", "value"])

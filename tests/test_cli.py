@@ -130,6 +130,74 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("existing", ["--out", "--dump-folds"])
+    def test_existing_output_is_refused_before_any_work(
+        self, cohort_dir, tmp_path, capsys, monkeypatch, existing
+    ):
+        calls = {"load_cohort": 0, "run_experiment": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            cli.dataio, "load_cohort",
+            counted("load_cohort", cli.dataio.load_cohort),
+        )
+        monkeypatch.setattr(
+            cli, "run_experiment",
+            counted("run_experiment", cli.run_experiment),
+        )
+        outputs = {
+            "--out": tmp_path / "report.json",
+            "--dump-folds": tmp_path / "folds.csv",
+        }
+        outputs[existing].write_text("keep\n")
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(cohort_dir / "manifest.csv"),
+                "--out", str(outputs["--out"]),
+                "--dump-folds", str(outputs["--dump-folds"]),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        message = f"refusing to overwrite existing file: {outputs[existing]}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"load_cohort": 0, "run_experiment": 0}
+        assert outputs[existing].read_text() == "keep\n"
+        assert [flag for flag, path in outputs.items() if path.exists()] == [
+            existing
+        ]
+
+    def test_overwrite_replaces_report_and_fold_dump(
+        self, cohort_dir, tmp_path
+    ):
+        out = tmp_path / "report.json"
+        folds_csv = tmp_path / "folds.csv"
+        out.write_text("old\n")
+        folds_csv.write_text("old\n")
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(cohort_dir / "manifest.csv"),
+                "--out", str(out),
+                "--dump-folds", str(folds_csv),
+                "--overwrite",
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["folds"] == 3
+        assert folds_csv.read_text().startswith(
+            "strategy,metric,fold_index,value\n"
+        )
+
 
 class TestCompare:
     def test_comparison_table(self, cohort_dir, tmp_path, capsys):

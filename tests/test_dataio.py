@@ -6,6 +6,7 @@ import json
 import os
 import re
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -164,7 +165,7 @@ def time_limit(seconds):
     """Fail a test whose forked workers hang instead of waiting forever."""
 
     def expired(signum, frame):
-        raise AssertionError(f"load_cohort took over {seconds} s")
+        raise AssertionError(f"forked workers took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(seconds)
@@ -489,6 +490,10 @@ class TestReportFiles:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "strategy,metric,fold_index,value"
         assert len(lines) == 1 + 5 * 5 * 2  # strategies * metrics * folds
+        message = f"refusing to overwrite existing file: {path}"
+        with pytest.raises(FileExistsError, match=f"^{re.escape(message)}$"):
+            dump_fold_values_csv(report, path)
+        dump_fold_values_csv(report, path, overwrite=True)
 
 
 class TestFeatureStore:
@@ -575,3 +580,100 @@ class TestFeatureStore:
         message = f"{path}: line 5: could not convert string to float: 'x'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_feature_csvs(tmp_path)
+
+
+def awkward_ids_cohort(tmp_path):
+    """Nine subjects, so each measure's last chunk is a partial one, with
+    ids that ``csv.writer`` quotes or that encode to several bytes."""
+    rng = np.random.default_rng(12)
+    ids = ("a,b", 'say "hi"', "two\nlines", " padded", "sujet-é",
+           "s5", "s6", "s7", "s8")
+    return make_measure_cohort(
+        {m: rng.normal(size=(9, 5)) / 3.0 for m in MEASURES},
+        [0, 1, 1, 0, 1, 0, 0, 1, 1],
+        ids=ids,
+    )
+
+
+def many_units_cohort(tmp_path):
+    # 3 measures x 8 chunks: more units than five workers hold in flight.
+    cfg = SyntheticCohortConfig(n_nodes=6, n_hc=12, n_mci=18, seed=2)
+    return generate_synthetic_cohort(cfg)
+
+
+def feature_store_cohort(tmp_path):
+    # Plain arrays parsed from files, not views of the shared buffer.
+    cfg = SyntheticCohortConfig(n_nodes=7, n_hc=5, n_mci=6, seed=9)
+    write_feature_csvs_reference(
+        generate_synthetic_cohort(cfg), tmp_path / "store"
+    )
+    return load_feature_csvs(tmp_path / "store")
+
+
+def one_node_cohort(tmp_path):
+    matrices = [
+        validate_matrix(np.zeros((1, 1)), subject_id=f"s{i}") for i in range(6)
+    ]
+    return cohort_from_matrices(
+        [f"s{i}" for i in range(6)], [0, 1, 0, 1, 1, 0], matrices
+    )
+
+
+class TestParallelWriter:
+    """The forked writer's files do not depend on the number of workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "build",
+        [awkward_ids_cohort, many_units_cohort, feature_store_cohort,
+         one_node_cohort],
+        ids=["awkward_ids", "many_units", "feature_store", "one_node"],
+    )
+    def test_bytes_equal_reference_writer(
+        self, tmp_path, monkeypatch, build, workers
+    ):
+        cohort = build(tmp_path)
+        expected = write_feature_csvs_reference(cohort, tmp_path / "old")
+        monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+        with time_limit(60):
+            written = write_feature_csvs(cohort, tmp_path / "new")
+        assert [path.name for path in written] == [
+            path.name for path in expected
+        ]
+        for new, old in zip(written, expected):
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        cohort = many_units_cohort(tmp_path)
+        parent = os.getpid()
+        original = dataio._format_rows
+
+        def die_in_worker(state, unit):
+            if os.getpid() != parent and unit == (1, 8):
+                os._exit(1)
+            return original(state, unit)
+
+        monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
+        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
+        with time_limit(60), pytest.raises(BrokenProcessPool):
+            write_feature_csvs(cohort, tmp_path)
+
+    def test_at_most_two_results_per_worker_are_in_flight(self, monkeypatch):
+        submitted = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
+        results = dataio._ordered_map(
+            lambda offset, unit: unit + offset, 100, range(20)
+        )
+        with time_limit(60):
+            for consumed, result in enumerate(results, start=1):
+                assert result == 100 + consumed - 1
+                assert len(submitted) == min(consumed + 2 * 2, 20)
