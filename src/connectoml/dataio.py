@@ -40,7 +40,12 @@ nothing. Of several bad subjects the first in manifest order is reported.
 writes every file here. Its units are (measure, chunk of a few subjects)
 pairs; a worker formats one chunk's rows and returns their UTF-8 bytes,
 which are written in (measure, subject) order, so the files do not depend
-on the number of workers.
+on the number of workers. Each file is written under a temporary name in
+the output directory; the three replace their targets only once the last
+is complete.
+
+:func:`load_feature_csvs` refuses a value that does not parse or is not
+finite, naming the file and the physical line.
 """
 
 from __future__ import annotations
@@ -484,7 +489,9 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
 
     The rows are formatted on every core available to the process and
     written here in subject order (module docstring, Ingest and feature
-    writing).
+    writing). Each file is written under a temporary name in ``out_dir``
+    and all three replace their targets only after the last row is
+    written, so a failure part-way leaves an earlier store as it was.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -502,20 +509,27 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
         for measure_index in range(len(MEASURES))
         for start in starts
     ]
-    paths = []
-    with contextlib.closing(
-        _ordered_map(_format_rows, (matrices, prefixes), units)
-    ) as chunks:
-        for measure, matrix in zip(MEASURES, matrices):
-            path = out_dir / f"features_{measure}.csv"
-            header = ["subject_id", "label"] + [
-                f"f{i}" for i in range(matrix.shape[1])
-            ]
-            with path.open("wb") as handle:
-                handle.write(_csv_records([header])[0].encode("utf-8"))
-                for _ in starts:
-                    handle.write(next(chunks))
-            paths.append(path)
+    paths = [out_dir / f"features_{measure}.csv" for measure in MEASURES]
+    temporaries = [
+        path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths
+    ]
+    try:
+        with contextlib.closing(
+            _ordered_map(_format_rows, (matrices, prefixes), units)
+        ) as chunks:
+            for temporary, matrix in zip(temporaries, matrices):
+                header = ["subject_id", "label"] + [
+                    f"f{i}" for i in range(matrix.shape[1])
+                ]
+                with temporary.open("wb") as handle:
+                    handle.write(_csv_records([header])[0].encode("utf-8"))
+                    for _ in starts:
+                        handle.write(next(chunks))
+        for temporary, path in zip(temporaries, paths):
+            os.replace(temporary, path)
+    finally:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
     return paths
 
 
@@ -555,11 +569,18 @@ def load_feature_csvs(directory) -> LabeledCohort:
                 ids.append(row[0])
                 measure_labels.append(LABEL_CODES[row[1]])
                 try:
-                    rows.append(np.array(row[2:], dtype=np.float64))
+                    values = np.array(row[2:], dtype=np.float64)
                 except ValueError as exc:
                     raise ValidationError(
                         f"{path}: line {line_number}: {exc}"
                     ) from exc
+                if not np.isfinite(values).all():
+                    column = 2 + int(np.argmin(np.isfinite(values)))
+                    raise ValidationError(
+                        f"{path}: line {line_number}: feature"
+                        f" {header[column]} is not finite: {row[column]!r}"
+                    )
+                rows.append(values)
         if subject_ids is None:
             subject_ids = ids
             labels = measure_labels

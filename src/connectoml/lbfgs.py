@@ -21,6 +21,19 @@ cubic interpolation that enforces the strong Wolfe conditions
 
 with c1 = 1e-4 and c2 = 0.9. Every accepted iterate therefore strictly
 decreases the objective.
+
+Coordinates and metric. By default inner products are Euclidean in the
+objective's own vectors. A caller minimizing F over coordinates v of a
+linear map L (the point is ``L.v``) passes ``metric(v) = M.v`` with
+``M = L^T.L``, and an objective that returns ``F(L.v)`` and a gradient
+representer g with ``L.g = grad F(L.v)``. Each inner product the minimizer
+takes, ``(L.u).(L.g)`` in the space of F, is then ``u.(M.g)``: the ring's
+products with the gradient, the slope, the line search's derivative,
+``s.y`` and ``y.y``; ``s.s`` follows from the ring's coefficients. Up to
+rounding, L maps the iterates onto those of the minimizer run on F itself,
+while each vector has the length of v. The caller's ``norm`` measures
+gradients in the space of F too. Without a metric the arithmetic is that
+of the Euclidean minimizer.
 """
 
 from __future__ import annotations
@@ -80,6 +93,8 @@ class LineSearchResult:
     best_step: float = 0.0
     best_fval: float = np.inf
     best_grad: np.ndarray | None = None
+    # The metric's image of ``grad``; ``grad`` itself without a metric.
+    mgrad: np.ndarray | None = None
 
 
 def _cubic_minimizer(a, fa, ga, b, fb, gb):
@@ -119,16 +134,25 @@ def strong_wolfe_line_search(
     initial_step: float = 1.0,
     max_evals: int = 30,
     slope: float | None = None,
+    metric=None,
 ) -> LineSearchResult:
     """Find a step along ``direction`` satisfying the strong Wolfe conditions.
 
     ``objective`` maps a point to ``(f, grad)``. ``direction`` must be a
     descent direction at ``x``. ``slope`` is ``grad . direction`` when the
-    caller has already computed it. Non-finite trial values are treated as
-    infinitely bad, which shrinks the bracket back toward known-good steps.
+    caller has already computed it. With ``metric`` (module docstring,
+    Coordinates and metric) each derivative along the line is
+    ``metric(grad) . direction``, one call per evaluation, and the result
+    carries the accepted gradient's image as ``mgrad``. Non-finite trial
+    values are treated as infinitely bad, which shrinks the bracket back
+    toward known-good steps.
     """
+
+    def image(g):
+        return g if metric is None else metric(g)
+
     phi0 = fval
-    dphi0 = float(grad @ direction) if slope is None else slope
+    dphi0 = float(image(grad) @ direction) if slope is None else slope
     if dphi0 >= 0.0:
         return LineSearchResult(False, 0.0, phi0, None, 0)
 
@@ -142,12 +166,14 @@ def strong_wolfe_line_search(
         f = _finite_value(f)
         if f < best[1] and np.all(np.isfinite(g)):
             best = (step, f, g)
-        return f, g, float(g @ direction)
+        mg = image(g)
+        return f, g, mg, float(mg @ direction)
 
-    def result(success, step, f, g):
+    def result(success, step, f, g=None, mg=None):
         return LineSearchResult(
             success, step, f, g, evals,
             best_step=best[0], best_fval=best[1], best_grad=best[2],
+            mgrad=mg,
         )
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi):
@@ -163,34 +189,34 @@ def strong_wolfe_line_search(
                 or trial > hi_b - margin
             ):
                 trial = lo + 0.5 * width
-            phi, g, dphi = evaluate(trial)
+            phi, g, mg, dphi = evaluate(trial)
             if phi > phi0 + c1 * trial * dphi0 or phi >= phi_lo:
                 hi, phi_hi, dphi_hi = trial, phi, dphi
             else:
                 if abs(dphi) <= -c2 * dphi0:
-                    return result(True, trial, phi, g)
+                    return result(True, trial, phi, g, mg)
                 if dphi * (hi - lo) >= 0.0:
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
                 lo, phi_lo, dphi_lo = trial, phi, dphi
             if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo), abs(hi)):
                 break
-        return result(False, 0.0, phi0, None)
+        return result(False, 0.0, phi0)
 
     prev_step, phi_prev, dphi_prev = 0.0, phi0, dphi0
     step = min(initial_step, _MAX_STEP)
     for attempt in range(max_evals):
-        phi, g, dphi = evaluate(step)
+        phi, g, mg, dphi = evaluate(step)
         if phi > phi0 + c1 * step * dphi0 or (attempt > 0 and phi >= phi_prev):
             return zoom(prev_step, phi_prev, dphi_prev, step, phi, dphi)
         if abs(dphi) <= -c2 * dphi0:
-            return result(True, step, phi, g)
+            return result(True, step, phi, g, mg)
         if dphi >= 0.0:
             return zoom(step, phi, dphi, prev_step, phi_prev, dphi_prev)
         if step >= _MAX_STEP:
             break
         prev_step, phi_prev, dphi_prev = step, phi, dphi
         step = min(2.0 * step, _MAX_STEP)
-    return result(False, 0.0, phi0, None)
+    return result(False, 0.0, phi0)
 
 
 class _CurvatureHistory:
@@ -201,7 +227,8 @@ class _CurvatureHistory:
     until the ring is full only the written prefix ``rows[:2 * count]`` is
     read; once full, each accepted pair overwrites the oldest. ``gram`` holds
     the rows' inner products with each other and ``bg`` with the current
-    gradient, both indexed like ``rows``.
+    gradient, both indexed like ``rows`` and taken in the minimizer's
+    metric (module docstring).
     """
 
     def __init__(self, depth: int, size: int):
@@ -251,25 +278,41 @@ class _CurvatureHistory:
         direction -= coef_g * grad
         return direction
 
-    def update(self, step, direction, grad, new_grad):
+    def update(
+        self, step, direction, grad, new_grad, mgrad=None, new_mgrad=None
+    ):
         """Offer the pair (step * direction, new_grad - grad); move to new_grad.
 
         ``direction`` must be the last one :meth:`direction` returned, or
         ``-grad`` right after :meth:`clear`: the new s row's inner products
         with the stored rows come from its coefficients, and the y row's
-        from ``bg`` before and after the one GEMV with ``new_grad``.
+        from ``bg`` before and after the one GEMV with ``new_grad``. Under a
+        metric M, ``mgrad`` and ``new_mgrad`` are ``M.grad`` and
+        ``M.new_grad``, every inner product is taken in M, and ``s.M.s``
+        comes from the coefficients too.
         """
         y = new_grad - grad
-        sy = step * float(direction @ y)
-        ss = step * step * float(direction @ direction)
-        yy = float(y @ y)
+        if mgrad is None:
+            new_mgrad, my = new_grad, y
+        else:
+            my = new_mgrad - mgrad
+        sy = step * float(direction @ my)
+        yy = float(y @ my)
         k = 2 * self.count
-        if not sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
-            np.dot(self.rows[:k], new_grad, out=self.bg[:k])
-            return
         rows_s = -step * (
             self.gram[:k, :k] @ self._coef + self._coef_g * self.bg[:k]
         )
+        if mgrad is None:
+            ss = step * step * float(direction @ direction)
+        else:
+            # s = -step.(coef.rows + coef_g.grad), and rows_s = rows.M.s.
+            ss = -step * (
+                float(self._coef @ rows_s)
+                + self._coef_g * step * float(direction @ mgrad)
+            )
+        if not sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
+            np.dot(self.rows[:k], new_mgrad, out=self.bg[:k])
+            return
         bg_old = self.bg[:k].copy()
         if self.count < self.depth:
             slot = k
@@ -280,7 +323,7 @@ class _CurvatureHistory:
         np.multiply(direction, step, out=self.rows[slot])
         self.rows[slot + 1] = y
         k_new = 2 * self.count
-        np.dot(self.rows[:k_new], new_grad, out=self.bg[:k_new])
+        np.dot(self.rows[:k_new], new_mgrad, out=self.bg[:k_new])
         # In a full ring entries slot and slot + 1 belong to the evicted pair
         # and are overwritten by the 2x2 block below.
         gram = self.gram
@@ -299,7 +342,9 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
     return float(magnitudes.max() if order == np.inf else magnitudes.sum())
 
 
-def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
+def lbfgs_minimize(
+    objective, x0, cfg, norm=gradient_norm, metric=None
+) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
     Parameters
@@ -314,10 +359,15 @@ def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
     norm : callable
         ``norm(gradient, order)`` with ``order`` ``np.inf`` or 1, as
         :func:`gradient_norm`. The infinity norm decides convergence and the
-        L1 norm sizes the first step. A caller minimizing in coordinates of
-        a subspace passes the norms of the gradient in the full space; above
+        L1 norm sizes the first step. A caller minimizing in coordinates
+        passes the norms of the gradient in the space they map to; above
         ``cfg.gradient_tolerance`` its infinity norm may be any lower bound
         that is itself above the tolerance.
+    metric : callable, optional
+        ``metric(v) = M.v`` for the symmetric positive semidefinite ``M``
+        of the inner product (module docstring, Coordinates and metric),
+        called once per objective evaluation. None, the default, is the
+        Euclidean inner product.
 
     Returns
     -------
@@ -337,6 +387,7 @@ def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
     if not np.isfinite(fval) or not np.all(np.isfinite(grad)):
         raise NumericalError("objective is not finite at the starting point")
 
+    mgrad = grad if metric is None else metric(grad)
     grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
     history = _CurvatureHistory(cfg.lbfgs_history, x.size)
@@ -345,13 +396,13 @@ def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
 
     while iteration < cfg.max_iterations and grad_inf > cfg.gradient_tolerance:
         direction = history.direction(grad)
-        slope = float(direction @ grad)
+        slope = float(direction @ mgrad)
         if slope >= 0.0:
             # Stale curvature produced an ascent direction; restart from
             # steepest descent.
             history.clear()
             direction = -grad
-            slope = float(direction @ grad)
+            slope = float(direction @ mgrad)
         initial_step = 1.0
         if history.count == 0 and iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, norm(grad, 1)))
@@ -364,6 +415,7 @@ def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
             direction,
             initial_step=initial_step,
             slope=slope,
+            metric=metric,
         )
         if not search.success:
             line_search_failed = True
@@ -380,12 +432,19 @@ def lbfgs_minimize(objective, x0, cfg, norm=gradient_norm) -> LbfgsResult:
 
         step = search.step
         new_grad = search.grad
-        history.update(step, direction, grad, new_grad)
+        history.update(
+            step,
+            direction,
+            grad,
+            new_grad,
+            mgrad=None if metric is None else mgrad,
+            new_mgrad=search.mgrad,
+        )
 
         iteration += 1
         x = x + step * direction
         fval = float(search.fval)
-        grad = new_grad
+        grad, mgrad = new_grad, search.mgrad
         grad_inf = norm(grad, np.inf)
         trace.append(LbfgsIterate(iteration, fval, grad_inf, step))
 

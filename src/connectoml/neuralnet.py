@@ -11,34 +11,39 @@ Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs so the loss
 stays finite; the clip is inactive anywhere gradients matter. Features are
 min-max normalized to [0, 1] with statistics fitted on training data only.
 
-Row-space coordinates. A fit often has far more inputs d than rows n
-(7,140 per measure and 21,420 fused at 120 nodes, against ~105 rows). The
+Kernel coordinates. A fit often has far more inputs d than rows n (7,140
+per measure and 21,420 fused at 120 nodes, against ~105 rows). The
 first-layer weight gradient is ``x^T.dz1 + 2a.W1``, so by induction every
 vector L-BFGS forms (iterates, gradients, steps, curvature pairs, trial
 points) has a first-layer block ``c.W1_0 + x^T.B``, c a scalar and B an
-(n, 32) matrix. When d > n, :func:`train_classifier` runs L-BFGS on
-coordinates of that subspace: ``Q^T.W1`` (r, 32) for an orthonormal basis Q
-of the rows of x, the other layers as they are, and ``u = c.||w_perp||``
-along ``w_perp = W1_0 - Q.Q^T.W1_0``. The map is an isometry, the penalty
-is ``||Q^T.W1||^2 + u^2`` and ``x.w_perp = 0``, so in exact arithmetic
-L-BFGS sees the same values and inner products and takes the same steps as
-in the full space (the representer argument of Schoelkopf, Herbrich &
-Smola, COLT 2001, applied to the span of the L-BFGS vectors rather than
-the optimum). The first layer then costs n.r.32 flops instead of n.d.32.
-Q keeps the eigenvalues of ``x.x^T`` above :data:`RANK_CUTOFF` times the
-largest, which drops the directions that duplicate rows or rounding leave.
+(n, 32) matrix. When d > n, :func:`train_classifier` runs L-BFGS on the
+coordinates (B, the other layers, c) of that subspace, starting from B = 0
+and c = 1 (:class:`_KernelCoordinates`). With ``G = x.x^T`` and
+``P = x.W1_0``, both formed once per fit, the first layer's outputs are
+``c.P + G.B + b1``, its penalty is
+``a.(c^2.||W1_0||^2 + 2c.<P, B> + <B, G.B>)``, and the representer of the
+full-space gradient is ``(dz1 + 2a.B, the other layers, 2a.c)``. L-BFGS
+measures these vectors in the full-space inner product, through the
+``metric`` of :func:`~connectoml.lbfgs.lbfgs_minimize`:
+``M.v = (G.v_B + v_c.P, the other layers, <P, v_B> + v_c.||W1_0||^2)``.
+In exact arithmetic it then sees the same values and inner products and
+takes the same steps as in the full space (the representer argument of
+Schoelkopf, Herbrich & Smola, COLT 2001, applied to the span of the L-BFGS
+vectors rather than the optimum), and nothing is factorized: duplicate rows
+or a rank-deficient ``x`` only leave directions of B that map to zero.
+Forming G costs n.n.d flops once; then an objective evaluation and a metric
+product each cost one (n, n) by (n, 32) product instead of n.d.32 flops.
 Convergence and the first step use norms of the full-space gradient. When
-d <= n the same code runs with the identity basis and no ``u``, and takes
-the full-space steps bit for bit.
+d <= n the fit runs in the full space on :func:`loss_and_gradient`.
 
-Trust boundary: the objective :func:`loss_and_gradient` checks nothing; it
-expects float64 ``x`` of shape (n, input_dim), n >= 1, and 0/1 ``y``.
-:func:`train_classifier` checks both, once per fit.
+Trust boundary: the objectives, :func:`loss_and_gradient` and its kernel
+form, check nothing; they expect float64 ``x`` of shape (n, input_dim),
+n >= 1, and 0/1 ``y``. :func:`train_classifier` checks both, once per fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +53,6 @@ from .lbfgs import gradient_norm, lbfgs_minimize
 HIDDEN_UNITS = 32
 
 PROB_CLIP = 1e-12
-
-#: Eigenvalues of ``x.x^T`` at or below this fraction of the largest are
-#: left out of the row-space basis (see :func:`train_classifier`).
-RANK_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -193,16 +194,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_pass(params: MlpParameters, x: np.ndarray):
-    w1, w2, w3 = params.layer_weights
-    b1, b2, b3 = params.layer_biases
-    z1 = x @ w1 + b1
+def _upper_forward(params: MlpParameters, z1: np.ndarray):
+    """Layers 2 and 3 from the first layer's pre-activations ``z1``."""
+    w2, w3 = params.layer_weights[1:]
+    b2, b3 = params.layer_biases[1:]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ w2 + b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ w3 + b3
     prob = _sigmoid(z3[:, 0])
-    return z1, a1, z2, a2, prob
+    return a1, z2, a2, prob
+
+
+def _forward_pass(params: MlpParameters, x: np.ndarray):
+    z1 = x @ params.layer_weights[0] + params.layer_biases[0]
+    return (z1,) + _upper_forward(params, z1)
 
 
 def _as_batch(x, input_dim: int) -> np.ndarray:
@@ -241,6 +247,41 @@ def _validate_dataset(xs, ys):
     return x, y
 
 
+def _upper_loss_and_backward(params, z1, y, l2_alpha, first_norm, views):
+    """Objective value and ``dz1``, the gradient at the first layer's
+    pre-activations ``z1``, with the gradients of layers 2 and 3 written
+    into their ``views``.
+
+    ``first_norm`` is the squared norm of the first-layer weights, however
+    the caller holds them; the other layers' come from ``params``.
+    """
+    n = z1.shape[0]
+    w2, w3 = params.layer_weights[1:]
+    a1, z2, a2, prob = _upper_forward(params, z1)
+
+    clipped = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
+    cross_entropy = -float(
+        np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped))
+    )
+    penalty = l2_alpha * sum(
+        [first_norm] + [float(np.dot(w.ravel(), w.ravel())) for w in (w2, w3)]
+    )
+
+    grad_w2, grad_w3 = views.layer_weights[1:]
+    grad_b2, grad_b3 = views.layer_biases[1:]
+    decay = 2.0 * l2_alpha
+    dz3 = ((prob - y) / n)[:, None]
+    np.matmul(a2.T, dz3, out=grad_w3)
+    grad_w3 += decay * w3
+    dz3.sum(axis=0, out=grad_b3)
+    dz2 = (dz3 @ w3.T) * (z2 > 0)
+    np.matmul(a1.T, dz2, out=grad_w2)
+    grad_w2 += decay * w2
+    dz2.sum(axis=0, out=grad_b2)
+    dz1 = (dz2 @ w2.T) * (z1 > 0)
+    return cross_entropy + penalty, dz1
+
+
 def loss_and_gradient(params: MlpParameters, x, y, l2_alpha: float):
     """Objective value and its exact gradient in one backward pass.
 
@@ -251,38 +292,19 @@ def loss_and_gradient(params: MlpParameters, x, y, l2_alpha: float):
     Trusts its input, checked once by :func:`train_classifier`: float64
     ``x`` of shape (n, input_dim), n >= 1, and length-n float64 0/1 ``y``.
     """
-    n = x.shape[0]
-    w1, w2, w3 = params.layer_weights
-    z1, a1, z2, a2, prob = _forward_pass(params, x)
-
-    clipped = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
-    cross_entropy = -float(
-        np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped))
-    )
-    penalty = l2_alpha * sum(
-        float(np.dot(w.ravel(), w.ravel())) for w in params.layer_weights
-    )
-
+    w1, b1 = params.layer_weights[0], params.layer_biases[0]
+    z1 = x @ w1 + b1
     # Each layer's gradient is written straight into its view of one vector.
     grad = np.empty(params.n_parameters)
     views = unflatten_parameters(grad, params.input_dim)
-    grad_w1, grad_w2, grad_w3 = views.layer_weights
-    grad_b1, grad_b2, grad_b3 = views.layer_biases
-    decay = 2.0 * l2_alpha
-
-    dz3 = ((prob - y) / n)[:, None]
-    np.matmul(a2.T, dz3, out=grad_w3)
-    grad_w3 += decay * w3
-    dz3.sum(axis=0, out=grad_b3)
-    dz2 = (dz3 @ w3.T) * (z2 > 0)
-    np.matmul(a1.T, dz2, out=grad_w2)
-    grad_w2 += decay * w2
-    dz2.sum(axis=0, out=grad_b2)
-    dz1 = (dz2 @ w2.T) * (z1 > 0)
+    value, dz1 = _upper_loss_and_backward(
+        params, z1, y, l2_alpha, float(np.dot(w1.ravel(), w1.ravel())), views
+    )
+    grad_w1 = views.layer_weights[0]
     np.matmul(x.T, dz1, out=grad_w1)
-    grad_w1 += decay * w1
-    dz1.sum(axis=0, out=grad_b1)
-    return cross_entropy + penalty, grad
+    grad_w1 += 2.0 * l2_alpha * w1
+    dz1.sum(axis=0, out=views.layer_biases[0])
+    return value, grad
 
 
 def fit_normalizer(xs) -> MinMaxNormalizer:
@@ -293,57 +315,74 @@ def fit_normalizer(xs) -> MinMaxNormalizer:
     return MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
 
 
-@dataclass(frozen=True)
-class _FirstLayerBasis:
-    """Coordinates for first-layer weights of the form ``c * W1_0 + x.T @ B``.
+class _KernelCoordinates:
+    """Parameter vectors whose first layer is ``c.W1_0 + x^T.B``.
 
-    ``batch`` is the training batch and ``coords`` the initial weights
-    ``W1_0`` in these coordinates, ``tail`` the initial coordinate along
-    ``w_perp`` (empty for the identity basis). :meth:`lift` maps a
-    coordinate block and tail back to a (d, 32) matrix.
+    A vector in these coordinates is :func:`flatten_parameters` of the
+    network with the (n, 32) matrix B in place of the first-layer weights,
+    followed by the scalar c (module docstring, Kernel coordinates).
+    ``x`` is the (n, d) training batch and ``w1`` the initial weights
+    ``W1_0``; ``x.x^T`` and ``x.W1_0`` are formed here, once.
     """
 
-    batch: np.ndarray
-    coords: np.ndarray
-    tail: np.ndarray
-    rows: np.ndarray | None = None
-    to_rows: np.ndarray | None = None
-    w_perp: np.ndarray | None = None
+    def __init__(self, x: np.ndarray, w1: np.ndarray):
+        self.x = x
+        self.w1 = w1
+        self.gram = x @ x.T
+        self.proj = x @ w1
+        self.w1_norm = float(np.dot(w1.ravel(), w1.ravel()))
+        self.split = x.shape[0] * HIDDEN_UNITS
 
-    def lift(self, block: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        if self.to_rows is None:
-            return block
-        return self.rows.T @ (self.to_rows @ block) + tail[0] * self.w_perp
+    def start(self, init: MlpParameters) -> np.ndarray:
+        """``init`` in these coordinates: B = 0 and c = 1."""
+        rest = flatten_parameters(init)[self.w1.size :]
+        return np.concatenate([np.zeros(self.split), rest, [1.0]])
 
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        """``v`` as a full-space vector, laid out as
+        :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``."""
+        block = v[: self.split].reshape(-1, HIDDEN_UNITS)
+        first = self.x.T @ block + v[-1] * self.w1
+        return np.concatenate([first.ravel(), v[self.split : -1]])
 
-def _first_layer_basis(x: np.ndarray, w1: np.ndarray) -> _FirstLayerBasis:
-    """Identity basis when d <= n, the row space of ``x`` when d > n.
+    def metric(self, v: np.ndarray) -> np.ndarray:
+        """``M.v``: ``u @ metric(v) == lift(u) @ lift(v)``, exactly in
+        exact arithmetic."""
+        block = v[: self.split].reshape(-1, HIDDEN_UNITS)
+        out = v.copy()
+        image = out[: self.split].reshape(block.shape)
+        np.matmul(self.gram, block, out=image)
+        image += v[-1] * self.proj
+        out[-1] = (
+            float(np.dot(self.proj.ravel(), v[: self.split]))
+            + v[-1] * self.w1_norm
+        )
+        return out
 
-    With ``x.x^T = V.L.V^T`` restricted to eigenvalues above
-    :data:`RANK_CUTOFF` times the largest, ``Q = x^T.V.L^-1/2`` is an
-    orthonormal basis of the rows; it is applied as ``x^T @ (to_rows @ .)``
-    and never stored. The batch in Q's coordinates is ``x @ Q = V.L^1/2``.
-    The unit vector ``w_perp`` is the part of ``W1_0`` orthogonal to Q.
-    """
-    n, d = x.shape
-    if d <= n:
-        return _FirstLayerBasis(batch=x, coords=w1, tail=np.zeros(0))
-    eigenvalues, vectors = np.linalg.eigh(x @ x.T)
-    keep = eigenvalues > RANK_CUTOFF * eigenvalues[-1]
-    root = np.sqrt(eigenvalues[keep])
-    vectors = vectors[:, keep]
-    to_rows = vectors / root
-    coords = to_rows.T @ (x @ w1)
-    w_perp = w1 - x.T @ (to_rows @ coords)
-    length = float(np.linalg.norm(w_perp))
-    return _FirstLayerBasis(
-        batch=vectors * root,
-        coords=coords,
-        tail=np.array([length]),
-        rows=x,
-        to_rows=to_rows,
-        w_perp=w_perp / length,
-    )
+    def loss_and_gradient(self, theta: np.ndarray, y, l2_alpha: float):
+        """:func:`loss_and_gradient` at ``lift(theta)``, with the gradient's
+        representer in these coordinates: ``lift`` of it is the full-space
+        gradient."""
+        n = self.gram.shape[0]
+        params = unflatten_parameters(theta[:-1], n)
+        block, c = params.layer_weights[0], theta[-1]
+        products = self.gram @ block
+        z1 = c * self.proj + products + params.layer_biases[0]
+        first_norm = (
+            c * c * self.w1_norm
+            + 2.0 * c * float(np.dot(self.proj.ravel(), block.ravel()))
+            + float(np.dot(block.ravel(), products.ravel()))
+        )
+        grad = np.empty(theta.size)
+        views = unflatten_parameters(grad[:-1], n)
+        value, dz1 = _upper_loss_and_backward(
+            params, z1, y, l2_alpha, first_norm, views
+        )
+        decay = 2.0 * l2_alpha
+        np.add(dz1, decay * block, out=views.layer_weights[0])
+        dz1.sum(axis=0, out=views.layer_biases[0])
+        grad[-1] = decay * c
+        return value, grad
 
 
 def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
@@ -353,59 +392,52 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     unless ``xs`` is a nonempty 2-D matrix, ``ys`` has one 0/1 label per
     row, and both classes are present.
 
-    The optimizer's vector is :func:`flatten_parameters` of the model with
-    the first layer in the coordinates of :func:`_first_layer_basis`,
-    followed by the basis's tail; the objective is :func:`loss_and_gradient`
-    on the batch in those coordinates plus ``l2_alpha * tail^2``. The full
-    first-layer gradient, needed for the stopping norms, is formed only
-    when the other layers' gradient does not already exceed the tolerance.
+    When d <= n the optimizer's vector is :func:`flatten_parameters` of the
+    model and the objective :func:`loss_and_gradient`. When d > n it is the
+    model in :class:`_KernelCoordinates`, minimized under their metric; the
+    full first-layer gradient, needed for the stopping norms, is formed
+    only when the other layers' gradient does not already exceed the
+    tolerance.
     """
     x, y = _validate_dataset(xs, ys)
     if np.unique(y).size < 2:
         raise ValidationError("training set contains a single class")
-    input_dim = x.shape[1]
+    n, input_dim = x.shape
     normalizer = MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
+    batch = normalizer.transform(x)
     init = init_parameters(input_dim, cfg.seed)
-    basis = _first_layer_basis(
-        normalizer.transform(x), init.layer_weights[0]
-    )
-    rank = basis.coords.shape[0]
-    first_in_basis = replace(
-        init, layer_weights=(basis.coords,) + init.layer_weights[1:]
-    )
-    theta0 = np.concatenate([flatten_parameters(first_in_basis), basis.tail])
-    split = rank * HIDDEN_UNITS
-    core = theta0.size - basis.tail.size
     alpha = cfg.l2_alpha
 
-    def objective(theta):
-        value, grad = loss_and_gradient(
-            unflatten_parameters(theta[:core], rank), basis.batch, y, alpha
-        )
-        tail = theta[core:]
-        return (
-            value + alpha * float(tail @ tail),
-            np.concatenate([grad, 2.0 * alpha * tail]),
-        )
+    if input_dim <= n:
 
-    def full_norm(grad, order):
-        rest = grad[split:core]
-        if order == np.inf:
-            bound = gradient_norm(rest, order)
-            if bound > cfg.gradient_tolerance:
-                return bound
-        first = basis.lift(
-            grad[:split].reshape(rank, HIDDEN_UNITS), grad[core:]
-        )
-        return gradient_norm(np.concatenate([first.ravel(), rest]), order)
+        def objective(theta):
+            return loss_and_gradient(
+                unflatten_parameters(theta, input_dim), batch, y, alpha
+            )
 
-    result = lbfgs_minimize(objective, theta0, cfg, norm=full_norm)
-    fitted = unflatten_parameters(result.x[:core], rank)
-    w1 = basis.lift(fitted.layer_weights[0], result.x[core:])
+        result = lbfgs_minimize(objective, flatten_parameters(init), cfg)
+        parameters = result.x
+    else:
+        coords = _KernelCoordinates(batch, init.layer_weights[0])
+
+        def full_norm(grad, order):
+            rest = grad[coords.split : -1]
+            if order == np.inf:
+                bound = gradient_norm(rest, order)
+                if bound > cfg.gradient_tolerance:
+                    return bound
+            return gradient_norm(coords.lift(grad), order)
+
+        result = lbfgs_minimize(
+            lambda theta: coords.loss_and_gradient(theta, y, alpha),
+            coords.start(init),
+            cfg,
+            norm=full_norm,
+            metric=coords.metric,
+        )
+        parameters = coords.lift(result.x)
     return MlpModel(
-        parameters=replace(
-            fitted, layer_weights=(w1,) + fitted.layer_weights[1:]
-        ),
+        parameters=unflatten_parameters(parameters, input_dim),
         normalizer=normalizer,
         input_dim=input_dim,
     )

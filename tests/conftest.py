@@ -8,8 +8,8 @@ agreement is evidence, not tautology. The bit-identity oracles
 (``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
 ``fold_scores_reference``) are the straightforward or earlier forms of
 library code, kept so tests can require exactly the same floats and bytes.
-``train_classifier_reference`` is the full-space fit that the row-space
-fit of ``train_classifier`` must reproduce.
+``train_classifier_reference`` is the full-space fit that the
+kernel-coordinate fit of ``train_classifier`` must reproduce.
 """
 
 import csv

@@ -310,6 +310,38 @@ class TestExitCodes:
             " '1.5.2'\n"
         )
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_value_is_two(
+        self, cohort_dir, tmp_path, capsys, cell
+    ):
+        features = tmp_path / "features"
+        extract = [
+            "extract",
+            "--manifest", str(cohort_dir / "manifest.csv"),
+            "--out-dir", str(features),
+        ]
+        assert run_cli(extract) == 0
+        path = features / "features_shortest_path.csv"
+        records = path.read_bytes().split(b"\r\n")
+        cells = records[3].split(b",")
+        cells[4] = cell.encode()
+        records[3] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(records))
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--features-dir", str(features),
+                "--out", str(tmp_path / "r.json"),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 4: feature f2 is not finite: '{cell}'\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_non_finite_disconnected_constant_is_two(
         self, cohort_dir, tmp_path, capsys
     ):

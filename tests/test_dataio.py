@@ -563,6 +563,23 @@ class TestFeatureStore:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_feature_csvs(tmp_path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_is_rejected(self, tmp_path, cell):
+        cohort = make_measure_cohort(
+            {m: np.full((3, 2), 1.5) for m in MEASURES},
+            [0, 1, 0],
+            ids=("a", "two\nlines", "c"),
+        )
+        write_feature_csvs(cohort, tmp_path)
+        path = tmp_path / "features_communicability.csv"
+        records = path.read_bytes().split(b"\r\n")
+        assert records[3] == b"c,HC,1.5,1.5"  # physical line 5
+        records[3] = b"c,HC,1.5," + cell.encode()
+        path.write_bytes(b"\r\n".join(records))
+        message = f"{path}: line 5: feature f1 is not finite: '{cell}'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_feature_csvs(tmp_path)
+
     def test_error_names_the_physical_line_after_a_multiline_id(
         self, tmp_path
     ):
@@ -659,6 +676,34 @@ class TestParallelWriter:
         monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(cohort, tmp_path)
+
+    def test_a_failed_write_leaves_the_earlier_store_whole(
+        self, tmp_path, monkeypatch
+    ):
+        earlier = feature_store_cohort(tmp_path)
+        store = tmp_path / "features"
+        written = write_feature_csvs(earlier, store)
+        before = {path.name: path.read_bytes() for path in written}
+        parent = os.getpid()
+        original = dataio._format_rows
+
+        def die_in_worker(state, unit):
+            if os.getpid() != parent and unit == (1, 8):
+                os._exit(1)
+            return original(state, unit)
+
+        monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
+        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
+        with time_limit(60), pytest.raises(BrokenProcessPool):
+            write_feature_csvs(many_units_cohort(tmp_path), store)
+        after = {path.name: path.read_bytes() for path in store.iterdir()}
+        assert after == before
+        reloaded = load_feature_csvs(store)
+        assert reloaded.subject_ids == earlier.subject_ids
+        for measure in MEASURES:
+            assert np.array_equal(
+                reloaded.features[measure], earlier.features[measure]
+            )
 
     def test_at_most_two_results_per_worker_are_in_flight(self, monkeypatch):
         submitted = []

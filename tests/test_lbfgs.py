@@ -200,8 +200,74 @@ class TestLbfgs:
         assert len(slopes) >= 2
         assert all(passed == own for passed, own in slopes)
 
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_metric_coordinates_take_the_full_space_steps(self, start):
+        # F(x) = rosenbrock-like f(A^T.x) has every gradient in the range of
+        # A, so from x0 = A.v0 the full-space iterates are A.v_k for the
+        # iterates v_k of the minimizer on v -> F(A.v) with gradient
+        # representer grad f(A^T.A.v) under the metric A^T.A.
+        rng = np.random.default_rng(start)
+        mapping = rng.normal(size=(9, 4))
+        gram = mapping.T @ mapping
 
-def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
+        def f(z):
+            value = sum(
+                100.0 * (z[i + 1] - z[i] ** 2) ** 2 + (1.0 - z[i]) ** 2
+                for i in range(z.size - 1)
+            )
+            grad = np.zeros_like(z)
+            for i in range(z.size - 1):
+                grad[i] += -400.0 * z[i] * (z[i + 1] - z[i] ** 2) - 2.0 * (
+                    1.0 - z[i]
+                )
+                grad[i + 1] += 200.0 * (z[i + 1] - z[i] ** 2)
+            return float(value), grad
+
+        def full(x):
+            value, grad = f(mapping.T @ x)
+            return value, mapping @ grad
+
+        def in_coordinates(v):
+            return f(gram @ v)
+
+        v0 = 0.1 * rng.normal(size=4)
+        cfg = TrainConfig(max_iterations=30, gradient_tolerance=1e-300)
+        expected = lbfgs_minimize(full, mapping @ v0, cfg)
+        got = lbfgs_minimize(
+            in_coordinates,
+            v0,
+            cfg,
+            norm=lambda g, order: lbfgs.gradient_norm(mapping @ g, order),
+            metric=lambda v: gram @ v,
+        )
+        assert got.iterations == expected.iterations == 30
+        for ours, theirs in zip(got.trace, expected.trace):
+            assert ours.fval == pytest.approx(theirs.fval, rel=1e-9, abs=1e-12)
+            assert ours.step == pytest.approx(theirs.step, rel=1e-9)
+        np.testing.assert_allclose(mapping @ got.x, expected.x, rtol=1e-8)
+
+    def test_identity_metric_takes_the_euclidean_steps_bit_for_bit(self):
+        cfg = TrainConfig(max_iterations=40, gradient_tolerance=1e-12)
+        plain = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
+        images = []
+
+        def identity(v):
+            images.append(1)
+            return v.copy()
+
+        metric = lbfgs_minimize(
+            rosenbrock, np.array([-1.2, 1.0]), cfg, metric=identity
+        )
+        assert np.array_equal(plain.x, metric.x)
+        assert [it.fval for it in plain.trace] == [
+            it.fval for it in metric.trace
+        ]
+        assert len(images) >= metric.iterations
+
+
+def drive_history(
+    size, depth, n_steps, seed, reject_at=(), restart_at=(), mapping=None
+):
     """Feed a history the call sequence of ``lbfgs_minimize`` and yield each
     (pairs held, pairs accepted since the last clear, direction, two-loop
     oracle direction on the same pairs).
@@ -211,10 +277,20 @@ def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
     y = -c s, which the curvature guard must refuse; steps in ``restart_at``
     take the ascent-restart path. Every array of the history starts as NaN,
     so reading a row, Gram entry or inner product never written shows up.
+
+    With an injective ``mapping`` A the history works under the metric
+    M = A^T.A: accepted pairs have M.y = C s + noise instead, and the
+    direction yielded is A.direction, the oracle's that of the A-mapped
+    gradients and pairs.
     """
     rng = np.random.default_rng(seed)
     curvature = rng.uniform(0.5, 2.0, size)
     history = _CurvatureHistory(depth, size)
+    metric = None if mapping is None else mapping.T @ mapping
+
+    def image(v):
+        return v if mapping is None else mapping @ v
+
     for array in (history.rows, history.gram, history.bg):
         array.fill(np.nan)
     s_list, y_list, rho_list = [], [], []
@@ -222,8 +298,8 @@ def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
     grad = rng.normal(size=size)
     for k in range(n_steps):
         direction = history.direction(grad)
-        yield history.count, accepted, direction, two_loop_direction(
-            grad, s_list, y_list, rho_list
+        yield history.count, accepted, image(direction), two_loop_direction(
+            image(grad), s_list, y_list, rho_list
         )
         if k in restart_at:
             history.clear()
@@ -239,11 +315,19 @@ def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
         else:
             bound = 0.1 * np.linalg.norm(s) / np.sqrt(size)
             y = curvature * s + rng.uniform(-bound, bound, size)
+            if metric is not None:
+                y = np.linalg.solve(metric, y)
         new_grad = grad + y
-        history.update(step, direction, grad, new_grad)
+        if metric is None:
+            history.update(step, direction, grad, new_grad)
+        else:
+            history.update(
+                step, direction, grad, new_grad,
+                metric @ grad, metric @ new_grad,
+            )
         if k not in reject_at:
             accepted += 1
-            y = new_grad - grad
+            s, y = image(s), image(new_grad - grad)
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / float(s @ y))
@@ -253,24 +337,41 @@ def drive_history(size, depth, n_steps, seed, reject_at=(), restart_at=()):
         grad = new_grad
 
 
+def assert_directions_match_the_oracle(size, depth, mapping=None):
+    n_steps = 3 * depth + 4
+    states = set()
+    for count, accepted, direction, expected in drive_history(
+        size,
+        depth,
+        n_steps,
+        seed=size + depth,
+        reject_at={2, depth + 2},
+        restart_at={2 * depth + 2},
+        mapping=mapping,
+    ):
+        states.add((count < depth, accepted > depth))
+        if count == 0:
+            np.testing.assert_array_equal(direction, expected)
+        error = np.linalg.norm(direction - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected)
+    # Filling ring, ring just full, ring wrapped past its depth.
+    assert states >= {(True, False), (False, False), (False, True)}
+
+
 class TestCurvatureHistory:
     @pytest.mark.parametrize("size", [1, 50, 100_003])
     @pytest.mark.parametrize("depth", [1, 4])
     def test_direction_matches_two_loop_oracle(self, size, depth):
-        n_steps = 3 * depth + 4
-        states = set()
-        for count, accepted, direction, expected in drive_history(
-            size,
-            depth,
-            n_steps,
-            seed=size + depth,
-            reject_at={2, depth + 2},
-            restart_at={2 * depth + 2},
-        ):
-            states.add((count < depth, accepted > depth))
-            if count == 0:
-                np.testing.assert_array_equal(direction, expected)
-            error = np.linalg.norm(direction - expected)
-            assert error <= 1e-12 * np.linalg.norm(expected)
-        # Filling ring, ring just full, ring wrapped past its depth.
-        assert states >= {(True, False), (False, False), (False, True)}
+        assert_directions_match_the_oracle(size, depth)
+
+    @pytest.mark.parametrize("size", [1, 50])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_direction_under_a_metric_matches_the_mapped_oracle(
+        self, size, depth
+    ):
+        # A tall Gaussian A is injective; M = A^T.A is far from the
+        # identity, so a Euclidean inner product anywhere would show.
+        mapping = np.random.default_rng(size * depth).normal(
+            size=(2 * size + 3, size)
+        )
+        assert_directions_match_the_oracle(size, depth, mapping)

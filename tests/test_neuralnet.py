@@ -453,7 +453,7 @@ def fit_with_outcome(monkeypatch, xs, ys, cfg):
 
 
 class TestRowSpaceFit:
-    """The fit in row-space coordinates against the full-space oracle."""
+    """The fit in kernel coordinates against the full-space oracle."""
 
     @pytest.mark.parametrize(
         "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
@@ -469,7 +469,7 @@ class TestRowSpaceFit:
         expected = predict_proba(reference, test)
         got = predict_proba(train_classifier(xs, ys, cfg), test)
         if xs.shape[1] <= xs.shape[0]:
-            # The identity basis is the full-space fit itself.
+            # When d <= n the fit is the full-space fit itself.
             assert np.array_equal(got, expected)
         else:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8)
@@ -494,33 +494,58 @@ class TestRowSpaceFit:
         else:
             assert outcome.iterations == max_iterations
         if max_iterations == 200 and problem["d"] > problem["n"]:
-            # The row-space fits do converge, so both sides are exercised.
+            # The kernel-coordinate fits do converge, so both sides are
+            # exercised.
             assert outcome.converged
 
     @pytest.mark.parametrize(
         "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
     )
-    def test_basis_is_orthonormal_and_spans_the_rows(self, problem):
+    def test_metric_is_the_full_space_inner_product(self, problem):
+        # Repeated rows make x.x^T singular and constant columns normalize
+        # to zero; the metric needs neither to be invertible.
         xs, ys, _ = row_space_problem(seed=7, **problem)
         x = fit_normalizer(xs).transform(xs)
-        n, d = x.shape
-        w1 = init_parameters(d, 0).layer_weights[0]
-        basis = neuralnet._first_layer_basis(x, w1)
-        rank = basis.coords.shape[0]
-        np.testing.assert_allclose(
-            basis.lift(basis.coords, basis.tail), w1, atol=1e-10
-        )
-        if d <= n:
-            assert rank == d and basis.tail.size == 0
-            return
-        # Repeated rows add nothing to the row space; constant columns
-        # normalize to zero and add nothing either.
-        assert rank == n - problem.get("duplicate_rows", 0)
-        q = x.T @ basis.to_rows
-        np.testing.assert_allclose(q.T @ q, np.eye(rank), atol=1e-8)
-        np.testing.assert_allclose(x @ q, basis.batch, atol=1e-8)
-        assert np.linalg.norm(basis.w_perp) == pytest.approx(1.0)
-        np.testing.assert_allclose(x @ basis.w_perp, 0.0, atol=1e-10)
+        init = init_parameters(x.shape[1], 0)
+        coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
+        start = coords.start(init)
+        assert np.array_equal(coords.lift(start), flatten_parameters(init))
+        rng = np.random.default_rng(x.size)
+        for _ in range(3):
+            u, v = rng.normal(size=(2, start.size))
+            lifted_u, lifted_v = coords.lift(u), coords.lift(v)
+            scale = np.linalg.norm(lifted_u) * np.linalg.norm(lifted_v)
+            expected = float(lifted_u @ lifted_v)
+            assert abs(u @ coords.metric(v) - expected) <= 1e-12 * scale
+            assert abs(v @ coords.metric(u) - expected) <= 1e-12 * scale
+            np.testing.assert_array_equal(
+                coords.metric(u)[coords.split : -1], u[coords.split : -1]
+            )
+
+    @pytest.mark.parametrize(
+        "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
+    )
+    def test_objective_is_the_full_space_objective(self, problem):
+        xs, ys, _ = row_space_problem(seed=8, **problem)
+        x = fit_normalizer(xs).transform(xs)
+        d = x.shape[1]
+        init = init_parameters(d, 1)
+        coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
+        rng = np.random.default_rng(d)
+        theta = coords.start(init)
+        for point in range(3):
+            value, grad = coords.loss_and_gradient(theta, ys, 1e-2)
+            full_value, full_grad = loss_and_gradient(
+                unflatten_parameters(coords.lift(theta), d), x, ys, 1e-2
+            )
+            assert value == pytest.approx(full_value, rel=1e-12)
+            np.testing.assert_allclose(
+                coords.lift(grad),
+                full_grad,
+                rtol=0,
+                atol=1e-12 * np.abs(full_grad).max(),
+            )
+            theta = theta + rng.normal(0, 0.05, theta.size)
 
 
 class TestPredictProba:
