@@ -152,12 +152,6 @@ def _cmd_evaluate(args) -> int:
     for path in (args.out, args.dump_folds):
         if path:
             dataio.refuse_to_overwrite(path, args.overwrite)
-    if args.manifest:
-        cohort = dataio.load_cohort(
-            args.manifest, disconnected=args.disconnected
-        )
-    else:
-        cohort = dataio.load_feature_csvs(args.features_dir)
     train_cfg = TrainConfig(l2_alpha=args.alpha, max_iterations=args.max_iter)
     sampler = SamplerConfig(
         method=_SAMPLER_FLAGS[args.sampler],
@@ -165,6 +159,12 @@ def _cmd_evaluate(args) -> int:
         mode=args.sampler_mode,
         iht_train_config=train_cfg,
     )
+    if args.manifest:
+        cohort = dataio.load_cohort(
+            args.manifest, disconnected=args.disconnected
+        )
+    else:
+        cohort = dataio.load_feature_csvs(args.features_dir)
     report = run_experiment(
         cohort,
         sampler,

@@ -395,6 +395,8 @@ class SyntheticCohortConfig:
             raise ValidationError("noise_scale must be positive")
         if not 0.0 < self.edge_density <= 1.0:
             raise ValidationError("edge_density must be within (0, 1]")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 def generate_synthetic_matrices(cfg: SyntheticCohortConfig):
@@ -621,9 +623,25 @@ def load_report(path) -> EvaluationReport:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: report is not a JSON object")
     for key in ("config", "strategies", "tests", "fold_values"):
         if key not in payload:
             raise ValidationError(f"{path}: report is missing key {key!r}")
+    fold_values = payload["fold_values"]
+    for strategy, metric in itertools.product(STRATEGIES, METRIC_NAMES):
+        try:
+            values = fold_values[strategy][metric]
+        except (KeyError, TypeError):
+            values = None
+        finite = isinstance(values, list) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in values
+        )
+        if not (finite and values):
+            raise ValidationError(
+                f"{path}: fold_values[{strategy!r}][{metric!r}] must be"
+                " a non-empty list of finite numbers"
+            )
     return EvaluationReport.from_dict(payload)
 
 

@@ -60,20 +60,12 @@ class FoldMetrics:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, with tied values sharing the average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_values = values[order]
-    start = 0
-    while start < values.size:
-        stop = start
-        while (
-            stop + 1 < values.size
-            and sorted_values[stop + 1] == sorted_values[start]
-        ):
-            stop += 1
-        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    # A tie group holds the ranks ends - counts + 1 through ends.
+    ends = np.cumsum(counts)
+    return ((ends - counts + ends + 1) / 2.0)[inverse]
 
 
 def auc(true_labels, scores) -> float:
@@ -324,6 +316,8 @@ def run_experiment(
     """
     if repetitions < 1:
         raise ValidationError("repetitions must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must be in [0, 1], got {threshold!r}")
     # Every sampler keeps the minority class whole, so the folds can be

@@ -22,18 +22,19 @@ cubic interpolation that enforces the strong Wolfe conditions
 with c1 = 1e-4 and c2 = 0.9. Every accepted iterate therefore strictly
 decreases the objective.
 
-Coordinates and metric. By default inner products are Euclidean in the
-objective's own vectors. A caller minimizing F over coordinates v of a
-linear map L (the point is ``L.v``) passes ``metric(v) = M.v`` with
-``M = L^T.L``, and an objective that returns ``F(L.v)`` and a gradient
-representer g with ``L.g = grad F(L.v)``. Each inner product the minimizer
-takes, ``(L.u).(L.g)`` in the space of F, is then ``u.(M.g)``: the ring's
-products with the gradient, the slope, the line search's derivative,
-``s.y`` and ``y.y``; ``s.s`` follows from the ring's coefficients. Up to
-rounding, L maps the iterates onto those of the minimizer run on F itself,
-while each vector has the length of v. The caller's ``norm`` measures
-gradients in the space of F too. Without a metric the arithmetic is that
-of the Euclidean minimizer.
+Coordinates and metric. Every inner product is taken in a metric M,
+given as ``metric(v) = M.v``; the default is the identity, M = I, which
+returns its argument and makes the minimizer the Euclidean one. A caller
+minimizing F over coordinates v of a linear map L (the point is ``L.v``)
+passes ``M = L^T.L`` and an objective that returns ``F(L.v)`` and a
+gradient representer g with ``L.g = grad F(L.v)``. Each inner product the
+minimizer takes, ``(L.u).(L.g)`` in the space of F, is then ``u.(M.g)``:
+the ring's products with the gradient, the slope, the line search's
+derivative, ``s.y`` and ``y.y``; ``s.s`` follows from the ring's
+coefficients. Up to rounding, L maps the iterates onto those of the
+minimizer run on F itself, while each vector has the length of v. The
+caller's ``norm`` measures gradients in the space of F too. One arithmetic
+serves every metric, the identity included.
 """
 
 from __future__ import annotations
@@ -48,7 +49,13 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 
 _MAX_STEP = 1e10
+_MAX_EVALS = 30
 _CURVATURE_GUARD = 1e-10
+
+
+def _identity(v):
+    """The Euclidean metric, M = I: ``v`` itself, not a copy."""
+    return v
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,11 @@ class LineSearchResult:
     step: float
     fval: float
     grad: np.ndarray | None
-    n_evals: int
     # Best (lowest finite f) trial seen, whether or not it satisfied Wolfe.
     best_step: float = 0.0
     best_fval: float = np.inf
     best_grad: np.ndarray | None = None
-    # The metric's image of ``grad``; ``grad`` itself without a metric.
+    # The metric's image of ``grad``.
     mgrad: np.ndarray | None = None
 
 
@@ -127,57 +133,47 @@ def strong_wolfe_line_search(
     objective,
     x: np.ndarray,
     fval: float,
-    grad: np.ndarray,
     direction: np.ndarray,
-    c1: float = WOLFE_C1,
-    c2: float = WOLFE_C2,
+    slope: float,
     initial_step: float = 1.0,
-    max_evals: int = 30,
-    slope: float | None = None,
-    metric=None,
+    metric=_identity,
 ) -> LineSearchResult:
     """Find a step along ``direction`` satisfying the strong Wolfe conditions.
 
-    ``objective`` maps a point to ``(f, grad)``. ``direction`` must be a
-    descent direction at ``x``. ``slope`` is ``grad . direction`` when the
-    caller has already computed it. With ``metric`` (module docstring,
-    Coordinates and metric) each derivative along the line is
-    ``metric(grad) . direction``, one call per evaluation, and the result
-    carries the accepted gradient's image as ``mgrad``. Non-finite trial
+    ``objective`` maps a point to ``(f, grad)``; ``fval`` is its value at
+    ``x`` and ``slope`` the derivative there along ``direction``, which
+    fails the search at once unless negative. Each derivative along the
+    line is ``metric(grad) . direction`` (module docstring, Coordinates and
+    metric), one ``metric`` call per evaluation, and the result carries the
+    accepted gradient's image as ``mgrad``. At most ``_MAX_EVALS`` trials
+    are made in each of the bracketing and zoom phases. Non-finite trial
     values are treated as infinitely bad, which shrinks the bracket back
     toward known-good steps.
     """
-
-    def image(g):
-        return g if metric is None else metric(g)
-
-    phi0 = fval
-    dphi0 = float(image(grad) @ direction) if slope is None else slope
+    phi0, dphi0 = fval, slope
     if dphi0 >= 0.0:
-        return LineSearchResult(False, 0.0, phi0, None, 0)
+        return LineSearchResult(False, 0.0, phi0, None)
 
-    evals = 0
-    best = (0.0, phi0, grad)
+    best = (0.0, phi0, None)
 
     def evaluate(step):
-        nonlocal evals, best
+        nonlocal best
         f, g = objective(x + step * direction)
-        evals += 1
         f = _finite_value(f)
         if f < best[1] and np.all(np.isfinite(g)):
             best = (step, f, g)
-        mg = image(g)
+        mg = metric(g)
         return f, g, mg, float(mg @ direction)
 
     def result(success, step, f, g=None, mg=None):
         return LineSearchResult(
-            success, step, f, g, evals,
+            success, step, f, g,
             best_step=best[0], best_fval=best[1], best_grad=best[2],
             mgrad=mg,
         )
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi):
-        for _ in range(max_evals):
+        for _ in range(_MAX_EVALS):
             width = hi - lo
             trial = _cubic_minimizer(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi)
             lo_b, hi_b = (lo, hi) if lo < hi else (hi, lo)
@@ -190,10 +186,10 @@ def strong_wolfe_line_search(
             ):
                 trial = lo + 0.5 * width
             phi, g, mg, dphi = evaluate(trial)
-            if phi > phi0 + c1 * trial * dphi0 or phi >= phi_lo:
+            if phi > phi0 + WOLFE_C1 * trial * dphi0 or phi >= phi_lo:
                 hi, phi_hi, dphi_hi = trial, phi, dphi
             else:
-                if abs(dphi) <= -c2 * dphi0:
+                if abs(dphi) <= -WOLFE_C2 * dphi0:
                     return result(True, trial, phi, g, mg)
                 if dphi * (hi - lo) >= 0.0:
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
@@ -204,11 +200,13 @@ def strong_wolfe_line_search(
 
     prev_step, phi_prev, dphi_prev = 0.0, phi0, dphi0
     step = min(initial_step, _MAX_STEP)
-    for attempt in range(max_evals):
+    for attempt in range(_MAX_EVALS):
         phi, g, mg, dphi = evaluate(step)
-        if phi > phi0 + c1 * step * dphi0 or (attempt > 0 and phi >= phi_prev):
+        if phi > phi0 + WOLFE_C1 * step * dphi0 or (
+            attempt > 0 and phi >= phi_prev
+        ):
             return zoom(prev_step, phi_prev, dphi_prev, step, phi, dphi)
-        if abs(dphi) <= -c2 * dphi0:
+        if abs(dphi) <= -WOLFE_C2 * dphi0:
             return result(True, step, phi, g, mg)
         if dphi >= 0.0:
             return zoom(step, phi, dphi, prev_step, phi_prev, dphi_prev)
@@ -278,38 +276,30 @@ class _CurvatureHistory:
         direction -= coef_g * grad
         return direction
 
-    def update(
-        self, step, direction, grad, new_grad, mgrad=None, new_mgrad=None
-    ):
+    def update(self, step, direction, grad, new_grad, mgrad, new_mgrad):
         """Offer the pair (step * direction, new_grad - grad); move to new_grad.
 
+        ``mgrad`` and ``new_mgrad`` are ``M.grad`` and ``M.new_grad`` in the
+        minimizer's metric M, in which every inner product is taken.
         ``direction`` must be the last one :meth:`direction` returned, or
         ``-grad`` right after :meth:`clear`: the new s row's inner products
-        with the stored rows come from its coefficients, and the y row's
-        from ``bg`` before and after the one GEMV with ``new_grad``. Under a
-        metric M, ``mgrad`` and ``new_mgrad`` are ``M.grad`` and
-        ``M.new_grad``, every inner product is taken in M, and ``s.M.s``
-        comes from the coefficients too.
+        with the stored rows, and ``s.M.s``, come from its coefficients, and
+        the y row's from ``bg`` before and after the one GEMV with
+        ``new_mgrad``.
         """
         y = new_grad - grad
-        if mgrad is None:
-            new_mgrad, my = new_grad, y
-        else:
-            my = new_mgrad - mgrad
+        my = new_mgrad - mgrad
         sy = step * float(direction @ my)
         yy = float(y @ my)
         k = 2 * self.count
         rows_s = -step * (
             self.gram[:k, :k] @ self._coef + self._coef_g * self.bg[:k]
         )
-        if mgrad is None:
-            ss = step * step * float(direction @ direction)
-        else:
-            # s = -step.(coef.rows + coef_g.grad), and rows_s = rows.M.s.
-            ss = -step * (
-                float(self._coef @ rows_s)
-                + self._coef_g * step * float(direction @ mgrad)
-            )
+        # s = -step.(coef.rows + coef_g.grad), and rows_s = rows.M.s.
+        ss = -step * (
+            float(self._coef @ rows_s)
+            + self._coef_g * step * float(direction @ mgrad)
+        )
         if not sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
             np.dot(self.rows[:k], new_mgrad, out=self.bg[:k])
             return
@@ -343,7 +333,7 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
 
 
 def lbfgs_minimize(
-    objective, x0, cfg, norm=gradient_norm, metric=None
+    objective, x0, cfg, norm=gradient_norm, metric=_identity
 ) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
@@ -366,8 +356,8 @@ def lbfgs_minimize(
     metric : callable, optional
         ``metric(v) = M.v`` for the symmetric positive semidefinite ``M``
         of the inner product (module docstring, Coordinates and metric),
-        called once per objective evaluation. None, the default, is the
-        Euclidean inner product.
+        called once per objective evaluation. The default is the identity,
+        the Euclidean inner product.
 
     Returns
     -------
@@ -387,7 +377,7 @@ def lbfgs_minimize(
     if not np.isfinite(fval) or not np.all(np.isfinite(grad)):
         raise NumericalError("objective is not finite at the starting point")
 
-    mgrad = grad if metric is None else metric(grad)
+    mgrad = metric(grad)
     grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
     history = _CurvatureHistory(cfg.lbfgs_history, x.size)
@@ -411,15 +401,14 @@ def lbfgs_minimize(
             objective,
             x,
             fval,
-            grad,
             direction,
+            slope,
             initial_step=initial_step,
-            slope=slope,
             metric=metric,
         )
         if not search.success:
             line_search_failed = True
-            if search.best_fval < fval and search.best_grad is not None:
+            if search.best_fval < fval:
                 iteration += 1
                 x = x + search.best_step * direction
                 fval = search.best_fval
@@ -432,14 +421,7 @@ def lbfgs_minimize(
 
         step = search.step
         new_grad = search.grad
-        history.update(
-            step,
-            direction,
-            grad,
-            new_grad,
-            mgrad=None if metric is None else mgrad,
-            new_mgrad=search.mgrad,
-        )
+        history.update(step, direction, grad, new_grad, mgrad, search.mgrad)
 
         iteration += 1
         x = x + step * direction

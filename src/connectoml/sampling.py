@@ -63,6 +63,8 @@ class SamplerConfig:
             raise ValidationError("k_neighbors must be at least 1")
         if self.iht_internal_folds < 2:
             raise ValidationError("iht_internal_folds must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 def _split_by_class(cohort: LabeledCohort):

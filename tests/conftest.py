@@ -6,8 +6,9 @@ Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
 sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
 agreement is evidence, not tautology. The bit-identity oracles
 (``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
-``fold_scores_reference``) are the straightforward or earlier forms of
-library code, kept so tests can require exactly the same floats and bytes.
+``fold_scores_reference``, ``midranks_reference``) are the straightforward
+or earlier forms of library code, kept so tests can require exactly the
+same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
 kernel-coordinate fit of ``train_classifier`` must reproduce.
 """
@@ -136,6 +137,25 @@ def brute_force_auc(true_labels, scores):
             elif p == n:
                 wins += 0.5
     return wins / (len(positives) * len(negatives))
+
+
+def midranks_reference(values):
+    """Ranks starting at 1, tied values sharing the average rank, by walking
+    the sorted values one tie group at a time."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_values = values[order]
+    start = 0
+    while start < values.size:
+        stop = start
+        while (
+            stop + 1 < values.size
+            and sorted_values[stop + 1] == sorted_values[start]
+        ):
+            stop += 1
+        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
+        start = stop + 1
+    return ranks
 
 
 def mann_whitney_exact_oracle(sample_a, sample_b):

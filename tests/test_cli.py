@@ -215,6 +215,38 @@ class TestCompare:
         assert "strategy" in stdout
         assert "ensemble" in stdout
 
+    @pytest.mark.parametrize(
+        "corrupt, where",
+        [
+            (lambda folds: folds.clear(), "['weights']['accuracy']"),
+            (lambda folds: folds["fusion"].pop("f1"), "['fusion']['f1']"),
+            (
+                lambda folds: folds["ensemble"]["auc"].__setitem__(1, "0.7"),
+                "['ensemble']['auc']",
+            ),
+        ],
+        ids=["missing_strategy", "missing_metric", "non_numeric_value"],
+    )
+    def test_malformed_report_is_two(
+        self, cohort_dir, tmp_path, capsys, corrupt, where
+    ):
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        assert run_cli(
+            ["evaluate", "--manifest", str(cohort_dir / "manifest.csv")]
+            + EVAL_SPEED
+            + ["--out", str(good)]
+        ) == 0
+        payload = json.loads(good.read_text())
+        corrupt(payload["fold_values"])
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: fold_values{where} must be a non-empty list of"
+            " finite numbers\n"
+        )
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -454,6 +486,60 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert fits == []
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_synth_seed_is_two(self, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "cohort"
+        code = run_cli(SYNTH_ARGS + ["--seed", "-1", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--manifest", "--features-dir"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-iter", "0"], "max_iterations must be positive"),
+            (["--alpha", "-1"], "l2_alpha must be nonnegative"),
+            (["--seed", "-1"], "seed must be nonnegative"),
+        ],
+        ids=["max_iter_0", "alpha_negative", "seed_negative"],
+    )
+    def test_bad_training_settings_are_refused_before_the_ingest(
+        self, cohort_dir, tmp_path, capsys, monkeypatch, source, flags, message
+    ):
+        calls = {"load_cohort": 0, "load_feature_csvs": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                cli.dataio, name, counted(name, getattr(cli.dataio, name))
+            )
+        inputs = {
+            "--manifest": cohort_dir / "manifest.csv",
+            "--features-dir": cohort_dir,
+        }
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                source, str(inputs[source]),
+                "--out", str(tmp_path / "r.json"),
+                "--folds", "3",
+                "--repeats", "1",
+            ]
+            + flags
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"load_cohort": 0, "load_feature_csvs": 0}
         assert not (tmp_path / "r.json").exists()
 
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):

@@ -462,6 +462,31 @@ class TestReportFiles:
         assert reloaded.to_dict() == report.to_dict()
         assert json.dumps(reloaded.to_dict()) == json.dumps(report.to_dict())
 
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.5, float("nan")], [0.5, float("inf")], [True, 0.5], 0.5, None],
+        ids=["empty", "nan", "inf", "bool", "not_a_list", "null"],
+    )
+    def test_fold_values_must_be_finite_numbers(self, tmp_path, values):
+        payload = small_report().to_dict()
+        payload["fold_values"]["communicability"]["sensitivity"] = values
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = (
+            f"{path}: fold_values['communicability']['sensitivity'] must be"
+            " a non-empty list of finite numbers"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_report(path)
+
+    @pytest.mark.parametrize("text", ["3", "[]", '"report"'])
+    def test_report_that_is_not_an_object_is_rejected(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: report is not a JSON object"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_report(path)
+
     def test_schema_has_every_strategy_metric_cell(self, tmp_path):
         report = small_report()
         payload = json.loads(

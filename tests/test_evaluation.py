@@ -4,13 +4,19 @@ import json
 
 import numpy as np
 import pytest
-from conftest import brute_force_auc, make_cohort, mann_whitney_exact_oracle
+from conftest import (
+    brute_force_auc,
+    make_cohort,
+    mann_whitney_exact_oracle,
+    midranks_reference,
+)
 
 from connectoml import (
     METRIC_NAMES,
     STRATEGIES,
     EvaluationReport,
     SamplerConfig,
+    SyntheticCohortConfig,
     TrainConfig,
     ValidationError,
     aggregate_metrics,
@@ -139,6 +145,18 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError, match="both classes"):
             auc(np.ones(4, dtype=int), np.ones(4))
+
+    def test_midranks_match_the_tie_group_walk_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            # Coarse values force ties of every size, fine ones few or none.
+            levels = int(rng.choice([1, 2, 5, 50, 10**9]))
+            values = rng.integers(0, levels, n) / levels
+            if rng.random() < 0.3:
+                values[rng.random(n) < 0.3] = -0.0
+            ranks = connectoml.evaluation._midranks(values)
+            assert np.array_equal(ranks, midranks_reference(values))
 
 
 class TestMannWhitney:
@@ -274,6 +292,23 @@ class TestRunExperiment:
         assert str(excinfo.value) == (
             f"threshold must be in [0, 1], got {threshold!r}"
         )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SyntheticCohortConfig(seed=-1),
+            lambda: SamplerConfig(seed=-1),
+            lambda: run_experiment(
+                quick_cohort(np.random.default_rng(6)),
+                SamplerConfig(method="none"), FAST_TRAIN,
+                k=2, repetitions=1, seed=-1,
+            ),
+        ],
+        ids=["synthetic_cohort", "sampler", "run_experiment"],
+    )
+    def test_negative_seed_rejected(self, build):
+        with pytest.raises(ValidationError, match="^seed must be nonnegative$"):
+            build()
 
     def test_byte_identical_rerun(self):
         rng = np.random.default_rng(7)

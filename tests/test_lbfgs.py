@@ -54,11 +54,11 @@ class TestLineSearch:
             direction = -grad
             if float(grad @ direction) >= 0:
                 continue
+            dphi0 = float(grad @ direction)
             result = strong_wolfe_line_search(
-                objective, x, fval, grad, direction
+                objective, x, fval, direction, dphi0
             )
             assert result.success
-            dphi0 = float(grad @ direction)
             assert result.fval <= fval + WOLFE_C1 * result.step * dphi0 + 1e-15
             assert abs(float(result.grad @ direction)) <= -WOLFE_C2 * dphi0
 
@@ -66,7 +66,9 @@ class TestLineSearch:
         objective = quadratic([0.0, 0.0])
         x = np.array([1.0, 1.0])
         fval, grad = objective(x)
-        result = strong_wolfe_line_search(objective, x, fval, grad, grad)
+        result = strong_wolfe_line_search(
+            objective, x, fval, grad, float(grad @ grad)
+        )
         assert not result.success
 
     def test_non_finite_trials_shrink_the_step(self):
@@ -78,7 +80,7 @@ class TestLineSearch:
         x = np.array([1.5])
         fval, grad = objective(x)
         result = strong_wolfe_line_search(
-            objective, x, fval, grad, -grad, initial_step=10.0
+            objective, x, fval, -grad, float(grad @ -grad), initial_step=10.0
         )
         assert result.success
         assert abs(x[0] - result.step * grad[0]) <= 2.0
@@ -185,9 +187,10 @@ class TestLbfgs:
         slopes = []
         search = lbfgs.strong_wolfe_line_search
 
-        def recording(objective, x, fval, grad, direction, **kwargs):
-            slopes.append((kwargs["slope"], float(grad @ direction)))
-            return search(objective, x, fval, grad, direction, **kwargs)
+        def recording(objective, x, fval, direction, slope, **kwargs):
+            grad = objective(x)[1]
+            slopes.append((slope, float(grad @ direction)))
+            return search(objective, x, fval, direction, slope, **kwargs)
 
         monkeypatch.setattr(lbfgs, "strong_wolfe_line_search", recording)
         if ascent:
@@ -319,7 +322,7 @@ def drive_history(
                 y = np.linalg.solve(metric, y)
         new_grad = grad + y
         if metric is None:
-            history.update(step, direction, grad, new_grad)
+            history.update(step, direction, grad, new_grad, grad, new_grad)
         else:
             history.update(
                 step, direction, grad, new_grad,
