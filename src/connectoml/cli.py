@@ -13,7 +13,13 @@ import numpy as np
 
 from . import dataio
 from .errors import NumericalError, ValidationError
-from .evaluation import METRIC_NAMES, STRATEGIES, mann_whitney_u, run_experiment
+from .evaluation import (
+    METRIC_NAMES,
+    STRATEGIES,
+    check_experiment_settings,
+    mann_whitney_u,
+    run_experiment,
+)
 from .neuralnet import TrainConfig
 from .sampling import (
     METHOD_INSTANCE_HARDNESS,
@@ -158,6 +164,9 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
         mode=args.sampler_mode,
         iht_train_config=train_cfg,
+    )
+    check_experiment_settings(
+        args.folds, args.repeats, args.seed, args.threshold
     )
     if args.manifest:
         cohort = dataio.load_cohort(

@@ -1,4 +1,14 @@
-"""Labeled cohort: subjects, diagnostic labels, per-measure feature matrices."""
+"""Labeled cohort: subjects, diagnostic labels, and their feature matrix.
+
+A cohort keeps every subject's features in one read-only, C-contiguous
+``(n_subjects, 3*d)`` float64 matrix, the three measures side by side in
+:data:`~connectoml.connectome.MEASURES` order. ``features[m]`` is the
+``(n_subjects, d)`` column block of measure ``m``, a view of that matrix,
+and :meth:`LabeledCohort.fused` returns the matrix itself, with no copy.
+:meth:`LabeledCohort.subset` gathers its rows once. The loaders of
+:mod:`connectoml.dataio` write the matrix in place and hand it over as it
+is; the public constructor joins a dict of per-measure matrices once.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +26,20 @@ LABEL_NAMES = {LABEL_HC: "HC", LABEL_MCI: "MCI"}
 LABEL_CODES = {"HC": LABEL_HC, "MCI": LABEL_MCI}
 
 
+def _checked_subjects(subject_ids, labels):
+    """``(subject_ids, labels)`` as a tuple and int64 labels, checked."""
+    subject_ids = tuple(subject_ids)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(subject_ids)
+    if labels.shape != (n,):
+        raise ValidationError("labels must match the number of subjects")
+    if not np.all((labels == LABEL_HC) | (labels == LABEL_MCI)):
+        raise ValidationError("labels must be binary (0 = HC, 1 = MCI)")
+    if len(set(subject_ids)) != n:
+        raise ValidationError("duplicate subject id in cohort")
+    return subject_ids, labels
+
+
 @dataclass(frozen=True)
 class LabeledCohort:
     """Subjects with labels (0 = HC, 1 = MCI) and one feature matrix per measure.
@@ -23,7 +47,9 @@ class LabeledCohort:
     The feature keys must be exactly the three measures, with identical row
     counts and identical column counts (the single-measure models share one
     input width, and fusion concatenates equal-width blocks); row i of every
-    matrix belongs to ``subject_ids[i]``.
+    matrix belongs to ``subject_ids[i]``. The matrices are joined into the
+    cohort's one matrix (module docstring); ``features`` then holds
+    read-only views of it.
     """
 
     subject_ids: tuple
@@ -31,23 +57,15 @@ class LabeledCohort:
     features: dict
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
-        n = len(self.subject_ids)
-        if labels.shape != (n,):
-            raise ValidationError("labels must match the number of subjects")
-        if not np.all((labels == LABEL_HC) | (labels == LABEL_MCI)):
-            raise ValidationError("labels must be binary (0 = HC, 1 = MCI)")
-        if len(set(self.subject_ids)) != n:
-            raise ValidationError("duplicate subject id in cohort")
+        subject_ids, labels = _checked_subjects(self.subject_ids, self.labels)
+        n = len(subject_ids)
         unknown = [key for key in self.features if key not in MEASURES]
         if unknown:
             raise ValidationError(f"unknown feature keys in cohort: {unknown}")
         missing = [m for m in MEASURES if m not in self.features]
         if missing:
             raise ValidationError(f"cohort is missing measures: {missing}")
-        features = {}
+        blocks = []
         for measure in MEASURES:
             matrix = np.asarray(self.features[measure], dtype=np.float64)
             if matrix.ndim != 2 or matrix.shape[0] != n:
@@ -55,14 +73,36 @@ class LabeledCohort:
                     f"feature matrix for {measure!r} must have one row per"
                     f" subject (got shape {matrix.shape} for {n} subjects)"
                 )
-            features[measure] = matrix
-        widths = {m: features[m].shape[1] for m in MEASURES}
+            blocks.append(matrix)
+        widths = {m: block.shape[1] for m, block in zip(MEASURES, blocks)}
         if len(set(widths.values())) != 1:
             raise ValidationError(
                 f"feature matrices must have the same number of columns for"
                 f" every measure (got {widths})"
             )
+        self._adopt(subject_ids, labels, np.hstack(blocks))
+
+    @classmethod
+    def _on_matrix(cls, subject_ids, labels, matrix) -> "LabeledCohort":
+        """Cohort over an existing ``(n, 3*d)`` float64 matrix, C-contiguous
+        and laid out as the module docstring says; a read-only view of it
+        is kept, not a copy."""
+        cohort = object.__new__(cls)
+        cohort._adopt(*_checked_subjects(subject_ids, labels), matrix)
+        return cohort
+
+    def _adopt(self, subject_ids, labels, matrix) -> None:
+        width = matrix.shape[1] // len(MEASURES)
+        matrix = matrix.view()
+        matrix.flags.writeable = False
+        features = {
+            measure: matrix[:, i * width : (i + 1) * width]
+            for i, measure in enumerate(MEASURES)
+        }
+        object.__setattr__(self, "subject_ids", subject_ids)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "features", features)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def size(self) -> int:
@@ -75,14 +115,16 @@ class LabeledCohort:
         }
 
     def subset(self, indices) -> "LabeledCohort":
-        """New cohort containing the given rows, in the given order."""
+        """New cohort containing the given rows, in the given order; one
+        gather of the matrix's rows."""
         indices = np.asarray(indices, dtype=np.int64)
-        return LabeledCohort(
-            subject_ids=tuple(self.subject_ids[i] for i in indices),
-            labels=self.labels[indices],
-            features={m: self.features[m][indices] for m in MEASURES},
+        return LabeledCohort._on_matrix(
+            tuple(self.subject_ids[i] for i in indices),
+            self.labels[indices],
+            self._matrix[indices],
         )
 
     def fused(self) -> np.ndarray:
-        """All three feature matrices concatenated columnwise, canonical order."""
-        return np.hstack([self.features[m] for m in MEASURES])
+        """All three feature matrices side by side, canonical order: the
+        cohort's read-only matrix itself, not a copy."""
+        return self._matrix

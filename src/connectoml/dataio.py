@@ -28,13 +28,15 @@ per worker are in flight, so the results held at once do not grow with the
 cohort. The first unit to fail, in order, raises its own exception.
 
 :func:`load_cohort` writes every subject's features into one preallocated
-``(measure, subject, feature)`` float64 buffer on an anonymous shared
-mapping, and the cohort's feature matrices are views of it. The first
-subject is parsed here, which sizes the buffer, and extracted into row 0.
-Each other subject is a unit: parsed, validated and extracted end to end by
-one function, which writes row ``i`` of all three measures and returns
-nothing. Of several bad subjects the first in manifest order is reported.
-:func:`cohort_from_matrices` fills the same buffer from matrices in hand.
+``(subject, measure, feature)`` float64 buffer on an anonymous shared
+mapping. Its ``(subject, 3*feature)`` reshape, a view, is the cohort's one
+matrix (:mod:`connectoml.cohort`), so the ingest makes no second copy. The
+first subject is parsed here, which sizes the buffer, and extracted into
+row 0. Each other subject is a unit: parsed, validated and extracted end to
+end by one function, which writes subject ``i``'s one contiguous row of all
+three measures and returns nothing. Of several bad subjects the first in
+manifest order is reported. :func:`cohort_from_matrices` fills the same
+buffer from matrices in hand.
 
 :func:`write_feature_csvs` quotes the row prefixes, writes the headers and
 writes every file here. Its units are (measure, chunk of a few subjects)
@@ -168,9 +170,9 @@ def _available_cores() -> int:
 
 
 def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
-    """Zeroed (measure, subject, feature) float64 array on an anonymous
+    """Zeroed (subject, measure, feature) float64 array on an anonymous
     shared mapping, so forked workers write into the parent's pages."""
-    shape = (len(MEASURES), n_subjects, feature_length(n_nodes))
+    shape = (n_subjects, len(MEASURES), feature_length(n_nodes))
     count = math.prod(shape)
     # mmap refuses length 0 (a 1-node cohort has no features).
     mapping = mmap.mmap(-1, max(count, 1) * 8)
@@ -180,7 +182,7 @@ def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
 
 
 def _fill_subject(features, index, matrix, n_nodes, disconnected) -> None:
-    """Extract one subject's three measures into ``features[:, index]``."""
+    """Extract one subject's three measures into ``features[index]``."""
     if matrix.n_nodes != n_nodes:
         raise ValidationError(
             f"connectivity matrix for subject {matrix.subject_id!r} has"
@@ -188,15 +190,15 @@ def _fill_subject(features, index, matrix, n_nodes, disconnected) -> None:
             f" {n_nodes}"
         )
     extracted = extract_features(matrix, disconnected)
-    for rows, measure in zip(features, MEASURES):
-        rows[index] = extracted[measure].values
+    for k, measure in enumerate(MEASURES):
+        features[index, k] = extracted[measure].values
 
 
 def _cohort_on(features, subject_ids, labels) -> LabeledCohort:
-    return LabeledCohort(
-        subject_ids=tuple(subject_ids),
-        labels=np.asarray(labels),
-        features=dict(zip(MEASURES, features)),
+    """The cohort over the buffer's ``(subject, 3*feature)`` view."""
+    n_subjects, n_measures, width = features.shape
+    return LabeledCohort._on_matrix(
+        subject_ids, labels, features.reshape(n_subjects, n_measures * width)
     )
 
 
@@ -536,12 +538,17 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
 
 
 def load_feature_csvs(directory) -> LabeledCohort:
-    """Rebuild a cohort from the files written by :func:`write_feature_csvs`."""
+    """Rebuild a cohort from the files written by :func:`write_feature_csvs`.
+
+    Each file's rows are written into its column block of the cohort's one
+    matrix, which the first file sizes.
+    """
     directory = Path(directory)
     subject_ids = None
     labels = None
-    features = {}
-    for measure in MEASURES:
+    matrix = None
+    widths = {}
+    for index, measure in enumerate(MEASURES):
         path = directory / f"features_{measure}.csv"
         if not path.exists():
             raise FileNotFoundError(f"feature file not found: {path}")
@@ -583,19 +590,27 @@ def load_feature_csvs(directory) -> LabeledCohort:
                         f" {header[column]} is not finite: {row[column]!r}"
                     )
                 rows.append(values)
+        width = len(header) - 2
         if subject_ids is None:
+            if not ids:
+                raise ValidationError(f"{path}: feature file lists no subjects")
             subject_ids = ids
             labels = measure_labels
+            matrix = np.empty((len(ids), len(MEASURES) * width))
         elif ids != subject_ids or measure_labels != labels:
             raise ValidationError(
                 f"{path}: subjects disagree with the other feature files"
             )
-        features[measure] = np.array(rows, dtype=np.float64)
-    return LabeledCohort(
-        subject_ids=tuple(subject_ids),
-        labels=np.asarray(labels),
-        features=features,
-    )
+        widths[measure] = width
+        if width != widths[MEASURES[0]]:
+            raise ValidationError(
+                f"{path}: feature matrices must have the same number of"
+                f" columns for every measure (got {widths})"
+            )
+        block = matrix[:, index * width : (index + 1) * width]
+        for row_index, values in enumerate(rows):
+            block[row_index] = values
+    return LabeledCohort._on_matrix(subject_ids, labels, matrix)
 
 
 def refuse_to_overwrite(path, overwrite: bool = False) -> Path:

@@ -23,7 +23,12 @@ import numpy as np
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
 from .connectome import MEASURES
 from .errors import ValidationError
-from .folds import check_fold_count, derive_seed, stratified_kfold
+from .folds import (
+    check_fold_count,
+    check_fold_minimum,
+    derive_seed,
+    stratified_kfold,
+)
 from .neuralnet import MlpModel, TrainConfig, predict_proba, train_classifier
 from .sampling import MODE_FOLD, SamplerConfig, apply_sampler
 
@@ -297,6 +302,21 @@ def predict_label(probability, threshold: float = 0.5):
     return int(labels) if arr.ndim == 0 else labels
 
 
+def check_experiment_settings(
+    k: int, repetitions: int, seed: int, threshold: float
+) -> None:
+    """``ValidationError`` for the settings of :func:`run_experiment` that
+    are wrong whatever the cohort; the fold count is checked against the
+    labels there."""
+    if repetitions < 1:
+        raise ValidationError("repetitions must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold!r}")
+    check_fold_minimum(k)
+
+
 def run_experiment(
     cohort: LabeledCohort,
     sampler: SamplerConfig,
@@ -314,12 +334,7 @@ def run_experiment(
     ``seed`` and the per-config seeds, so identical inputs reproduce the
     report bit for bit.
     """
-    if repetitions < 1:
-        raise ValidationError("repetitions must be positive")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold!r}")
+    check_experiment_settings(k, repetitions, seed, threshold)
     # Every sampler keeps the minority class whole, so the folds can be
     # checked before a dataset-mode sampler spends any work.
     check_fold_count(cohort.labels, k)

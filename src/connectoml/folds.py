@@ -29,10 +29,16 @@ def derive_seed(master_seed: int, *stream: int) -> int:
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
-def check_fold_count(labels, k: int) -> None:
-    """``ValidationError`` unless k >= 2 and every class has k members."""
+def check_fold_minimum(k: int) -> None:
+    """``ValidationError`` unless k >= 2: the part of
+    :func:`check_fold_count` that needs no labels."""
     if k < 2:
         raise ValidationError("k must be at least 2")
+
+
+def check_fold_count(labels, k: int) -> None:
+    """``ValidationError`` unless k >= 2 and every class has k members."""
+    check_fold_minimum(k)
     classes, counts = np.unique(np.asarray(labels), return_counts=True)
     for cls, count in zip(classes, counts):
         if count < k:

@@ -101,18 +101,21 @@ class MinMaxNormalizer:
     """Per-feature min-max scaler fitted on training rows only.
 
     Transformed values are clipped to [0, 1]; features with a degenerate
-    training range (max == min) map to 0.
+    training range (max == min) map to 0. :meth:`transform` never writes
+    into its input (a cohort's feature matrix is read-only): it allocates
+    its one output and scales that in place.
     """
 
     minimum: np.ndarray
     maximum: np.ndarray
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
         span = self.maximum - self.minimum
-        scaled = np.zeros_like(x, dtype=np.float64)
-        np.divide(x - self.minimum, span, out=scaled, where=span > 0)
-        return np.clip(scaled, 0.0, 1.0)
+        degenerate = ~(span > 0)
+        scaled = np.subtract(x, self.minimum, dtype=np.float64)
+        scaled /= np.where(degenerate, 1.0, span)
+        scaled[..., degenerate] = 0.0
+        return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 @dataclass(frozen=True)
@@ -342,8 +345,12 @@ class _KernelCoordinates:
         """``v`` as a full-space vector, laid out as
         :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``."""
         block = v[: self.split].reshape(-1, HIDDEN_UNITS)
-        first = self.x.T @ block + v[-1] * self.w1
-        return np.concatenate([first.ravel(), v[self.split : -1]])
+        out = np.empty(self.w1.size + v.size - self.split - 1)
+        first = out[: self.w1.size].reshape(self.w1.shape)
+        np.matmul(self.x.T, block, out=first)
+        first += v[-1] * self.w1
+        out[self.w1.size :] = v[self.split : -1]
+        return out
 
     def metric(self, v: np.ndarray) -> np.ndarray:
         """``M.v``: ``u @ metric(v) == lift(u) @ lift(v)``, exactly in

@@ -6,9 +6,9 @@ Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
 sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
 agreement is evidence, not tautology. The bit-identity oracles
 (``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
-``fold_scores_reference``, ``midranks_reference``) are the straightforward
-or earlier forms of library code, kept so tests can require exactly the
-same floats and bytes.
+``fold_scores_reference``, ``midranks_reference``, ``minmax_reference``)
+are the straightforward or earlier forms of library code, kept so tests can
+require exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
 kernel-coordinate fit of ``train_classifier`` must reproduce.
 """
@@ -229,6 +229,16 @@ def train_classifier_reference(xs, ys, cfg):
         input_dim=input_dim,
     )
     return model, result
+
+
+def minmax_reference(normalizer, x):
+    """``normalizer.transform(x)`` through a zeroed output, a masked divide
+    and a clip into a new array."""
+    x = np.asarray(x, dtype=np.float64)
+    span = normalizer.maximum - normalizer.minimum
+    scaled = np.zeros_like(x, dtype=np.float64)
+    np.divide(x - normalizer.minimum, span, out=scaled, where=span > 0)
+    return np.clip(scaled, 0.0, 1.0)
 
 
 def write_feature_csvs_reference(cohort, out_dir):

@@ -115,6 +115,34 @@ class TestEvaluate:
         assert code == 0
         assert folds_csv.exists()
 
+    def test_both_loaders_give_the_same_report(self, cohort_dir, tmp_path):
+        # The feature store holds every value to 17 significant digits, so
+        # the cohort it rebuilds is the manifest's, bit for bit.
+        features = tmp_path / "features"
+        manifest = str(cohort_dir / "manifest.csv")
+        assert run_cli(
+            ["extract", "--manifest", manifest, "--out-dir", str(features)]
+        ) == 0
+        outputs = {}
+        for source, where in (
+            ("--manifest", manifest), ("--features-dir", str(features))
+        ):
+            out = tmp_path / f"report{source}.json"
+            folds_csv = tmp_path / f"folds{source}.csv"
+            code = run_cli(
+                [
+                    "evaluate", source, where,
+                    "--sampler", "iht",
+                    "--seed", "4",
+                    "--out", str(out),
+                    "--dump-folds", str(folds_csv),
+                ]
+                + EVAL_SPEED
+            )
+            assert code == 0
+            outputs[source] = (out.read_bytes(), folds_csv.read_bytes())
+        assert outputs["--manifest"] == outputs["--features-dir"]
+
     def test_existing_output_without_overwrite_is_data_error(
         self, cohort_dir, tmp_path
     ):
@@ -503,8 +531,14 @@ class TestExitCodes:
             (["--max-iter", "0"], "max_iterations must be positive"),
             (["--alpha", "-1"], "l2_alpha must be nonnegative"),
             (["--seed", "-1"], "seed must be nonnegative"),
+            (["--threshold", "7"], "threshold must be in [0, 1], got 7.0"),
+            (["--repeats", "0"], "repetitions must be positive"),
+            (["--folds", "1"], "k must be at least 2"),
         ],
-        ids=["max_iter_0", "alpha_negative", "seed_negative"],
+        ids=[
+            "max_iter_0", "alpha_negative", "seed_negative", "threshold_7",
+            "repeats_0", "one_fold",
+        ],
     )
     def test_bad_training_settings_are_refused_before_the_ingest(
         self, cohort_dir, tmp_path, capsys, monkeypatch, source, flags, message

@@ -357,6 +357,89 @@ class TestParallelIngest:
         assert isinstance(ingest(monkeypatch, 2, manifest), BrokenProcessPool)
 
 
+def recorded_buffers(monkeypatch):
+    """The buffers ``dataio._feature_buffer`` returns from now on."""
+    buffers = []
+    original = dataio._feature_buffer
+
+    def recording(*args):
+        buffers.append(original(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(dataio, "_feature_buffer", recording)
+    return buffers
+
+
+def assert_one_matrix(cohort):
+    """``cohort`` keeps one read-only C-ordered matrix; ``fused()`` returns
+    it and every measure is a view of it."""
+    fused = cohort.fused()
+    assert fused is cohort.fused()
+    assert fused.flags.c_contiguous and not fused.flags.writeable
+    width = cohort.features[MEASURES[0]].shape[1]
+    assert fused.shape == (cohort.size, len(MEASURES) * width)
+    for measure in MEASURES:
+        assert np.shares_memory(fused, cohort.features[measure])
+        assert not cohort.features[measure].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fused[0, 0] = 1.0
+
+
+class TestOneFeatureMatrix:
+    def test_constructed_cohort_joins_the_measures_once(self):
+        rng = np.random.default_rng(3)
+        blocks = {m: rng.normal(size=(6, 4)) for m in MEASURES}
+        cohort = make_measure_cohort(blocks, [0, 1] * 3)
+        assert_one_matrix(cohort)
+        assert np.array_equal(
+            cohort.fused(), np.hstack([blocks[m] for m in MEASURES])
+        )
+        for measure in MEASURES:
+            assert not np.shares_memory(cohort.fused(), blocks[measure])
+
+    def test_subset_is_one_gather_of_the_rows(self):
+        cfg = SyntheticCohortConfig(n_nodes=8, n_hc=5, n_mci=6, seed=3)
+        cohort = generate_synthetic_cohort(cfg)
+        indices = np.array([7, 0, 3, 10, 4])
+        part = cohort.subset(indices)
+        assert_one_matrix(part)
+        assert not np.shares_memory(part.fused(), cohort.fused())
+        assert np.array_equal(
+            part.fused(),
+            np.hstack([cohort.features[m][indices] for m in MEASURES]),
+        )
+        assert part.subject_ids == tuple(cohort.subject_ids[i] for i in indices)
+        assert np.array_equal(part.labels, cohort.labels[indices])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_load_cohort_hands_over_its_buffer(
+        self, tmp_path, monkeypatch, workers
+    ):
+        buffers = recorded_buffers(monkeypatch)
+        cohort = ingest(monkeypatch, workers, constant_cohort(tmp_path))
+        assert_one_matrix(cohort)
+        (buffer,) = buffers
+        assert buffer.shape == (9, len(MEASURES), 6)
+        assert np.shares_memory(cohort.fused(), buffer)
+        assert np.array_equal(cohort.fused(), buffer.reshape(9, -1))
+
+    def test_cohort_from_matrices_hands_over_its_buffer(self, monkeypatch):
+        buffers = recorded_buffers(monkeypatch)
+        cfg = SyntheticCohortConfig(n_nodes=7, n_hc=3, n_mci=4, seed=5)
+        cohort = cohort_from_matrices(*generate_synthetic_matrices(cfg))
+        assert_one_matrix(cohort)
+        (buffer,) = buffers
+        assert np.shares_memory(cohort.fused(), buffer)
+
+    def test_feature_store_cohort(self, tmp_path):
+        cfg = SyntheticCohortConfig(n_nodes=8, n_hc=4, n_mci=5, seed=6)
+        cohort = generate_synthetic_cohort(cfg)
+        write_feature_csvs(cohort, tmp_path)
+        reloaded = load_feature_csvs(tmp_path)
+        assert_one_matrix(reloaded)
+        assert np.array_equal(reloaded.fused(), cohort.fused())
+
+
 class TestSyntheticCohort:
     def test_subject_counts(self):
         cfg = SyntheticCohortConfig(
@@ -533,6 +616,16 @@ class TestFeatureStore:
             assert np.array_equal(
                 reloaded.features[measure], cohort.features[measure]
             )
+
+    def test_store_without_subjects_rejected(self, tmp_path):
+        for measure in MEASURES:
+            (tmp_path / f"features_{measure}.csv").write_bytes(
+                b"subject_id,label,f0\r\n"
+            )
+        with pytest.raises(ValidationError) as excinfo:
+            load_feature_csvs(tmp_path)
+        path = tmp_path / f"features_{MEASURES[0]}.csv"
+        assert str(excinfo.value) == f"{path}: feature file lists no subjects"
 
     def test_missing_measure_file_rejected(self, tmp_path):
         cfg = SyntheticCohortConfig(n_nodes=8, n_hc=4, n_mci=4, seed=6)

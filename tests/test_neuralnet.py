@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import train_classifier_reference
+from conftest import minmax_reference, train_classifier_reference
 
 from connectoml import (
     TrainConfig,
@@ -319,6 +319,45 @@ class TestNormalizer:
         with pytest.raises(ValidationError, match="empty"):
             fit_normalizer(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("rows", ["training", "outside", "degenerate"])
+    def test_transform_equals_reference_bit_for_bit(self, rows):
+        # Signed zeros included: -0.0 inputs, exact minima, degenerate
+        # columns and clipped values must keep the reference's sign bits.
+        rng = np.random.default_rng(12)
+        train = rng.normal(size=(20, 9))
+        train[:, 0] = 0.0
+        train[:3, 1] = -0.0
+        train[:, 2] = 4.5
+        norm = fit_normalizer(train)
+        x = {
+            "training": train,
+            "outside": np.vstack(
+                [train.min(axis=0) - 3.0, train.max(axis=0) + 3.0,
+                 -0.0 * train[0], rng.normal(scale=5.0, size=(6, 9))]
+            ),
+            "degenerate": np.full((4, 9), 4.5),
+        }[rows]
+        x.setflags(write=False)
+        expected = minmax_reference(norm, x)
+        got = norm.transform(x)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not np.shares_memory(got, x)
+
+    def test_transform_of_a_strided_view_leaves_it_unwritten(self):
+        # A cohort hands each measure as a read-only column block of its
+        # matrix; the transform reads it and allocates one C-ordered output.
+        rng = np.random.default_rng(13)
+        matrix = rng.normal(size=(8, 12))
+        before = matrix.copy()
+        matrix.setflags(write=False)
+        block = matrix[:, 4:8]
+        norm = fit_normalizer(block[:5])
+        got = norm.transform(block)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, minmax_reference(norm, block.copy()))
+        assert np.array_equal(matrix, before)
+
 
 class TestTrainClassifier:
     def test_separable_blobs_reach_high_training_accuracy(self):
@@ -521,6 +560,21 @@ class TestRowSpaceFit:
             np.testing.assert_array_equal(
                 coords.metric(u)[coords.split : -1], u[coords.split : -1]
             )
+
+    def test_lift_equals_the_concatenated_form(self):
+        # The paper's single-measure fit size: 105 rows, 7,140 inputs.
+        rng = np.random.default_rng(19)
+        x = rng.random((105, 7140))
+        init = init_parameters(x.shape[1], 2)
+        coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
+        start = coords.start(init)
+        for v in (start, rng.normal(size=start.size)):
+            block = v[: coords.split].reshape(-1, HIDDEN_UNITS)
+            expected = np.concatenate(
+                [(x.T @ block + v[-1] * coords.w1).ravel(),
+                 v[coords.split : -1]]
+            )
+            assert np.array_equal(coords.lift(v), expected)
 
     @pytest.mark.parametrize(
         "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
