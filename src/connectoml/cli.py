@@ -160,10 +160,7 @@ def _cmd_evaluate(args) -> int:
             dataio.refuse_to_overwrite(path, args.overwrite)
     train_cfg = TrainConfig(l2_alpha=args.alpha, max_iterations=args.max_iter)
     sampler = SamplerConfig(
-        method=_SAMPLER_FLAGS[args.sampler],
-        seed=args.seed,
-        mode=args.sampler_mode,
-        iht_train_config=train_cfg,
+        method=_SAMPLER_FLAGS[args.sampler], mode=args.sampler_mode
     )
     check_experiment_settings(
         args.folds, args.repeats, args.seed, args.threshold

@@ -40,7 +40,7 @@ def _checked_subjects(subject_ids, labels):
     return subject_ids, labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledCohort:
     """Subjects with labels (0 = HC, 1 = MCI) and one feature matrix per measure.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sampling
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
 from .connectome import MEASURES
 from .errors import ValidationError
@@ -331,7 +332,7 @@ def run_experiment(
     The sampler runs either once on the full cohort (``dataset`` mode)
     or on each training split (``fold`` mode). Fold assignments, sampler
     draws and model initializations all derive deterministically from
-    ``seed`` and the per-config seeds, so identical inputs reproduce the
+    ``seed`` and ``train_cfg.seed``, so identical inputs reproduce the
     report bit for bit.
     """
     check_experiment_settings(k, repetitions, seed, threshold)
@@ -340,7 +341,7 @@ def run_experiment(
     check_fold_count(cohort.labels, k)
     working = cohort
     if sampler.mode != MODE_FOLD:
-        working = apply_sampler(cohort, sampler)
+        working = apply_sampler(cohort, sampler, seed, train_cfg)
 
     fold_values = {
         strategy: {metric: [] for metric in METRIC_NAMES}
@@ -353,11 +354,8 @@ def run_experiment(
         for fold in folds:
             train = working.subset(fold.train_indices)
             if sampler.mode == MODE_FOLD:
-                fold_sampler = replace(
-                    sampler,
-                    seed=derive_seed(sampler.seed, repetition, fold.fold),
-                )
-                train = apply_sampler(train, fold_sampler)
+                fold_seed = derive_seed(seed, repetition, fold.fold)
+                train = apply_sampler(train, sampler, fold_seed, train_cfg)
             test = working.subset(fold.test_indices)
             fold_cfg = replace(
                 train_cfg,
@@ -406,9 +404,9 @@ def run_experiment(
         "sampler": {
             "method": sampler.method,
             "mode": sampler.mode,
-            "k_neighbors": sampler.k_neighbors,
-            "seed": sampler.seed,
-            "iht_internal_folds": sampler.iht_internal_folds,
+            "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
+            "seed": seed,
+            "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
             "distance_space": "minmax_fused",
         },
         "train": {

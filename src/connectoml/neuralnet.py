@@ -76,6 +76,9 @@ class TrainConfig:
             raise ValidationError("gradient_tolerance must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
+        for name in ("l2_alpha", "gradient_tolerance"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

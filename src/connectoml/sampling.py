@@ -5,11 +5,15 @@ the original minority size; the minority class is never touched and every
 retained subject keeps its rows in all three feature matrices. Distances and
 hardness scores are computed on the min-max normalized fused feature vector
 so that all downstream classifiers see the same retained subjects.
+
+A :class:`SamplerConfig` names only a method and a mode. Draws follow the
+run's seed, instance hardness trains under the run's ``TrainConfig``, and
+the two counts are :data:`NEAR_MISS_NEIGHBORS` and :data:`IHT_INTERNAL_FOLDS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,14 +37,19 @@ SAMPLER_METHODS = (
 MODE_DATASET = "dataset"
 MODE_FOLD = "fold"
 
-# Stream tag for deriving the internal cross-validation seed of the
-# instance-hardness sampler from its master seed.
+#: Neighbors near-miss-3 short-lists and scores by.
+NEAR_MISS_NEIGHBORS = 3
+
+#: Internal cross-validation folds of the instance-hardness estimate.
+IHT_INTERNAL_FOLDS = 5
+
+# Stream tag that derives the internal fold seed of instance hardness.
 _IHT_SPLIT_STREAM = 101
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Which strategy to apply, and its knobs.
+    """Which strategy to apply, and where.
 
     ``mode`` controls where the sampler runs during evaluation: once on the
     full cohort before cross-validation (``dataset``, the default) or inside
@@ -48,10 +57,6 @@ class SamplerConfig:
     """
 
     method: str = METHOD_NONE
-    k_neighbors: int = 3
-    seed: int = 0
-    iht_train_config: TrainConfig = field(default_factory=TrainConfig)
-    iht_internal_folds: int = 5
     mode: str = MODE_DATASET
 
     def __post_init__(self):
@@ -59,12 +64,6 @@ class SamplerConfig:
             raise ValidationError(f"unknown sampler method {self.method!r}")
         if self.mode not in (MODE_DATASET, MODE_FOLD):
             raise ValidationError(f"unknown sampler mode {self.mode!r}")
-        if self.k_neighbors < 1:
-            raise ValidationError("k_neighbors must be at least 1")
-        if self.iht_internal_folds < 2:
-            raise ValidationError("iht_internal_folds must be at least 2")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
 
 
 def _split_by_class(cohort: LabeledCohort):
@@ -96,11 +95,6 @@ def random_undersample(cohort: LabeledCohort, seed: int) -> LabeledCohort:
     return _retain(cohort, np.concatenate([minority, chosen]))
 
 
-def _normalized_fused(cohort: LabeledCohort) -> np.ndarray:
-    fused = cohort.fused()
-    return fit_normalizer(fused).transform(fused)
-
-
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b."""
     sq = (
@@ -117,7 +111,9 @@ def _by_descending_score(scores: np.ndarray, candidates: np.ndarray):
     return candidates[order]
 
 
-def near_miss_3(cohort: LabeledCohort, k: int = 3) -> LabeledCohort:
+def near_miss_3(
+    cohort: LabeledCohort, k: int = NEAR_MISS_NEIGHBORS
+) -> LabeledCohort:
     """Two-step neighbor-based under-sampling of the majority class.
 
     Step 1 short-lists, for each minority subject, its k nearest majority
@@ -135,7 +131,8 @@ def near_miss_3(cohort: LabeledCohort, k: int = 3) -> LabeledCohort:
     if split is None:
         return cohort
     minority, majority = split
-    features = _normalized_fused(cohort)
+    fused = cohort.fused()
+    features = fit_normalizer(fused).transform(fused)
     distances = _pairwise_distances(features[majority], features[minority])
 
     k_shortlist = min(k, majority.size)
@@ -166,7 +163,7 @@ def near_miss_3(cohort: LabeledCohort, k: int = 3) -> LabeledCohort:
 
 
 def instance_hardness_threshold(
-    cohort: LabeledCohort, cfg: SamplerConfig
+    cohort: LabeledCohort, seed: int, train_cfg: TrainConfig
 ) -> LabeledCohort:
     """Drop the majority subjects the classifier finds hardest.
 
@@ -182,21 +179,20 @@ def instance_hardness_threshold(
         return cohort
     minority, majority = split
     counts = np.bincount(cohort.labels)
-    if counts.min() < cfg.iht_internal_folds:
+    if counts.min() < IHT_INTERNAL_FOLDS:
         raise ValidationError(
-            f"each class needs at least {cfg.iht_internal_folds} subjects for"
-            f" {cfg.iht_internal_folds}-fold hardness estimation"
+            f"each class needs at least {IHT_INTERNAL_FOLDS} subjects for"
+            f" {IHT_INTERNAL_FOLDS}-fold hardness estimation"
             f" (class counts: {counts.tolist()})"
         )
 
     fused = cohort.fused()
     labels = cohort.labels
     out_of_fold = np.empty(cohort.size)
-    split_seed = derive_seed(cfg.seed, _IHT_SPLIT_STREAM)
-    for fold in stratified_kfold(labels, cfg.iht_internal_folds, split_seed):
+    split_seed = derive_seed(seed, _IHT_SPLIT_STREAM)
+    for fold in stratified_kfold(labels, IHT_INTERNAL_FOLDS, split_seed):
         member_cfg = replace(
-            cfg.iht_train_config,
-            seed=derive_seed(cfg.iht_train_config.seed, fold.fold),
+            train_cfg, seed=derive_seed(train_cfg.seed, fold.fold)
         )
         model = train_classifier(
             fused[fold.train_indices], labels[fold.train_indices], member_cfg
@@ -212,12 +208,18 @@ def instance_hardness_threshold(
     return _retain(cohort, np.concatenate([minority, kept]))
 
 
-def apply_sampler(cohort: LabeledCohort, cfg: SamplerConfig) -> LabeledCohort:
-    """Dispatch on ``cfg.method``; ``none`` returns the cohort unchanged."""
-    if cfg.method == METHOD_NONE:
+def apply_sampler(
+    cohort: LabeledCohort,
+    sampler: SamplerConfig,
+    seed: int,
+    train_cfg: TrainConfig,
+) -> LabeledCohort:
+    """Dispatch on ``sampler.method``; ``none`` returns the cohort unchanged.
+    Draws follow ``seed``; instance hardness trains under ``train_cfg``."""
+    if sampler.method == METHOD_NONE:
         return cohort
-    if cfg.method == METHOD_RANDOM:
-        return random_undersample(cohort, cfg.seed)
-    if cfg.method == METHOD_NEAR_MISS_3:
-        return near_miss_3(cohort, cfg.k_neighbors)
-    return instance_hardness_threshold(cohort, cfg)
+    if sampler.method == METHOD_RANDOM:
+        return random_undersample(cohort, seed)
+    if sampler.method == METHOD_NEAR_MISS_3:
+        return near_miss_3(cohort)
+    return instance_hardness_threshold(cohort, seed, train_cfg)

@@ -284,15 +284,11 @@ def test_criterion_07_samplers():
     ys = np.concatenate([np.zeros(10), np.ones(22)]).astype(int)
     cohort = make_cohort(xs, ys)
     minority_ids = set(cohort.subject_ids[:10])
-    iht_cfg = SamplerConfig(
-        method="instance_hardness",
-        seed=1,
-        iht_train_config=TrainConfig(seed=2, max_iterations=20),
-    )
+    iht_train = TrainConfig(seed=2, max_iterations=20)
     for sampled in (
         random_undersample(cohort, seed=5),
         near_miss_3(cohort, k=3),
-        instance_hardness_threshold(cohort, iht_cfg),
+        instance_hardness_threshold(cohort, 1, iht_train),
     ):
         counts = sampled.class_counts()
         assert counts["HC"] == counts["MCI"] == 10
@@ -324,7 +320,7 @@ def test_criterion_07_samplers():
         + [f"maj{i}" for i in range(14)]
         + [f"flip{i}" for i in range(4)],
     )
-    hardened = instance_hardness_threshold(planted, iht_cfg)
+    hardened = instance_hardness_threshold(planted, 1, iht_train)
     assert not any(s.startswith("flip") for s in hardened.subject_ids)
     assert hardened.class_counts() == {"HC": 10, "MCI": 10}
     _passed(7, "all samplers balance; near-miss and hardness match oracles")
@@ -346,7 +342,7 @@ def test_criterion_08_cv_protocol():
         SyntheticCohortConfig(n_nodes=16, n_hc=12, n_mci=15, seed=9)
     )
     kwargs = dict(k=10, repetitions=2, seed=17)
-    sampler = SamplerConfig(method="random", seed=8)
+    sampler = SamplerConfig(method="random")
     fast = TrainConfig(max_iterations=5)
     first = run_experiment(cohort, sampler, fast, **kwargs)
     second = run_experiment(cohort, sampler, fast, **kwargs)
@@ -409,7 +405,7 @@ def test_criterion_10_imbalance_shape():
         k=10, repetitions=2, seed=5,
     )
     rebalanced = run_experiment(
-        cohort, SamplerConfig(method="random", seed=3), ACCEPTANCE_TRAIN,
+        cohort, SamplerConfig(method="random"), ACCEPTANCE_TRAIN,
         k=10, repetitions=2, seed=5,
     )
     for strategy in STRATEGIES:

@@ -530,14 +530,16 @@ class TestExitCodes:
         [
             (["--max-iter", "0"], "max_iterations must be positive"),
             (["--alpha", "-1"], "l2_alpha must be nonnegative"),
+            (["--alpha", "nan"], "l2_alpha must be finite"),
+            (["--alpha", "inf"], "l2_alpha must be finite"),
             (["--seed", "-1"], "seed must be nonnegative"),
             (["--threshold", "7"], "threshold must be in [0, 1], got 7.0"),
             (["--repeats", "0"], "repetitions must be positive"),
             (["--folds", "1"], "k must be at least 2"),
         ],
         ids=[
-            "max_iter_0", "alpha_negative", "seed_negative", "threshold_7",
-            "repeats_0", "one_fold",
+            "max_iter_0", "alpha_negative", "alpha_nan", "alpha_inf",
+            "seed_negative", "threshold_7", "repeats_0", "one_fold",
         ],
     )
     def test_bad_training_settings_are_refused_before_the_ingest(

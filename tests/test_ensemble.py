@@ -296,6 +296,18 @@ class TestFuseFeatures:
             )
 
 
+class TestCohortIdentity:
+    def test_equality_and_hash_follow_identity(self):
+        # Cohorts hold arrays, so they compare by identity: a copy is a
+        # different cohort, and every cohort can key a dict or set.
+        cohort = make_cohort(np.zeros((2, 3)), [0, 1])
+        twin = make_cohort(np.zeros((2, 3)), [0, 1])
+        assert cohort == cohort
+        assert cohort != twin
+        assert {cohort: 1, twin: 2}[cohort] == 1
+        assert hash(cohort) == hash(cohort)
+
+
 class TestPredictLabel:
     def test_below_threshold_is_hc(self):
         assert predict_label(0.49) == 0

@@ -297,14 +297,13 @@ class TestRunExperiment:
         "build",
         [
             lambda: SyntheticCohortConfig(seed=-1),
-            lambda: SamplerConfig(seed=-1),
             lambda: run_experiment(
                 quick_cohort(np.random.default_rng(6)),
                 SamplerConfig(method="none"), FAST_TRAIN,
                 k=2, repetitions=1, seed=-1,
             ),
         ],
-        ids=["synthetic_cohort", "sampler", "run_experiment"],
+        ids=["synthetic_cohort", "run_experiment"],
     )
     def test_negative_seed_rejected(self, build):
         with pytest.raises(ValidationError, match="^seed must be nonnegative$"):
@@ -315,10 +314,10 @@ class TestRunExperiment:
         cohort = quick_cohort(rng)
         kwargs = dict(k=5, repetitions=2, seed=3)
         first = run_experiment(
-            cohort, SamplerConfig(method="random", seed=2), FAST_TRAIN, **kwargs
+            cohort, SamplerConfig(method="random"), FAST_TRAIN, **kwargs
         )
         second = run_experiment(
-            cohort, SamplerConfig(method="random", seed=2), FAST_TRAIN, **kwargs
+            cohort, SamplerConfig(method="random"), FAST_TRAIN, **kwargs
         )
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
@@ -398,7 +397,7 @@ class TestRunExperiment:
         k, reps = 3, 1
         run_experiment(
             cohort,
-            SamplerConfig(method="random", seed=4, mode="fold"),
+            SamplerConfig(method="random", mode="fold"),
             FAST_TRAIN,
             k=k,
             repetitions=reps,
@@ -418,25 +417,59 @@ class TestRunExperiment:
                 assert seen <= train_ids
                 assert seen & test_ids == set()
 
+    @pytest.mark.parametrize("mode", ["dataset", "fold"])
+    def test_sampler_takes_the_run_seed_and_train_config(
+        self, monkeypatch, mode
+    ):
+        calls = []
+        original = connectoml.evaluation.apply_sampler
+
+        def recording_sampler(cohort, sampler, seed, train_cfg):
+            calls.append((seed, train_cfg))
+            return original(cohort, sampler, seed, train_cfg)
+
+        monkeypatch.setattr(
+            connectoml.evaluation, "apply_sampler", recording_sampler
+        )
+        cohort = quick_cohort(np.random.default_rng(12), n_hc=12, n_mci=18)
+        train_cfg = TrainConfig(max_iterations=5, seed=4)
+        k, reps, seed = 3, 2, 9
+        run_experiment(
+            cohort, SamplerConfig(method="random", mode=mode), train_cfg,
+            k=k, repetitions=reps, seed=seed,
+        )
+        derive = __import__("connectoml").derive_seed
+        if mode == "dataset":
+            expected = [seed]
+        else:
+            expected = [
+                derive(seed, repetition, fold)
+                for repetition in range(reps)
+                for fold in range(k)
+            ]
+        assert [call_seed for call_seed, _ in calls] == expected
+        # The run's config object itself, not a per-fold copy.
+        assert all(cfg is train_cfg for _, cfg in calls)
+
     @pytest.mark.parametrize("method", ["random", "near_miss_3",
                                         "instance_hardness"])
     @pytest.mark.parametrize("mode", ["dataset", "fold"])
     def test_every_sampler_runs_in_both_modes(self, method, mode):
         rng = np.random.default_rng(11)
         cohort = quick_cohort(rng, n_hc=14, n_mci=22)
-        sampler = SamplerConfig(
-            method=method,
-            mode=mode,
-            seed=2,
-            iht_train_config=TrainConfig(max_iterations=5),
-            iht_internal_folds=3,
-        )
+        sampler = SamplerConfig(method=method, mode=mode)
         report = run_experiment(
             cohort, sampler, TrainConfig(max_iterations=5),
             k=2, repetitions=1, seed=8,
         )
-        assert report.config["sampler"]["method"] == method
-        assert report.config["sampler"]["mode"] == mode
+        assert list(report.config["sampler"].items()) == [
+            ("method", method),
+            ("mode", mode),
+            ("k_neighbors", 3),
+            ("seed", 8),
+            ("iht_internal_folds", 5),
+            ("distance_space", "minmax_fused"),
+        ]
         expected_subjects = 36 if mode == "fold" else 28
         assert report.config["n_subjects"] == expected_subjects
         for strategy in STRATEGIES:

@@ -652,3 +652,24 @@ class TestTrainConfigValidation:
             TrainConfig(max_iterations=0)
         with pytest.raises(ValidationError):
             TrainConfig(gradient_tolerance=0.0)
+
+    @pytest.mark.parametrize("field", ["l2_alpha", "gradient_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        # Every comparison with NaN is False, so the sign checks alone let
+        # NaN through, and +inf passes them too.
+        with pytest.raises(ValidationError) as excinfo:
+            TrainConfig(**{field: value})
+        assert str(excinfo.value) == f"{field} must be finite"
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("l2_alpha", "l2_alpha must be nonnegative"),
+            ("gradient_tolerance", "gradient_tolerance must be positive"),
+        ],
+    )
+    def test_negative_infinity_keeps_the_sign_message(self, field, message):
+        with pytest.raises(ValidationError) as excinfo:
+            TrainConfig(**{field: -math.inf})
+        assert str(excinfo.value) == message

@@ -173,14 +173,10 @@ class TestNearMiss3:
         assert counts["HC"] == counts["MCI"] == 4
 
 
+IHT_TRAIN = TrainConfig(seed=1, max_iterations=30)
+
+
 class TestInstanceHardness:
-    def iht_config(self, seed=0):
-        return SamplerConfig(
-            method="instance_hardness",
-            seed=seed,
-            iht_train_config=TrainConfig(seed=1, max_iterations=30),
-            iht_internal_folds=5,
-        )
 
     def planted_cohort(self, rng):
         # Minority cluster at the origin, majority cluster at (4, 4), plus
@@ -200,7 +196,7 @@ class TestInstanceHardness:
     def test_balanced_and_minority_intact(self):
         rng = np.random.default_rng(8)
         cohort = self.planted_cohort(rng)
-        out = instance_hardness_threshold(cohort, self.iht_config())
+        out = instance_hardness_threshold(cohort, 0, IHT_TRAIN)
         counts = out.class_counts()
         assert counts["HC"] == counts["MCI"] == 10
         assert all(f"min{i}" in out.subject_ids for i in range(10))
@@ -208,21 +204,21 @@ class TestInstanceHardness:
     def test_flipped_points_removed_first(self):
         rng = np.random.default_rng(9)
         cohort = self.planted_cohort(rng)
-        out = instance_hardness_threshold(cohort, self.iht_config())
+        out = instance_hardness_threshold(cohort, 0, IHT_TRAIN)
         assert not any(s.startswith("flip") for s in out.subject_ids)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         cohort = self.planted_cohort(rng)
-        first = instance_hardness_threshold(cohort, self.iht_config(seed=2))
-        second = instance_hardness_threshold(cohort, self.iht_config(seed=2))
+        first = instance_hardness_threshold(cohort, 2, IHT_TRAIN)
+        second = instance_hardness_threshold(cohort, 2, IHT_TRAIN)
         assert first.subject_ids == second.subject_ids
 
     def test_insufficient_samples_for_folds_rejected(self):
         rng = np.random.default_rng(11)
         cohort = unbalanced_cohort(rng, n_minority=3, n_majority=9)
         with pytest.raises(ValidationError, match="fold"):
-            instance_hardness_threshold(cohort, self.iht_config())
+            instance_hardness_threshold(cohort, 0, IHT_TRAIN)
 
 
 class TestSamplerContracts:
@@ -230,8 +226,9 @@ class TestSamplerContracts:
     def test_output_is_subset_with_aligned_rows(self, method):
         rng = np.random.default_rng(12)
         cohort = unbalanced_cohort(rng, n_minority=6, n_majority=15)
-        cfg = SamplerConfig(method=method, seed=5)
-        out = apply_sampler(cohort, cfg)
+        out = apply_sampler(
+            cohort, SamplerConfig(method=method), 5, TrainConfig()
+        )
         assert set(out.subject_ids) <= set(cohort.subject_ids)
         for subject in out.subject_ids:
             i_out = out.subject_ids.index(subject)
@@ -246,7 +243,10 @@ class TestSamplerContracts:
     def test_none_method_passthrough(self):
         rng = np.random.default_rng(13)
         cohort = unbalanced_cohort(rng)
-        assert apply_sampler(cohort, SamplerConfig(method="none")) is cohort
+        out = apply_sampler(
+            cohort, SamplerConfig(method="none"), 0, TrainConfig()
+        )
+        assert out is cohort
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown sampler"):
