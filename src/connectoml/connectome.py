@@ -179,47 +179,6 @@ def _normalize_disconnected_policy(policy):
     return POLICY_CONSTANT, value
 
 
-def _dijkstra_all_sources(lengths: np.ndarray) -> np.ndarray:
-    """All-pairs shortest path distances on a dense length matrix.
-
-    ``lengths[u, v]`` is the edge length from u to v, ``inf`` where there is
-    no edge; lengths are never negative. Runs one dense argmin-based
-    Dijkstra per source, all sources advanced in lockstep so the inner loop
-    is vectorized; each row evolves exactly as an independent single-source
-    run would.
-
-    ``masked`` is ``dist + settled_penalty``, where the penalty is 0 for an
-    unsettled entry and ``inf`` for a settled one, so it is ``dist`` with
-    settled entries set to ``inf`` (``x + 0.0 == x`` for every non-NaN x).
-    Relaxation is ``dist = minimum(dist, candidate)``, which equals copying
-    each candidate strictly below ``dist``: the two differ only on NaN, and
-    lengths are positive or ``inf``, so no NaN arises. It needs no mask:
-    * a settled entry: sources settle nodes in nondecreasing distance, so a
-      settled entry's distance is at most ``current_dist``, and a candidate
-      ``current_dist + length`` with ``length >= 0`` is never strictly below
-      it (rounding is monotone);
-    * a row with nothing left to settle: its ``current_dist`` is ``inf``, so
-      every candidate is ``inf`` and never strictly below ``dist``.
-    """
-    n = lengths.shape[0]
-    sources = np.arange(n)
-    dist = np.where(np.eye(n, dtype=bool), 0.0, np.inf)
-    masked = dist.copy()
-    settled_penalty = np.zeros((n, n))
-    candidate = np.empty((n, n))
-    for _ in range(n):
-        current = np.argmin(masked, axis=1)
-        current_dist = masked[sources, current]
-        if not np.isfinite(current_dist).any():
-            break
-        settled_penalty[sources, current] = np.inf
-        np.take(lengths, current, axis=0, out=candidate)
-        candidate += current_dist[:, None]
-        np.minimum(dist, candidate, out=dist)
-        np.add(dist, settled_penalty, out=masked)
-    return dist
-
-
 def shortest_path_matrix(
     matrix: ConnectivityMatrix, disconnected="max_finite"
 ) -> np.ndarray:
@@ -252,14 +211,12 @@ def shortest_path_matrix(
     weights = matrix.weights
     n = matrix.n_nodes
     with np.errstate(divide="ignore"):
-        lengths = np.where(weights > 0, 1.0 / weights, np.inf)
-    np.fill_diagonal(lengths, np.inf)
-
-    # Keep the upper triangle of the per-source runs and mirror it, so the
-    # result is exactly symmetric (summation order along a path would
-    # otherwise differ between the two directions at rounding level).
-    dist = np.triu(_dijkstra_all_sources(lengths), k=1)
-    dist = dist + dist.T
+        dist = np.where(weights > 0, 1.0 / weights, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    # Floyd-Warshall. The input is symmetric and addition commutes, so
+    # ``dist`` stays exactly symmetric after every k.
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
 
     off_diagonal = ~np.eye(n, dtype=bool)
     missing = ~np.isfinite(dist) & off_diagonal

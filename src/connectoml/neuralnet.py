@@ -79,6 +79,14 @@ class TrainConfig:
         for name in ("l2_alpha", "gradient_tolerance"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        # init_parameters draws layer l from U(-b, b), b^2 = 6 / (fan_in +
+        # fan_out), so it starts with ||W_l||^2 <= 6.fan_in.fan_out /
+        # (fan_in + fan_out): below 192 for the first layer at any input
+        # width, 96 and 192/33 for the others, below 294 in all. Up to this
+        # alpha the initial penalty cannot overflow.
+        max_alpha = np.finfo(np.float64).max / 294.0
+        if self.l2_alpha > max_alpha:
+            raise ValidationError(f"l2_alpha must be at most {max_alpha:.4g}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,10 @@ class MlpModel:
 
     parameters: MlpParameters
     normalizer: MinMaxNormalizer
-    input_dim: int
+
+    @property
+    def input_dim(self) -> int:
+        return self.parameters.input_dim
 
 
 def _layer_shapes(input_dim: int):
@@ -413,7 +424,7 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     if np.unique(y).size < 2:
         raise ValidationError("training set contains a single class")
     n, input_dim = x.shape
-    normalizer = MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
+    normalizer = fit_normalizer(x)
     batch = normalizer.transform(x)
     init = init_parameters(input_dim, cfg.seed)
     alpha = cfg.l2_alpha
@@ -449,7 +460,6 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     return MlpModel(
         parameters=unflatten_parameters(parameters, input_dim),
         normalizer=normalizer,
-        input_dim=input_dim,
     )
 
 

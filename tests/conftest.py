@@ -2,10 +2,10 @@
 
 The oracles here deliberately re-derive results through different algorithms
 than the library uses (truncated series instead of eigendecomposition,
-Floyd-Warshall instead of Dijkstra, explicit pair counting instead of rank
-sums, vector two-loop recursion instead of Gram-matrix coefficients) so that
-agreement is evidence, not tautology. The bit-identity oracles
-(``dijkstra_all_sources_reference``, ``write_feature_csvs_reference``,
+Dijkstra (``dijkstra_all_sources_reference``) instead of Floyd-Warshall,
+explicit pair counting instead of rank sums, vector two-loop recursion
+instead of Gram-matrix coefficients) so that agreement is evidence, not
+tautology. The bit-identity oracles (``write_feature_csvs_reference``,
 ``fold_scores_reference``, ``midranks_reference``, ``minmax_reference``)
 are the straightforward or earlier forms of library code, kept so tests can
 require exactly the same floats and bytes.
@@ -61,7 +61,8 @@ def floyd_warshall(lengths):
 
 
 def dijkstra_all_sources_reference(lengths):
-    """Lockstep all-sources Dijkstra that rebuilds the settled mask every
+    """All-pairs shortest paths on a dense length matrix (inf = no edge)
+    by lockstep all-sources Dijkstra, which rebuilds the settled mask every
     round and masks settled entries out of each relaxation."""
     n = lengths.shape[0]
     sources = np.arange(n)
@@ -82,12 +83,12 @@ def dijkstra_all_sources_reference(lengths):
 
 
 def shortest_path_oracle(weights, disconnected="max_finite", constant=None):
-    """Independent route: invert weights to lengths, run Floyd-Warshall,
-    then apply the disconnected-pair policy."""
+    """Independent route: invert weights to lengths, run the reference
+    Dijkstra, then apply the disconnected-pair policy."""
     weights = np.asarray(weights, dtype=np.float64)
     with np.errstate(divide="ignore"):
         lengths = np.where(weights > 0, 1.0 / weights, np.inf)
-    dist = floyd_warshall(lengths)
+    dist = dijkstra_all_sources_reference(lengths)
     off_diag = ~np.eye(dist.shape[0], dtype=bool)
     missing = ~np.isfinite(dist) & off_diag
     if missing.any():
@@ -226,7 +227,6 @@ def train_classifier_reference(xs, ys, cfg):
     model = MlpModel(
         parameters=unflatten_parameters(result.x, input_dim),
         normalizer=normalizer,
-        input_dim=input_dim,
     )
     return model, result
 

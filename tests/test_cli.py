@@ -532,6 +532,7 @@ class TestExitCodes:
             (["--alpha", "-1"], "l2_alpha must be nonnegative"),
             (["--alpha", "nan"], "l2_alpha must be finite"),
             (["--alpha", "inf"], "l2_alpha must be finite"),
+            (["--alpha", "1e308"], "l2_alpha must be at most 6.115e+305"),
             (["--seed", "-1"], "seed must be nonnegative"),
             (["--threshold", "7"], "threshold must be in [0, 1], got 7.0"),
             (["--repeats", "0"], "repetitions must be positive"),
@@ -539,7 +540,8 @@ class TestExitCodes:
         ],
         ids=[
             "max_iter_0", "alpha_negative", "alpha_nan", "alpha_inf",
-            "seed_negative", "threshold_7", "repeats_0", "one_fold",
+            "alpha_huge", "seed_negative", "threshold_7", "repeats_0",
+            "one_fold",
         ],
     )
     def test_bad_training_settings_are_refused_before_the_ingest(

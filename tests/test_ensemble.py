@@ -72,7 +72,6 @@ def constant_model(probability, input_dim=1):
     return MlpModel(
         parameters=MlpParameters(tuple(np.zeros(s) for s in shapes), biases),
         normalizer=MinMaxNormalizer(np.zeros(input_dim), np.ones(input_dim)),
-        input_dim=input_dim,
     )
 
 

@@ -662,6 +662,20 @@ class TestTrainConfigValidation:
             TrainConfig(**{field: value})
         assert str(excinfo.value) == f"{field} must be finite"
 
+    def test_rejects_alpha_whose_initial_penalty_could_overflow(self):
+        # The largest accepted alpha keeps the initial penalty finite at
+        # any input width; the next float up is refused.
+        limit = np.finfo(np.float64).max / 294.0
+        for input_dim in (1, 32, 21420):
+            params = init_parameters(input_dim, seed=0)
+            norm = sum(float(np.sum(w * w)) for w in params.layer_weights)
+            assert norm < 294.0
+            assert np.isfinite(TrainConfig(l2_alpha=limit).l2_alpha * norm)
+        for alpha in (np.nextafter(limit, np.inf), 1e308):
+            with pytest.raises(ValidationError) as excinfo:
+                TrainConfig(l2_alpha=alpha)
+            assert str(excinfo.value) == "l2_alpha must be at most 6.115e+305"
+
     @pytest.mark.parametrize(
         "field, message",
         [
