@@ -50,7 +50,6 @@ from .folds import FoldAssignment, derive_seed, stratified_kfold
 from .lbfgs import LbfgsResult, lbfgs_minimize, strong_wolfe_line_search
 from .neuralnet import (
     MinMaxNormalizer,
-    MlpModel,
     MlpParameters,
     TrainConfig,
     fit_normalizer,

@@ -199,6 +199,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not 0.0 < args.significance < 1.0:
+        raise ValidationError(
+            f"significance must be in (0, 1), got {args.significance!r}"
+        )
     report_a = dataio.load_report(args.report_a)
     report_b = dataio.load_report(args.report_b)
     print(

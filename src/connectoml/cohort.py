@@ -5,7 +5,8 @@ A cohort keeps every subject's features in one read-only, C-contiguous
 :data:`~connectoml.connectome.MEASURES` order. ``features[m]`` is the
 ``(n_subjects, d)`` column block of measure ``m``, a view of that matrix,
 and :meth:`LabeledCohort.fused` returns the matrix itself, with no copy.
-:meth:`LabeledCohort.subset` gathers its rows once. The loaders of
+:meth:`LabeledCohort.subset` gathers its rows once. :func:`measure_columns`
+cuts the blocks out of any matrix so laid out. The loaders of
 :mod:`connectoml.dataio` write the matrix in place and hand it over as it
 is; the public constructor joins a dict of per-measure matrices once.
 """
@@ -24,6 +25,16 @@ LABEL_MCI = 1
 
 LABEL_NAMES = {LABEL_HC: "HC", LABEL_MCI: "MCI"}
 LABEL_CODES = {"HC": LABEL_HC, "MCI": LABEL_MCI}
+
+
+def measure_columns(matrix: np.ndarray) -> dict:
+    """Each measure's column block, a view, of an ``(n, 3*d)`` matrix laid
+    out as a cohort's, keyed in measure order."""
+    width = matrix.shape[1] // len(MEASURES)
+    return {
+        measure: matrix[:, i * width : (i + 1) * width]
+        for i, measure in enumerate(MEASURES)
+    }
 
 
 def _checked_subjects(subject_ids, labels):
@@ -92,16 +103,11 @@ class LabeledCohort:
         return cohort
 
     def _adopt(self, subject_ids, labels, matrix) -> None:
-        width = matrix.shape[1] // len(MEASURES)
         matrix = matrix.view()
         matrix.flags.writeable = False
-        features = {
-            measure: matrix[:, i * width : (i + 1) * width]
-            for i, measure in enumerate(MEASURES)
-        }
         object.__setattr__(self, "subject_ids", subject_ids)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "features", measure_columns(matrix))
         object.__setattr__(self, "_matrix", matrix)
 
     @property

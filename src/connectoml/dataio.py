@@ -152,6 +152,10 @@ def read_manifest(manifest_path):
                     f"{manifest_path}: line {line_number}: unknown label"
                     f" {label!r} (expected HC or MCI)"
                 )
+            if not raw_path:
+                raise ValidationError(
+                    f"{manifest_path}: line {line_number}: empty path"
+                )
             matrix_path = Path(raw_path)
             if not matrix_path.is_absolute():
                 matrix_path = base / matrix_path

@@ -3,13 +3,14 @@
 One experiment evaluates five classification strategies on the same folds:
 the three single-measure classifiers, a classifier on the fused feature
 vector, and the soft-voting ensemble (which reuses the three single-measure
-models trained in the same fold). :func:`fit_fold` trains the four models of
-one fold and :meth:`FoldModels.scores` scores the test subjects under all
-five strategies; :func:`run_experiment` trains and scores through these
-alone. Metrics are computed per test fold with MCI as the positive class and
-aggregated as mean and standard error over all repetitions * folds values;
-strategies are compared pairwise with the Mann-Whitney U test on those
-per-fold samples.
+models trained in the same fold). :func:`fit_fold` scales the training
+subjects by one min-max normalizer and trains the four models of one fold,
+and :meth:`FoldModels.scores` scales the test subjects by it and scores them
+under all five strategies; :func:`run_experiment` trains and scores through
+these alone. Metrics are computed per test fold with MCI as the positive
+class and aggregated as mean and standard error over all repetitions * folds
+values; strategies are compared pairwise with the Mann-Whitney U test on
+those per-fold samples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
-from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort
+from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort, measure_columns
 from .connectome import MEASURES
 from .errors import ValidationError
 from .folds import (
@@ -30,7 +31,8 @@ from .folds import (
     derive_seed,
     stratified_kfold,
 )
-from .neuralnet import MlpModel, TrainConfig, predict_proba, train_classifier
+from .neuralnet import MinMaxNormalizer, MlpParameters, TrainConfig
+from .neuralnet import fit_normalizer, predict_proba, train_classifier
 from .sampling import MODE_FOLD, SamplerConfig, apply_sampler
 
 STRATEGY_FUSION = "fusion"
@@ -255,28 +257,29 @@ class EvaluationReport:
 
 @dataclass(frozen=True)
 class FoldModels:
-    """The four models trained in one fold.
+    """The normalizer and the four models trained in one fold.
 
-    ``members`` holds one classifier per measure, keyed by measure tag;
-    ``fusion`` is the classifier on the fused (concatenated) features.
+    ``normalizer`` scales the rows all four models take; ``members`` holds
+    one classifier per measure, keyed by measure tag; ``fusion`` is the
+    classifier on the fused (concatenated) features.
     """
 
+    normalizer: MinMaxNormalizer
     members: dict
-    fusion: MlpModel
+    fusion: MlpParameters
 
     def scores(self, test: LabeledCohort) -> dict:
         """MCI probabilities of the test subjects under every strategy.
 
-        Keys follow :data:`STRATEGIES`. The ensemble score is the mean of
-        the three member scores (soft voting).
+        Keys follow :data:`STRATEGIES`; the test rows are scaled once. The
+        ensemble score is the mean of the three member scores (soft voting).
         """
+        scaled = self.normalizer.transform(test.fused())
         scores = {
-            measure: predict_proba(
-                self.members[measure], test.features[measure]
-            )
-            for measure in MEASURES
+            measure: predict_proba(self.members[measure], block)
+            for measure, block in measure_columns(scaled).items()
         }
-        scores[STRATEGY_FUSION] = predict_proba(self.fusion, test.fused())
+        scores[STRATEGY_FUSION] = predict_proba(self.fusion, scaled)
         scores[STRATEGY_ENSEMBLE] = np.mean(
             [scores[m] for m in MEASURES], axis=0
         )
@@ -286,14 +289,19 @@ class FoldModels:
 def fit_fold(train: LabeledCohort, cfg: TrainConfig) -> FoldModels:
     """Train one classifier per measure and one on the fused features.
 
-    All four models share the hyper-parameters and seed in ``cfg``.
+    One normalizer, fitted on the training rows, scales them once; each
+    member trains on its measure's columns of the result. All four models
+    share the hyper-parameters and seed in ``cfg``.
     """
+    fused = train.fused()
+    normalizer = fit_normalizer(fused)
+    scaled = normalizer.transform(fused)
     members = {
-        measure: train_classifier(train.features[measure], train.labels, cfg)
-        for measure in MEASURES
+        measure: train_classifier(block, train.labels, cfg)
+        for measure, block in measure_columns(scaled).items()
     }
-    fusion = train_classifier(train.fused(), train.labels, cfg)
-    return FoldModels(members=members, fusion=fusion)
+    fusion = train_classifier(scaled, train.labels, cfg)
+    return FoldModels(normalizer=normalizer, members=members, fusion=fusion)
 
 
 def predict_label(probability, threshold: float = 0.5):

@@ -8,8 +8,9 @@ penalty on the weight matrices (biases are not penalized):
         + l2_alpha * sum_l ||W_l||^2
 
 Probabilities are clipped to [1e-12, 1 - 1e-12] before the logs so the loss
-stays finite; the clip is inactive anywhere gradients matter. Features are
-min-max normalized to [0, 1] with statistics fitted on training data only.
+stays finite; the clip is inactive anywhere gradients matter. The network
+trains on and scores the rows as given; its callers scale them with a
+:class:`MinMaxNormalizer` fitted on the training rows only.
 
 Kernel coordinates. A fit often has far more inputs d than rows n (7,140
 per measure and 21,420 fused at 120 nodes, against ~105 rows). The
@@ -82,9 +83,10 @@ class TrainConfig:
         # init_parameters draws layer l from U(-b, b), b^2 = 6 / (fan_in +
         # fan_out), so it starts with ||W_l||^2 <= 6.fan_in.fan_out /
         # (fan_in + fan_out): below 192 for the first layer at any input
-        # width, 96 and 192/33 for the others, below 294 in all. Up to this
-        # alpha the initial penalty cannot overflow.
-        max_alpha = np.finfo(np.float64).max / 294.0
+        # width, 96 and 192/33 for the others, below 294 in all. The first
+        # gradient's weight part is 2a.W, ||2a.W||^2 < 4.294.a^2: up to this
+        # alpha neither it nor the initial penalty (< 294.a) can overflow.
+        max_alpha = np.sqrt(np.finfo(np.float64).max / 1176.0)
         if self.l2_alpha > max_alpha:
             raise ValidationError(f"l2_alpha must be at most {max_alpha:.4g}")
 
@@ -127,18 +129,6 @@ class MinMaxNormalizer:
         scaled /= np.where(degenerate, 1.0, span)
         scaled[..., degenerate] = 0.0
         return np.clip(scaled, 0.0, 1.0, out=scaled)
-
-
-@dataclass(frozen=True)
-class MlpModel:
-    """Trained classifier: parameters plus the normalizer fitted with them."""
-
-    parameters: MlpParameters
-    normalizer: MinMaxNormalizer
-
-    @property
-    def input_dim(self) -> int:
-        return self.parameters.input_dim
 
 
 def _layer_shapes(input_dim: int):
@@ -228,28 +218,25 @@ def _forward_pass(params: MlpParameters, x: np.ndarray):
     return (z1,) + _upper_forward(params, z1)
 
 
-def _as_batch(x, input_dim: int) -> np.ndarray:
+def forward(params: MlpParameters, x):
+    """Predicted probability of the positive class for a batch of rows.
+
+    ``x`` is an (n_samples, input_dim) batch, scaled as the training rows
+    were; the result has one entry per row and is clipped away from exact 0
+    and 1 for downstream log safety.
+    """
     batch = np.asarray(x, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != input_dim:
+    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
         raise ValidationError(
-            f"input must be an (n_samples, {input_dim}) batch of features,"
-            f" got shape {batch.shape}"
+            f"input must be an (n_samples, {params.input_dim}) batch of"
+            f" features, got shape {batch.shape}"
         )
-    return batch
-
-
-def _probabilities(params: MlpParameters, batch: np.ndarray) -> np.ndarray:
     prob = _forward_pass(params, batch)[4]
     return np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
-def forward(params: MlpParameters, x):
-    """Predicted probability of the positive class for a batch of rows.
-
-    ``x`` is an (n_samples, input_dim) batch; the result has one entry per
-    row and is clipped away from exact 0 and 1 for downstream log safety.
-    """
-    return _probabilities(params, _as_batch(x, params.input_dim))
+#: The name the fold path and instance hardness score through.
+predict_proba = forward
 
 
 def _validate_dataset(xs, ys):
@@ -406,8 +393,9 @@ class _KernelCoordinates:
         return value, grad
 
 
-def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
-    """Fit the classifier: normalize, initialize per seed, minimize the loss.
+def train_classifier(xs, ys, cfg: TrainConfig) -> MlpParameters:
+    """Fit the classifier on the rows as given: initialize per seed, then
+    minimize the loss.
 
     Deterministic in (data, cfg). Checks the data once: ``ValidationError``
     unless ``xs`` is a nonempty 2-D matrix, ``ys`` has one 0/1 label per
@@ -424,8 +412,6 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
     if np.unique(y).size < 2:
         raise ValidationError("training set contains a single class")
     n, input_dim = x.shape
-    normalizer = fit_normalizer(x)
-    batch = normalizer.transform(x)
     init = init_parameters(input_dim, cfg.seed)
     alpha = cfg.l2_alpha
 
@@ -433,13 +419,13 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
 
         def objective(theta):
             return loss_and_gradient(
-                unflatten_parameters(theta, input_dim), batch, y, alpha
+                unflatten_parameters(theta, input_dim), x, y, alpha
             )
 
         result = lbfgs_minimize(objective, flatten_parameters(init), cfg)
         parameters = result.x
     else:
-        coords = _KernelCoordinates(batch, init.layer_weights[0])
+        coords = _KernelCoordinates(x, init.layer_weights[0])
 
         def full_norm(grad, order):
             rest = grad[coords.split : -1]
@@ -457,15 +443,4 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpModel:
             metric=coords.metric,
         )
         parameters = coords.lift(result.x)
-    return MlpModel(
-        parameters=unflatten_parameters(parameters, input_dim),
-        normalizer=normalizer,
-    )
-
-
-def predict_proba(model: MlpModel, x):
-    """Positive-class probability per row of a raw (n, input_dim) batch."""
-    batch = _as_batch(x, model.input_dim)
-    return _probabilities(
-        model.parameters, model.normalizer.transform(batch)
-    )
+    return unflatten_parameters(parameters, input_dim)

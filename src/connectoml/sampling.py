@@ -4,7 +4,8 @@ All three strategies remove majority-class subjects until both classes have
 the original minority size; the minority class is never touched and every
 retained subject keeps its rows in all three feature matrices. Distances and
 hardness scores are computed on the min-max normalized fused feature vector
-so that all downstream classifiers see the same retained subjects.
+so that all downstream classifiers see the same retained subjects; instance
+hardness scales each of its internal folds as the fold path scales a fold.
 
 A :class:`SamplerConfig` names only a method and a mode. Draws follow the
 run's seed, instance hardness trains under the run's ``TrainConfig``, and
@@ -194,11 +195,13 @@ def instance_hardness_threshold(
         member_cfg = replace(
             train_cfg, seed=derive_seed(train_cfg.seed, fold.fold)
         )
+        rows = fused[fold.train_indices]
+        normalizer = fit_normalizer(rows)
         model = train_classifier(
-            fused[fold.train_indices], labels[fold.train_indices], member_cfg
+            normalizer.transform(rows), labels[fold.train_indices], member_cfg
         )
         out_of_fold[fold.test_indices] = predict_proba(
-            model, fused[fold.test_indices]
+            model, normalizer.transform(fused[fold.test_indices])
         )
 
     correct_class = np.where(labels == 1, out_of_fold, 1.0 - out_of_fold)

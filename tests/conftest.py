@@ -6,7 +6,7 @@ Dijkstra (``dijkstra_all_sources_reference``) instead of Floyd-Warshall,
 explicit pair counting instead of rank sums, vector two-loop recursion
 instead of Gram-matrix coefficients) so that agreement is evidence, not
 tautology. The bit-identity oracles (``write_feature_csvs_reference``,
-``fold_scores_reference``, ``midranks_reference``, ``minmax_reference``)
+``fit_fold_reference``, ``midranks_reference``, ``minmax_reference``)
 are the straightforward or earlier forms of library code, kept so tests can
 require exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
@@ -29,7 +29,6 @@ from connectoml import (
 from connectoml.cohort import LABEL_NAMES
 from connectoml.lbfgs import lbfgs_minimize
 from connectoml.neuralnet import (
-    MlpModel,
     fit_normalizer,
     flatten_parameters,
     init_parameters,
@@ -209,26 +208,19 @@ def two_loop_direction(grad, s_history, y_history, rho_history):
 def train_classifier_reference(xs, ys, cfg):
     """The classifier fitted by L-BFGS on every parameter in the full space:
     each vector is as long as all the weights, and the first layer's
-    products run over every input. Returns (model, LbfgsResult)."""
+    products run over every input. Returns (MlpParameters, LbfgsResult)."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     input_dim = x.shape[1]
-    normalizer = fit_normalizer(x)
-    x_normalized = normalizer.transform(x)
     theta0 = flatten_parameters(init_parameters(input_dim, cfg.seed))
 
     def objective(theta):
         return loss_and_gradient(
-            unflatten_parameters(theta, input_dim), x_normalized, y,
-            cfg.l2_alpha,
+            unflatten_parameters(theta, input_dim), x, y, cfg.l2_alpha
         )
 
     result = lbfgs_minimize(objective, theta0, cfg)
-    model = MlpModel(
-        parameters=unflatten_parameters(result.x, input_dim),
-        normalizer=normalizer,
-    )
-    return model, result
+    return unflatten_parameters(result.x, input_dim), result
 
 
 def minmax_reference(normalizer, x):
@@ -268,17 +260,29 @@ def write_feature_csvs_reference(cohort, out_dir):
     return paths
 
 
-def fold_scores_reference(train, test, cfg):
-    """Train the four models of one fold and score the test subjects,
-    each member scored right after it is trained (the inline fold of
-    ``run_experiment`` before ``fit_fold`` existed)."""
-    member_scores = {}
-    for measure in MEASURES:
-        model = train_classifier(train.features[measure], train.labels, cfg)
-        member_scores[measure] = predict_proba(model, test.features[measure])
-    fusion_model = train_classifier(train.fused(), train.labels, cfg)
+def _fit_scaled(train_rows, labels, test_rows, cfg):
+    """One model with its own normalizer, fitted on its training rows."""
+    normalizer = fit_normalizer(train_rows)
+    model = train_classifier(normalizer.transform(train_rows), labels, cfg)
+    return predict_proba(model, normalizer.transform(test_rows))
+
+
+def fit_fold_reference(train, test, cfg):
+    """Train the four models of one fold and score the test subjects, each
+    model with its own normalizer fitted on its own training columns, each
+    member scored right after it is trained (the fold before ``fit_fold``
+    scaled the fused matrix once)."""
+    member_scores = {
+        measure: _fit_scaled(
+            train.features[measure], train.labels, test.features[measure],
+            cfg,
+        )
+        for measure in MEASURES
+    }
     scores = dict(member_scores)
-    scores[STRATEGY_FUSION] = predict_proba(fusion_model, test.fused())
+    scores[STRATEGY_FUSION] = _fit_scaled(
+        train.fused(), train.labels, test.fused(), cfg
+    )
     scores[STRATEGY_ENSEMBLE] = np.mean(
         [member_scores[m] for m in MEASURES], axis=0
     )

@@ -275,6 +275,25 @@ class TestCompare:
             " finite numbers\n"
         )
 
+    @pytest.mark.parametrize("value", ["7", "1", "0", "-0.5", "nan"])
+    def test_significance_outside_unit_interval_is_two(
+        self, tmp_path, capsys, value
+    ):
+        # Refused before either report is read: neither file exists.
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "compare",
+                str(tmp_path / "a.json"),
+                str(tmp_path / "b.json"),
+                "--significance", value,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: significance must be in (0, 1), got {float(value)!r}\n"
+        )
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -296,6 +315,23 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+    def test_empty_manifest_path_is_two(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("subject_id,label,path\ns1,HC,\n")
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(manifest),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2: empty path\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_invalid_matrix_is_two(self, tmp_path):
         (tmp_path / "m.csv").write_text("0,-5\n-5,0\n")
@@ -532,7 +568,8 @@ class TestExitCodes:
             (["--alpha", "-1"], "l2_alpha must be nonnegative"),
             (["--alpha", "nan"], "l2_alpha must be finite"),
             (["--alpha", "inf"], "l2_alpha must be finite"),
-            (["--alpha", "1e308"], "l2_alpha must be at most 6.115e+305"),
+            (["--alpha", "1e308"], "l2_alpha must be at most 3.91e+152"),
+            (["--alpha", "1e200"], "l2_alpha must be at most 3.91e+152"),
             (["--seed", "-1"], "seed must be nonnegative"),
             (["--threshold", "7"], "threshold must be in [0, 1], got 7.0"),
             (["--repeats", "0"], "repetitions must be positive"),
@@ -540,7 +577,8 @@ class TestExitCodes:
         ],
         ids=[
             "max_iter_0", "alpha_negative", "alpha_nan", "alpha_inf",
-            "alpha_huge", "seed_negative", "threshold_7", "repeats_0",
+            "alpha_huge", "alpha_1e200", "seed_negative", "threshold_7",
+            "repeats_0",
             "one_fold",
         ],
     )

@@ -127,6 +127,17 @@ class TestLoadCohort:
         with pytest.raises(ValidationError, match="unknown label 'AD'"):
             load_cohort(manifest)
 
+    @pytest.mark.parametrize("cell", ["", "  "], ids=["empty", "blank"])
+    def test_empty_path_rejected(self, tmp_path, cell):
+        # Joined to the manifest's directory, an empty cell would name the
+        # directory itself; the row is refused with its line instead.
+        tiny_matrix_file(tmp_path / "a.csv", [[0, 1], [1, 0]])
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [("s1", "HC", "a.csv"), ("s2", "MCI", cell)])
+        message = f"{manifest}: line 3: empty path"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_cohort(manifest)
+
     def test_duplicate_subject_id_rejected(self, tmp_path):
         tiny_matrix_file(tmp_path / "a.csv", [[0, 1], [1, 0]])
         manifest = tmp_path / "manifest.csv"

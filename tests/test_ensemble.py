@@ -1,10 +1,11 @@
 """Tests for the fold path: ``fit_fold`` trains the four models of a fold,
-``FoldModels.scores`` soft-votes the members and scores fusion, and
-``predict_label`` turns scores into decisions."""
+``FoldModels.scores`` soft-votes the members and scores fusion, one
+normalizer per fold scales both sides, and ``predict_label`` turns scores
+into decisions."""
 
 import numpy as np
 import pytest
-from conftest import fold_scores_reference, make_cohort, make_measure_cohort
+from conftest import fit_fold_reference, make_cohort, make_measure_cohort
 
 import connectoml.evaluation
 from connectoml import (
@@ -20,11 +21,12 @@ from connectoml import (
     predict_proba,
     train_classifier,
 )
+from connectoml.cohort import measure_columns
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MinMaxNormalizer,
-    MlpModel,
     MlpParameters,
+    fit_normalizer,
 )
 
 
@@ -69,10 +71,7 @@ def constant_model(probability, input_dim=1):
         np.zeros(HIDDEN_UNITS),
         np.array([np.log(probability / (1.0 - probability))]),
     )
-    return MlpModel(
-        parameters=MlpParameters(tuple(np.zeros(s) for s in shapes), biases),
-        normalizer=MinMaxNormalizer(np.zeros(input_dim), np.ones(input_dim)),
-    )
+    return MlpParameters(tuple(np.zeros(s) for s in shapes), biases)
 
 
 def models_of(fold):
@@ -86,13 +85,23 @@ class TestFitFold:
             lambda rng: separable_cohort(rng, n_per_class=12, dim=4),
             lambda rng: distinct_measure_cohort(rng, 14, 14),
             lambda rng: distinct_measure_cohort(rng, 8, 22, dim=3),
+            # 20 training rows: every fit in kernel coordinates (d > n) ...
+            lambda rng: distinct_measure_cohort(rng, 16, 24, dim=45),
+            # ... or every fit in the full space (d <= n).
+            lambda rng: distinct_measure_cohort(rng, 40, 50, dim=12),
         ],
-        ids=["shared_features", "distinct_measures", "unequal_classes"],
+        ids=[
+            "shared_features",
+            "distinct_measures",
+            "unequal_classes",
+            "d_above_n",
+            "d_at_most_n",
+        ],
     )
     def test_scores_bit_identical_to_reference(self, build):
         train, test = split_alternating(build(np.random.default_rng(20)))
         cfg = TrainConfig(seed=4, max_iterations=15)
-        expected = fold_scores_reference(train, test, cfg)
+        expected = fit_fold_reference(train, test, cfg)
         scores = fit_fold(train, cfg).scores(test)
         assert tuple(scores) == STRATEGIES == tuple(expected)
         for strategy in STRATEGIES:
@@ -113,6 +122,35 @@ class TestFitFold:
         fold = fit_fold(train, TrainConfig(seed=1, max_iterations=3))
         assert widths == [2, 2, 2, 6]
         assert [model.input_dim for model in models_of(fold)] == widths
+
+    def test_one_normalizer_scales_each_side_once(self, monkeypatch):
+        fits, transforms = [], []
+        fit = connectoml.evaluation.fit_normalizer
+        transform = MinMaxNormalizer.transform
+
+        def recording_fit(x):
+            fits.append(x)
+            return fit(x)
+
+        def recording_transform(self, x):
+            transforms.append(x)
+            return transform(self, x)
+
+        monkeypatch.setattr(
+            connectoml.evaluation, "fit_normalizer", recording_fit
+        )
+        monkeypatch.setattr(MinMaxNormalizer, "transform", recording_transform)
+        train, test = split_alternating(
+            distinct_measure_cohort(np.random.default_rng(22), 8, 8, 3)
+        )
+        fold = fit_fold(train, TrainConfig(seed=1, max_iterations=3))
+        fold.scores(test)
+        # One fit and one transform on the training rows' fused matrix,
+        # then one transform on the test rows'.
+        assert len(fits) == 1 and fits[0] is train.fused()
+        assert len(transforms) == 2
+        assert transforms[0] is train.fused()
+        assert transforms[1] is test.fused()
 
 
 class TestTrainEnsemble:
@@ -143,8 +181,8 @@ class TestTrainEnsemble:
         second = fit_fold(cohort, cfg)
         for a, b in zip(models_of(first), models_of(second)):
             for x, y in zip(
-                a.parameters.layer_weights + a.parameters.layer_biases,
-                b.parameters.layer_weights + b.parameters.layer_biases,
+                a.layer_weights + a.layer_biases,
+                b.layer_weights + b.layer_biases,
             ):
                 assert np.array_equal(x, y)
         for strategy in STRATEGIES:
@@ -163,17 +201,16 @@ class TestTrainEnsemble:
         cfg = TrainConfig(seed=1, max_iterations=10)
         scores = fit_fold(cohort, cfg).scores(cohort)
         # Train each model on its own, in reversed order; results agree.
-        fusion = train_classifier(cohort.fused(), cohort.labels, cfg)
+        scaled = fit_normalizer(cohort.fused()).transform(cohort.fused())
+        fusion = train_classifier(scaled, cohort.labels, cfg)
         np.testing.assert_array_equal(
-            predict_proba(fusion, cohort.fused()), scores["fusion"]
+            predict_proba(fusion, scaled), scores["fusion"]
         )
+        blocks = measure_columns(scaled)
         for measure in reversed(MEASURES):
-            model = train_classifier(
-                cohort.features[measure], cohort.labels, cfg
-            )
+            model = train_classifier(blocks[measure], cohort.labels, cfg)
             np.testing.assert_array_equal(
-                predict_proba(model, cohort.features[measure]),
-                scores[measure],
+                predict_proba(model, blocks[measure]), scores[measure]
             )
 
 
@@ -182,11 +219,9 @@ class TestSoftVote:
         rng = np.random.default_rng(4)
         train, test = split_alternating(distinct_measure_cohort(rng, 12, 16))
         fold = fit_fold(train, TrainConfig(seed=3, max_iterations=10))
+        blocks = measure_columns(fold.normalizer.transform(test.fused()))
         members = np.array(
-            [
-                predict_proba(fold.members[m], test.features[m])
-                for m in MEASURES
-            ]
+            [predict_proba(fold.members[m], blocks[m]) for m in MEASURES]
         )
         assert np.array_equal(
             fold.scores(test)["ensemble"], members.mean(axis=0)
@@ -194,6 +229,7 @@ class TestSoftVote:
 
     def test_hand_values_average(self):
         fold = FoldModels(
+            normalizer=MinMaxNormalizer(np.zeros(3), np.ones(3)),
             members={
                 m: constant_model(p) for m, p in zip(MEASURES, (0.2, 0.4, 0.9))
             },
@@ -276,10 +312,11 @@ class TestFuseFeatures:
             np.hstack([cohort.features[m] for m in MEASURES]),
         )
         fold = fit_fold(cohort, TrainConfig(seed=2, max_iterations=3))
+        # The fold's one normalizer covers the measures in the same order.
         assert np.array_equal(
-            fold.fusion.normalizer.minimum,
+            fold.normalizer.minimum,
             np.concatenate(
-                [fold.members[m].normalizer.minimum for m in MEASURES]
+                [cohort.features[m].min(axis=0) for m in MEASURES]
             ),
         )
 

@@ -372,7 +372,7 @@ class TestRunExperiment:
 
     def test_fold_mode_normalizers_see_training_rows_only(self, monkeypatch):
         # Column 0 of every feature matrix equals the subject index, so the
-        # rows each normalizer was fitted on can be read back exactly.
+        # rows each fold's normalizer was fitted on can be read back exactly.
         rng = np.random.default_rng(10)
         n = 30
         xs = rng.normal(size=(n, 3))
@@ -381,18 +381,18 @@ class TestRunExperiment:
         cohort = make_cohort(xs, ys)
 
         fitted_rows = []
-        original = connectoml.evaluation.train_classifier
+        original = connectoml.evaluation.fit_fold
 
-        def recording_train(rows, labels, cfg):
-            model = original(rows, labels, cfg)
-            rows = np.asarray(rows)
-            assert np.array_equal(model.normalizer.minimum, rows.min(axis=0))
-            assert np.array_equal(model.normalizer.maximum, rows.max(axis=0))
+        def recording_fit_fold(train, cfg):
+            fold = original(train, cfg)
+            rows = train.fused()
+            assert np.array_equal(fold.normalizer.minimum, rows.min(axis=0))
+            assert np.array_equal(fold.normalizer.maximum, rows.max(axis=0))
             fitted_rows.append(rows[:, 0].copy())
-            return model
+            return fold
 
         monkeypatch.setattr(
-            connectoml.evaluation, "train_classifier", recording_train
+            connectoml.evaluation, "fit_fold", recording_fit_fold
         )
         k, reps = 3, 1
         run_experiment(
@@ -405,17 +405,12 @@ class TestRunExperiment:
         )
         derive = __import__("connectoml").derive_seed
         folds = stratified_kfold(cohort.labels, k, derive(6, 0))
-        # Four fits per fold (three members + fusion), in fold order.
-        assert len(fitted_rows) == 4 * k
-        for fold_index, fold in enumerate(folds):
-            train_ids = set(fold.train_indices.tolist())
-            test_ids = set(fold.test_indices.tolist())
-            for call in range(4):
-                seen = set(
-                    int(v) for v in fitted_rows[fold_index * 4 + call]
-                )
-                assert seen <= train_ids
-                assert seen & test_ids == set()
+        # One normalizer per fold, fitted on the sampled training rows.
+        assert len(fitted_rows) == k
+        for fold, rows in zip(folds, fitted_rows):
+            seen = set(int(v) for v in rows)
+            assert seen <= set(fold.train_indices.tolist())
+            assert seen & set(fold.test_indices.tolist()) == set()
 
     @pytest.mark.parametrize("mode", ["dataset", "fold"])
     def test_sampler_takes_the_run_seed_and_train_config(

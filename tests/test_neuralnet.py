@@ -377,13 +377,9 @@ class TestTrainClassifier:
         cfg = TrainConfig(seed=9, max_iterations=40)
         first = train_classifier(xs, ys, cfg)
         second = train_classifier(xs, ys, cfg)
-        for a, b in zip(
-            first.parameters.layer_weights, second.parameters.layer_weights
-        ):
+        for a, b in zip(first.layer_weights, second.layer_weights):
             assert np.array_equal(a, b)
-        for a, b in zip(
-            first.parameters.layer_biases, second.parameters.layer_biases
-        ):
+        for a, b in zip(first.layer_biases, second.layer_biases):
             assert np.array_equal(a, b)
 
     def test_final_loss_not_above_initial(self):
@@ -392,13 +388,10 @@ class TestTrainClassifier:
         ys = (rng.random(40) < 0.5).astype(float)
         cfg = TrainConfig(seed=3, max_iterations=30)
         model = train_classifier(xs, ys, cfg)
-        norm = model.normalizer
         initial = loss_and_gradient(
-            init_parameters(4, cfg.seed), norm.transform(xs), ys, cfg.l2_alpha
+            init_parameters(4, cfg.seed), xs, ys, cfg.l2_alpha
         )[0]
-        final = loss_and_gradient(
-            model.parameters, norm.transform(xs), ys, cfg.l2_alpha
-        )[0]
+        final = loss_and_gradient(model, xs, ys, cfg.l2_alpha)[0]
         assert final <= initial
 
     def test_single_class_rejected(self):
@@ -441,21 +434,14 @@ class TestTrainClassifier:
         assert len(evaluations) >= 5
         assert len(checks) == 1
 
-    def test_normalizer_fitted_on_training_rows_only(self):
-        rng = np.random.default_rng(17)
-        xs = rng.normal(size=(25, 3))
-        ys = (rng.random(25) < 0.5).astype(float)
-        model = train_classifier(xs, ys, TrainConfig(max_iterations=5))
-        assert np.array_equal(model.normalizer.minimum, xs.min(axis=0))
-        assert np.array_equal(model.normalizer.maximum, xs.max(axis=0))
-
 
 def row_space_problem(
     n, d, seed, duplicate_rows=0, constant_columns=0, n_test=30
 ):
     """Seeded (train x, train y, test x) with a class signal in a fifth of
     the columns; optionally the last training rows repeat the first ones
-    (with their labels) and the first columns are constant."""
+    (with their labels) and the first columns are constant. Both x are
+    min-max scaled by the training rows, as the fold path scales them."""
     rng = np.random.default_rng(seed)
     ys = (np.arange(n + n_test) % 2).astype(float)
     xs = rng.normal(size=(n + n_test, d))
@@ -464,7 +450,8 @@ def row_space_problem(
         xs[n - duplicate_rows : n] = xs[:duplicate_rows]
         ys[n - duplicate_rows : n] = ys[:duplicate_rows]
     xs[:, :constant_columns] = 3.0
-    return xs[:n], ys[:n], xs[n:]
+    normalizer = fit_normalizer(xs[:n])
+    return normalizer.transform(xs[:n]), ys[:n], normalizer.transform(xs[n:])
 
 
 ROW_SPACE_PROBLEMS = {
@@ -523,9 +510,7 @@ class TestRowSpaceFit:
         xs, ys, _ = row_space_problem(seed=6, **problem)
         cfg = TrainConfig(seed=4, max_iterations=max_iterations)
         model, outcome = fit_with_outcome(monkeypatch, xs, ys, cfg)
-        full = loss_and_gradient(
-            model.parameters, model.normalizer.transform(xs), ys, cfg.l2_alpha
-        )[1]
+        full = loss_and_gradient(model, xs, ys, cfg.l2_alpha)[1]
         full_inf = np.abs(full).max()
         assert outcome.converged == (full_inf <= cfg.gradient_tolerance)
         if outcome.converged:
@@ -543,8 +528,7 @@ class TestRowSpaceFit:
     def test_metric_is_the_full_space_inner_product(self, problem):
         # Repeated rows make x.x^T singular and constant columns normalize
         # to zero; the metric needs neither to be invertible.
-        xs, ys, _ = row_space_problem(seed=7, **problem)
-        x = fit_normalizer(xs).transform(xs)
+        x, _, _ = row_space_problem(seed=7, **problem)
         init = init_parameters(x.shape[1], 0)
         coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
         start = coords.start(init)
@@ -580,8 +564,7 @@ class TestRowSpaceFit:
         "problem", ROW_SPACE_PROBLEMS.values(), ids=ROW_SPACE_PROBLEMS.keys()
     )
     def test_objective_is_the_full_space_objective(self, problem):
-        xs, ys, _ = row_space_problem(seed=8, **problem)
-        x = fit_normalizer(xs).transform(xs)
+        x, ys, _ = row_space_problem(seed=8, **problem)
         d = x.shape[1]
         init = init_parameters(d, 1)
         coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
@@ -603,14 +586,10 @@ class TestRowSpaceFit:
 
 
 class TestPredictProba:
-    def test_composition_with_normalizer(self):
-        rng = np.random.default_rng(18)
-        xs = rng.normal(size=(20, 3)) * 10
-        ys = (rng.random(20) < 0.5).astype(float)
-        model = train_classifier(xs, ys, TrainConfig(max_iterations=10))
-        x = xs[4:7]
-        expected = forward(model.parameters, model.normalizer.transform(x))
-        assert np.array_equal(predict_proba(model, x), expected)
+    def test_is_forward(self):
+        # The network scores the rows it is given; scaling them is the
+        # caller's job, so there is one scoring function under two names.
+        assert predict_proba is forward
 
     def test_batch_equals_per_sample_loop(self):
         rng = np.random.default_rng(19)
@@ -663,18 +642,23 @@ class TestTrainConfigValidation:
         assert str(excinfo.value) == f"{field} must be finite"
 
     def test_rejects_alpha_whose_initial_penalty_could_overflow(self):
-        # The largest accepted alpha keeps the initial penalty finite at
+        # The largest accepted alpha keeps the initial penalty and the
+        # squared norm of the first gradient's weight part, 2a.W, finite at
         # any input width; the next float up is refused.
-        limit = np.finfo(np.float64).max / 294.0
+        limit = np.sqrt(np.finfo(np.float64).max / 1176.0)
+        alpha = TrainConfig(l2_alpha=limit).l2_alpha
         for input_dim in (1, 32, 21420):
             params = init_parameters(input_dim, seed=0)
             norm = sum(float(np.sum(w * w)) for w in params.layer_weights)
             assert norm < 294.0
-            assert np.isfinite(TrainConfig(l2_alpha=limit).l2_alpha * norm)
-        for alpha in (np.nextafter(limit, np.inf), 1e308):
+            assert np.isfinite(alpha * norm)
+            decay = np.concatenate([2.0 * alpha * w.ravel()
+                                    for w in params.layer_weights])
+            assert np.isfinite(decay @ decay)
+        for alpha in (np.nextafter(limit, np.inf), 1e153, 1e200, 1e308):
             with pytest.raises(ValidationError) as excinfo:
                 TrainConfig(l2_alpha=alpha)
-            assert str(excinfo.value) == "l2_alpha must be at most 6.115e+305"
+            assert str(excinfo.value) == "l2_alpha must be at most 3.91e+152"
 
     @pytest.mark.parametrize(
         "field, message",
