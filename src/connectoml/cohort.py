@@ -7,8 +7,8 @@ A cohort keeps every subject's features in one read-only, C-contiguous
 and :meth:`LabeledCohort.fused` returns the matrix itself, with no copy.
 :meth:`LabeledCohort.subset` gathers its rows once. :func:`measure_columns`
 cuts the blocks out of any matrix so laid out. The loaders of
-:mod:`connectoml.dataio` write the matrix in place and hand it over as it
-is; the public constructor joins a dict of per-measure matrices once.
+:mod:`connectoml.dataio` write the matrix in place and hand it over to the
+constructor as it is.
 """
 
 from __future__ import annotations
@@ -51,59 +51,36 @@ def _checked_subjects(subject_ids, labels):
     return subject_ids, labels
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabeledCohort:
-    """Subjects with labels (0 = HC, 1 = MCI) and one feature matrix per measure.
+    """Subjects with labels (0 = HC, 1 = MCI) and their feature matrix.
 
-    The feature keys must be exactly the three measures, with identical row
-    counts and identical column counts (the single-measure models share one
-    input width, and fusion concatenates equal-width blocks); row i of every
-    matrix belongs to ``subject_ids[i]``. The matrices are joined into the
-    cohort's one matrix (module docstring); ``features`` then holds
-    read-only views of it.
+    ``matrix`` is ``(n_subjects, 3*d)``, laid out as the module docstring
+    says; row i belongs to ``subject_ids[i]``. The cohort keeps a
+    read-only view of it, not a copy (a copy only if it is not a
+    C-contiguous float64 array); ``features`` holds the measures' column
+    views.
     """
 
     subject_ids: tuple
     labels: np.ndarray
     features: dict
 
-    def __post_init__(self):
-        subject_ids, labels = _checked_subjects(self.subject_ids, self.labels)
+    def __init__(self, subject_ids, labels, matrix):
+        subject_ids, labels = _checked_subjects(subject_ids, labels)
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()
         n = len(subject_ids)
-        unknown = [key for key in self.features if key not in MEASURES]
-        if unknown:
-            raise ValidationError(f"unknown feature keys in cohort: {unknown}")
-        missing = [m for m in MEASURES if m not in self.features]
-        if missing:
-            raise ValidationError(f"cohort is missing measures: {missing}")
-        blocks = []
-        for measure in MEASURES:
-            matrix = np.asarray(self.features[measure], dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[0] != n:
-                raise ValidationError(
-                    f"feature matrix for {measure!r} must have one row per"
-                    f" subject (got shape {matrix.shape} for {n} subjects)"
-                )
-            blocks.append(matrix)
-        widths = {m: block.shape[1] for m, block in zip(MEASURES, blocks)}
-        if len(set(widths.values())) != 1:
+        if matrix.ndim != 2 or matrix.shape[0] != n:
             raise ValidationError(
-                f"feature matrices must have the same number of columns for"
-                f" every measure (got {widths})"
+                f"feature matrix must have one row per subject (got shape"
+                f" {matrix.shape} for {n} subjects)"
             )
-        self._adopt(subject_ids, labels, np.hstack(blocks))
-
-    @classmethod
-    def _on_matrix(cls, subject_ids, labels, matrix) -> "LabeledCohort":
-        """Cohort over an existing ``(n, 3*d)`` float64 matrix, C-contiguous
-        and laid out as the module docstring says; a read-only view of it
-        is kept, not a copy."""
-        cohort = object.__new__(cls)
-        cohort._adopt(*_checked_subjects(subject_ids, labels), matrix)
-        return cohort
-
-    def _adopt(self, subject_ids, labels, matrix) -> None:
-        matrix = matrix.view()
+        if matrix.shape[1] % len(MEASURES):
+            raise ValidationError(
+                f"feature matrix must have the same number of columns for"
+                f" every measure (got {matrix.shape[1]} columns for"
+                f" {len(MEASURES)} measures)"
+            )
         matrix.flags.writeable = False
         object.__setattr__(self, "subject_ids", subject_ids)
         object.__setattr__(self, "labels", labels)
@@ -124,7 +101,7 @@ class LabeledCohort:
         """New cohort containing the given rows, in the given order; one
         gather of the matrix's rows."""
         indices = np.asarray(indices, dtype=np.int64)
-        return LabeledCohort._on_matrix(
+        return LabeledCohort(
             tuple(self.subject_ids[i] for i in indices),
             self.labels[indices],
             self._matrix[indices],

@@ -19,13 +19,9 @@ File formats
 
 Ingest and feature writing
 --------------------------
-Both run their work units through one ordered pool, ``_ordered_map``: the
-units go to forked workers, one per core available to the process (up to
-one per unit), each pinned to one BLAS thread, and their results come back
-in unit order. With one core or no ``fork`` the same per-unit function
-runs in this process, and the results are the same. At most two results
-per worker are in flight, so the results held at once do not grow with the
-cohort. The first unit to fail, in order, raises its own exception.
+Both run their work units through the ordered pool of
+:mod:`connectoml._pool`: forked workers, one per core available to the
+process, whose results come back in unit order.
 
 :func:`load_cohort` writes every subject's features into one preallocated
 ``(subject, measure, feature)`` float64 buffer on an anonymous shared
@@ -52,23 +48,20 @@ finite, naming the file and the physical line.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
-import ctypes
 import io
 import itertools
 import json
 import math
 import mmap
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._pool import ordered_map
 from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
 from .connectome import (
     MEASURES,
@@ -165,14 +158,6 @@ def read_manifest(manifest_path):
     return entries
 
 
-def _available_cores() -> int:
-    """Cores this process may run on: its affinity mask, where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
     """Zeroed (subject, measure, feature) float64 array on an anonymous
     shared mapping, so forked workers write into the parent's pages."""
@@ -201,7 +186,7 @@ def _fill_subject(features, index, matrix, n_nodes, disconnected) -> None:
 def _cohort_on(features, subject_ids, labels) -> LabeledCohort:
     """The cohort over the buffer's ``(subject, 3*feature)`` view."""
     n_subjects, n_measures, width = features.shape
-    return LabeledCohort._on_matrix(
+    return LabeledCohort(
         subject_ids, labels, features.reshape(n_subjects, n_measures * width)
     )
 
@@ -234,102 +219,6 @@ def _read_subject(subject_id, matrix_path) -> ConnectivityMatrix:
     return validate_matrix(raw, subject_id=subject_id)
 
 
-#: Thread-count setters of the OpenBLAS builds numpy ships (2.x, 1.x) or
-#: links from the system.
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _one_blas_thread() -> None:
-    """Run the OpenBLAS this process has loaded, if any, on one thread.
-
-    A forked worker keeps the parent's BLAS thread count. With one worker
-    per core, several BLAS threads per worker made ``load_cohort`` 4-10x
-    slower than one thread each (2 cores, OpenBLAS 0.3.31). Without procfs
-    or OpenBLAS this does nothing.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {
-                line.split(maxsplit=5)[5].strip()
-                for line in maps
-                if "openblas" in line
-            }
-    except OSError:
-        return
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
-#: The per-unit function and state of a forked worker, set once by its
-#: initializer.
-_worker_task = None
-
-
-def _start_worker(work, state) -> None:
-    global _worker_task
-    _one_blas_thread()
-    _worker_task = (work, state)
-
-
-def _work_in_worker(unit):
-    work, state = _worker_task
-    return work(state, unit)
-
-
-def _ordered_map(work, state, units):
-    """Yield ``work(state, unit)`` for each of ``units``, in their order.
-
-    The units run in ``min(cores, len(units))`` forked workers, or in this
-    process when that is one or there is no ``fork``. At most two results
-    per worker are in flight, so the results held at once do not grow with
-    ``units``. The first unit to fail, in order, raises its own exception.
-    """
-    workers = min(_available_cores(), len(units))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        for unit in units:
-            yield work(state, unit)
-        return
-    # Fork, not spawn: under fork the initializer's ``state`` (the shared
-    # feature buffer among it) is inherited, not pickled; only units,
-    # results and a failing unit's exception cross processes. Unlike
-    # ``multiprocessing.Pool``, the executor raises if a worker dies
-    # instead of waiting for it forever.
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(work, state),
-    ) as pool:
-        remaining = iter(units)
-        in_flight = collections.deque(
-            pool.submit(_work_in_worker, unit)
-            for unit in itertools.islice(remaining, 2 * workers)
-        )
-        try:
-            while in_flight:
-                result = in_flight.popleft().result()
-                for unit in itertools.islice(remaining, 1):
-                    in_flight.append(pool.submit(_work_in_worker, unit))
-                yield result
-        finally:
-            for future in in_flight:
-                future.cancel()
-
-
 def _ingest_subject(state, index: int) -> None:
     """Parse, validate and extract manifest entry ``index`` into the buffer.
 
@@ -359,7 +248,7 @@ def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
     features = _feature_buffer(len(entries), first.n_nodes)
     _fill_subject(features, 0, first, first.n_nodes, disconnected)
     state = (entries, disconnected, first.n_nodes, features)
-    for _ in _ordered_map(_ingest_subject, state, range(1, len(entries))):
+    for _ in ordered_map(_ingest_subject, state, range(1, len(entries))):
         pass
     subject_ids = [entry[0] for entry in entries]
     labels = [entry[1] for entry in entries]
@@ -403,6 +292,9 @@ class SyntheticCohortConfig:
             raise ValidationError("edge_density must be within (0, 1]")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
+        for name in ("effect_size", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
 
 
 def generate_synthetic_matrices(cfg: SyntheticCohortConfig):
@@ -523,7 +415,7 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     ]
     try:
         with contextlib.closing(
-            _ordered_map(_format_rows, (matrices, prefixes), units)
+            ordered_map(_format_rows, (matrices, prefixes), units)
         ) as chunks:
             for temporary, matrix in zip(temporaries, matrices):
                 header = ["subject_id", "label"] + [
@@ -614,7 +506,7 @@ def load_feature_csvs(directory) -> LabeledCohort:
         block = matrix[:, index * width : (index + 1) * width]
         for row_index, values in enumerate(rows):
             block[row_index] = values
-    return LabeledCohort._on_matrix(subject_ids, labels, matrix)
+    return LabeledCohort(subject_ids, labels, matrix)
 
 
 def refuse_to_overwrite(path, overwrite: bool = False) -> Path:

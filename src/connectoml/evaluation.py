@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
+from ._pool import one_blas_thread
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort, measure_columns
 from .connectome import MEASURES
 from .errors import ValidationError
@@ -326,6 +327,7 @@ def check_experiment_settings(
     check_fold_minimum(k)
 
 
+@one_blas_thread()
 def run_experiment(
     cohort: LabeledCohort,
     sampler: SamplerConfig,
@@ -340,8 +342,9 @@ def run_experiment(
     The sampler runs either once on the full cohort (``dataset`` mode)
     or on each training split (``fold`` mode). Fold assignments, sampler
     draws and model initializations all derive deterministically from
-    ``seed`` and ``train_cfg.seed``, so identical inputs reproduce the
-    report bit for bit.
+    ``seed`` and ``train_cfg.seed``, and the whole run keeps OpenBLAS on
+    one thread (:mod:`connectoml._pool`), so identical inputs reproduce
+    the report bit for bit whatever the BLAS thread count around it.
     """
     check_experiment_settings(k, repetitions, seed, threshold)
     # Every sampler keeps the minority class whole, so the folds can be

@@ -292,26 +292,17 @@ def fit_fold_reference(train, test, cfg):
 def make_cohort(features, labels, ids=None):
     """Toy cohort where every measure shares the same feature matrix."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     if ids is None:
         ids = tuple(f"s{i:03d}" for i in range(features.shape[0]))
-    return LabeledCohort(
-        subject_ids=tuple(ids),
-        labels=labels,
-        features={m: features.copy() for m in MEASURES},
-    )
+    return LabeledCohort(ids, labels, np.hstack([features] * len(MEASURES)))
 
 
 def make_measure_cohort(features_by_measure, labels, ids=None):
-    """Toy cohort with distinct per-measure feature matrices."""
-    first = next(iter(features_by_measure.values()))
-    if ids is None:
-        ids = tuple(f"s{i:03d}" for i in range(np.asarray(first).shape[0]))
-    return LabeledCohort(
-        subject_ids=tuple(ids),
-        labels=np.asarray(labels),
-        features={
-            m: np.asarray(features_by_measure[m], dtype=np.float64)
-            for m in MEASURES
-        },
+    """Toy cohort with distinct per-measure feature matrices, joined in
+    measure order whatever the dict's order."""
+    matrix = np.hstack(
+        [np.asarray(features_by_measure[m], np.float64) for m in MEASURES]
     )
+    if ids is None:
+        ids = tuple(f"s{i:03d}" for i in range(matrix.shape[0]))
+    return LabeledCohort(ids, labels, matrix)

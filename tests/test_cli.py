@@ -552,12 +552,26 @@ class TestExitCodes:
         assert fits == []
         assert not (tmp_path / "r.json").exists()
 
-    def test_negative_synth_seed_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be nonnegative"),
+            (["--noise-scale", "nan"], "noise_scale must be finite"),
+            (["--noise-scale", "inf"], "noise_scale must be finite"),
+            (["--effect-size", "nan"], "effect_size must be finite"),
+            (["--effect-size", "inf"], "effect_size must be finite"),
+        ],
+        ids=["seed_negative", "noise_nan", "noise_inf", "effect_nan",
+             "effect_inf"],
+    )
+    def test_bad_synth_settings_are_two(
+        self, tmp_path, capsys, flags, message
+    ):
         capsys.readouterr()
         out = tmp_path / "cohort"
-        code = run_cli(SYNTH_ARGS + ["--seed", "-1", "--out-dir", str(out)])
+        code = run_cli(SYNTH_ARGS + flags + ["--out-dir", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["--manifest", "--features-dir"])

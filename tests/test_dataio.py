@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 from conftest import make_measure_cohort, write_feature_csvs_reference
 
+import connectoml._pool as pool
 import connectoml.cli as cli
 import connectoml.dataio as dataio
 from connectoml import (
     MEASURES,
+    LabeledCohort,
     SamplerConfig,
     TrainConfig,
     ValidationError,
@@ -190,7 +192,7 @@ def time_limit(seconds):
 def ingest(monkeypatch, workers, manifest, disconnected="max_finite"):
     """load_cohort with the core count forced to ``workers``; returns the
     cohort, or the exception it raised."""
-    monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+    monkeypatch.setattr(pool, "available_cores", lambda: workers)
     try:
         with time_limit(60):
             return load_cohort(manifest, disconnected=disconnected)
@@ -247,7 +249,7 @@ class TestParallelIngest:
         manifest = materialize_cohort(ids, labels, matrices, tmp_path / "c")
         written = {}
         for workers in (1, 2):
-            monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+            monkeypatch.setattr(pool, "available_cores", lambda: workers)
             out = tmp_path / f"features{workers}"
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(
@@ -397,16 +399,15 @@ def assert_one_matrix(cohort):
 
 
 class TestOneFeatureMatrix:
-    def test_constructed_cohort_joins_the_measures_once(self):
+    def test_constructed_cohort_keeps_a_view_of_its_matrix(self):
         rng = np.random.default_rng(3)
-        blocks = {m: rng.normal(size=(6, 4)) for m in MEASURES}
-        cohort = make_measure_cohort(blocks, [0, 1] * 3)
+        matrix = rng.normal(size=(6, 12))
+        cohort = LabeledCohort(tuple("abcdef"), [0, 1] * 3, matrix)
         assert_one_matrix(cohort)
-        assert np.array_equal(
-            cohort.fused(), np.hstack([blocks[m] for m in MEASURES])
-        )
-        for measure in MEASURES:
-            assert not np.shares_memory(cohort.fused(), blocks[measure])
+        assert np.shares_memory(cohort.fused(), matrix)
+        assert np.array_equal(cohort.fused(), matrix)
+        # The caller's array stays writable; only the cohort's view is not.
+        assert matrix.flags.writeable
 
     def test_subset_is_one_gather_of_the_rows(self):
         cfg = SyntheticCohortConfig(n_nodes=8, n_hc=5, n_mci=6, seed=3)
@@ -517,6 +518,12 @@ class TestSyntheticCohort:
             SyntheticCohortConfig(affected_edge_fraction=1.5)
         with pytest.raises(ValidationError):
             SyntheticCohortConfig(noise_scale=0.0)
+        for field in ("effect_size", "noise_scale"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(
+                    ValidationError, match=f"^{field} must be finite$"
+                ):
+                    SyntheticCohortConfig(**{field: value})
 
     def test_materialized_cohort_reloads_identically(self, tmp_path):
         cfg = SyntheticCohortConfig(n_nodes=12, n_hc=4, n_mci=5, seed=11)
@@ -780,7 +787,7 @@ class TestParallelWriter:
     ):
         cohort = build(tmp_path)
         expected = write_feature_csvs_reference(cohort, tmp_path / "old")
-        monkeypatch.setattr(dataio, "_available_cores", lambda: workers)
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
         with time_limit(60):
             written = write_feature_csvs(cohort, tmp_path / "new")
         assert [path.name for path in written] == [
@@ -802,7 +809,7 @@ class TestParallelWriter:
             return original(state, unit)
 
         monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
-        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
+        monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(cohort, tmp_path)
 
@@ -822,7 +829,7 @@ class TestParallelWriter:
             return original(state, unit)
 
         monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
-        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
+        monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(many_units_cohort(tmp_path), store)
         after = {path.name: path.read_bytes() for path in store.iterdir()}
@@ -842,9 +849,9 @@ class TestParallelWriter:
                 submitted.append(args)
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(dataio, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(dataio, "_available_cores", lambda: 2)
-        results = dataio._ordered_map(
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(pool, "available_cores", lambda: 2)
+        results = pool.ordered_map(
             lambda offset, unit: unit + offset, 100, range(20)
         )
         with time_limit(60):

@@ -242,34 +242,6 @@ class TestSoftVote:
         for measure, p in zip(MEASURES, (0.2, 0.4, 0.9)):
             np.testing.assert_allclose(scores[measure], p, rtol=1e-12)
 
-    def test_missing_measure_rejected(self):
-        # Every subject carries all three measures: the cohort, the only
-        # input of the fold path, refuses to exist otherwise.
-        with pytest.raises(ValidationError, match="missing measures"):
-            LabeledCohort(
-                subject_ids=("a", "b"),
-                labels=[0, 1],
-                features={MEASURES[0]: np.zeros((2, 3))},
-            )
-
-    @pytest.mark.parametrize(
-        "rename, extra",
-        [({"weights": "weigths"}, {}), ({}, {"fused": np.zeros((2, 9))})],
-        ids=["misspelled", "extra"],
-    )
-    def test_unknown_feature_key_rejected(self, rename, extra):
-        # A misspelled or extra matrix is named, not silently dropped.
-        features = {rename.get(m, m): np.zeros((2, 3)) for m in MEASURES}
-        features.update(extra)
-        (unknown,) = set(rename.values()) | set(extra)
-        with pytest.raises(ValidationError) as excinfo:
-            LabeledCohort(
-                subject_ids=("a", "b"), labels=[0, 1], features=features
-            )
-        assert str(excinfo.value) == (
-            f"unknown feature keys in cohort: [{unknown!r}]"
-        )
-
     def test_vote_stays_inside_unit_interval(self):
         rng = np.random.default_rng(6)
         cohort = separable_cohort(rng, n_per_class=10)
@@ -299,18 +271,10 @@ class TestFuseFeatures:
         labels = np.array([0, 1] * 6)
         shifts = {"communicability": 30.0, "weights": 10.0,
                   "shortest_path": 20.0}
-        cohort = LabeledCohort(
-            subject_ids=tuple(f"s{i}" for i in range(12)),
-            labels=labels,
-            features={
-                m: rng.normal(size=(12, 2)) + shift
-                for m, shift in shifts.items()
-            },
-        )
-        assert np.array_equal(
-            cohort.fused(),
-            np.hstack([cohort.features[m] for m in MEASURES]),
-        )
+        blocks = {m: rng.normal(size=(12, 2)) + s for m, s in shifts.items()}
+        cohort = make_measure_cohort(blocks, labels)
+        for measure in MEASURES:
+            assert np.array_equal(cohort.features[measure], blocks[measure])
         fold = fit_fold(cohort, TrainConfig(seed=2, max_iterations=3))
         # The fold's one normalizer covers the measures in the same order.
         assert np.array_equal(
@@ -320,16 +284,18 @@ class TestFuseFeatures:
             ),
         )
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValidationError, match="same number of columns"):
-            make_measure_cohort(
-                {
-                    "weights": np.zeros((2, 2)),
-                    "shortest_path": np.zeros((2, 1)),
-                    "communicability": np.zeros((2, 1)),
-                },
-                [0, 1],
-            )
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 4), "same number of columns for every measure"),
+            ((3, 6), "one row per subject"),
+            ((6,), "one row per subject"),
+        ],
+        ids=["width_not_three_blocks", "extra_row", "one_dimensional"],
+    )
+    def test_mismatched_lengths_rejected(self, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            LabeledCohort(("a", "b"), [0, 1], np.zeros(shape))
 
 
 class TestCohortIdentity:

@@ -1,6 +1,12 @@
 """Tests for fold assignment, metrics, significance tests, and the harness."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,9 @@ from connectoml import (
     run_experiment,
     stratified_kfold,
 )
+import connectoml
+import connectoml._pool
+import connectoml.cli as cli
 import connectoml.evaluation
 
 
@@ -475,3 +484,97 @@ class TestRunExperiment:
             EvaluationReport(
                 config={}, strategies={"weights": {}}, tests={}, fold_values={}
             )
+
+
+def numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas = pytest.mark.skipif(
+    not numpy_uses_openblas(),
+    reason="numpy's BLAS is not OpenBLAS, the only BLAS that is pinned",
+)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    """``run_experiment`` runs OpenBLAS on one thread and gives the caller
+    back the count it had."""
+
+    @pytest.fixture
+    def openblas(self):
+        """The loaded OpenBLAS, set to two threads for the test."""
+        controls = connectoml._pool._loaded_openblas()
+        assert controls, "numpy uses OpenBLAS, but it was not found loaded"
+        before = [getter() for _, getter in controls]
+        for setter, _ in controls:
+            setter(2)
+        yield controls
+        for (setter, _), count in zip(controls, before):
+            setter(count)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_thread_count_is_restored(self, openblas, monkeypatch, fails):
+        def counts():
+            return [getter() for _, getter in openblas]
+
+        before = counts()
+        inside = []
+        original = connectoml.evaluation.fit_fold
+
+        def recording(train, cfg):
+            inside.append(counts())
+            if fails:
+                raise RuntimeError("fit failed")
+            return original(train, cfg)
+
+        monkeypatch.setattr(connectoml.evaluation, "fit_fold", recording)
+        cohort = quick_cohort(np.random.default_rng(6))
+        expected = pytest.raises(RuntimeError, match="fit failed")
+        with expected if fails else contextlib.nullcontext():
+            run_experiment(
+                cohort, SamplerConfig(method="none"), FAST_TRAIN,
+                k=2, repetitions=1,
+            )
+        assert inside and all(c == [1] * len(openblas) for c in inside)
+        assert counts() == before
+
+    def test_reports_do_not_depend_on_openblas_threads(self, tmp_path):
+        # A cohort whose fold values are not saturated: without the pin, 26
+        # of its 250 fold values differed between 1 and 2 threads (2 cores,
+        # OpenBLAS 0.3.31). A smaller run (3 folds, 1 repeat, 30
+        # iterations) showed no difference.
+        cohort = tmp_path / "cohort"
+        features = tmp_path / "features"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(
+                ["synth", "--out-dir", str(cohort), "--nodes", "40",
+                 "--hc", "30", "--mci", "70", "--seed", "3",
+                 "--effect-size", "0.06"]
+            ) == 0
+            assert cli.main(
+                ["extract", "--manifest", str(cohort / "manifest.csv"),
+                 "--out-dir", str(features)]
+            ) == 0
+        source = str(Path(connectoml.__file__).parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            report = tmp_path / f"report{threads}.json"
+            folds = tmp_path / f"folds{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source, env.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "connectoml.cli", "evaluate",
+                 "--features-dir", str(features),
+                 "--folds", "5", "--repeats", "2", "--seed", "0",
+                 "--out", str(report), "--dump-folds", str(folds)],
+                env=env, check=True, capture_output=True, timeout=600,
+            )
+            outputs[threads] = (report.read_bytes(), folds.read_bytes())
+        assert outputs["1"] == outputs["2"]
