@@ -33,8 +33,18 @@ the ring's products with the gradient, the slope, the line search's
 derivative, ``s.y`` and ``y.y``; ``s.s`` follows from the ring's
 coefficients. Up to rounding, L maps the iterates onto those of the
 minimizer run on F itself, while each vector has the length of v. The
-caller's ``norm`` measures gradients in the space of F too. One arithmetic
-serves every metric, the identity included.
+caller's ``norm`` measures gradients in the space of F too.
+
+M is linear, so the minimizer carries the image ``M.u`` of every vector u
+it forms instead of applying ``metric`` to it: ``M.(x + a.d) = M.x +
+a.M.d``, the ring holds ``M.s = step.M.d`` and ``M.y = M.g_new - M.g``
+next to s and y, and a direction, a combination of the rows and the
+gradient, takes its image from the same coefficients. The objective
+receives each trial point's image along with the point, and ``metric``
+runs once at the start, on the first gradient, and once per accepted
+iterate, on its gradient. Under M = I each image is its vector itself, not
+a copy, so one arithmetic serves every metric, the identity included, and
+the Euclidean minimizer keeps one ring and takes no extra pass.
 """
 
 from __future__ import annotations
@@ -56,6 +66,24 @@ _CURVATURE_GUARD = 1e-10
 def _identity(v):
     """The Euclidean metric, M = I: ``v`` itself, not a copy."""
     return v
+
+
+def _along(x, image, step, direction, direction_image):
+    """``x + step.direction`` and its image ``image + step.direction_image``.
+
+    When both images are their vectors (M = I) the point is its own image.
+    """
+    point = x + step * direction
+    if image is x and direction_image is direction:
+        return point, point
+    return point, image + step * direction_image
+
+
+def _steepest_descent(grad, mgrad):
+    """``-grad`` and its image ``-mgrad``, one vector when ``mgrad`` is
+    ``grad`` (M = I)."""
+    direction = -grad
+    return direction, direction if mgrad is grad else -mgrad
 
 
 @dataclass(frozen=True)
@@ -99,8 +127,6 @@ class LineSearchResult:
     best_step: float = 0.0
     best_fval: float = np.inf
     best_grad: np.ndarray | None = None
-    # The metric's image of ``grad``.
-    mgrad: np.ndarray | None = None
 
 
 def _cubic_minimizer(a, fa, ga, b, fb, gb):
@@ -136,19 +162,23 @@ def strong_wolfe_line_search(
     direction: np.ndarray,
     slope: float,
     initial_step: float = 1.0,
-    metric=_identity,
+    *,
+    image: np.ndarray,
+    direction_image: np.ndarray,
 ) -> LineSearchResult:
     """Find a step along ``direction`` satisfying the strong Wolfe conditions.
 
-    ``objective`` maps a point to ``(f, grad)``; ``fval`` is its value at
-    ``x`` and ``slope`` the derivative there along ``direction``, which
-    fails the search at once unless negative. Each derivative along the
-    line is ``metric(grad) . direction`` (module docstring, Coordinates and
-    metric), one ``metric`` call per evaluation, and the result carries the
-    accepted gradient's image as ``mgrad``. At most ``_MAX_EVALS`` trials
-    are made in each of the bracketing and zoom phases. Non-finite trial
-    values are treated as infinitely bad, which shrinks the bracket back
-    toward known-good steps.
+    ``objective`` maps a point and its metric image to ``(f, grad)``;
+    ``image`` and ``direction_image`` are ``M.x`` and ``M.direction``,
+    ``x`` and ``direction`` themselves under M = I. ``fval`` is the
+    value at ``x`` and ``slope`` the derivative there along ``direction``,
+    which fails the search at once unless negative. A trial point's image is
+    ``image + step.direction_image`` and its derivative along the line
+    ``grad . direction_image`` (module docstring, Coordinates and metric):
+    no trial calls the metric. At most ``_MAX_EVALS`` trials are made in
+    each of the bracketing and zoom phases. Non-finite trial values are
+    treated as infinitely bad, which shrinks the bracket back toward
+    known-good steps.
     """
     phi0, dphi0 = fval, slope
     if dphi0 >= 0.0:
@@ -158,18 +188,16 @@ def strong_wolfe_line_search(
 
     def evaluate(step):
         nonlocal best
-        f, g = objective(x + step * direction)
+        f, g = objective(*_along(x, image, step, direction, direction_image))
         f = _finite_value(f)
         if f < best[1] and np.all(np.isfinite(g)):
             best = (step, f, g)
-        mg = metric(g)
-        return f, g, mg, float(mg @ direction)
+        return f, g, float(g @ direction_image)
 
-    def result(success, step, f, g=None, mg=None):
+    def result(success, step, f, g=None):
         return LineSearchResult(
             success, step, f, g,
             best_step=best[0], best_fval=best[1], best_grad=best[2],
-            mgrad=mg,
         )
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi):
@@ -185,12 +213,12 @@ def strong_wolfe_line_search(
                 or trial > hi_b - margin
             ):
                 trial = lo + 0.5 * width
-            phi, g, mg, dphi = evaluate(trial)
+            phi, g, dphi = evaluate(trial)
             if phi > phi0 + WOLFE_C1 * trial * dphi0 or phi >= phi_lo:
                 hi, phi_hi, dphi_hi = trial, phi, dphi
             else:
                 if abs(dphi) <= -WOLFE_C2 * dphi0:
-                    return result(True, trial, phi, g, mg)
+                    return result(True, trial, phi, g)
                 if dphi * (hi - lo) >= 0.0:
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
                 lo, phi_lo, dphi_lo = trial, phi, dphi
@@ -201,13 +229,13 @@ def strong_wolfe_line_search(
     prev_step, phi_prev, dphi_prev = 0.0, phi0, dphi0
     step = min(initial_step, _MAX_STEP)
     for attempt in range(_MAX_EVALS):
-        phi, g, mg, dphi = evaluate(step)
+        phi, g, dphi = evaluate(step)
         if phi > phi0 + WOLFE_C1 * step * dphi0 or (
             attempt > 0 and phi >= phi_prev
         ):
             return zoom(prev_step, phi_prev, dphi_prev, step, phi, dphi)
         if abs(dphi) <= -WOLFE_C2 * dphi0:
-            return result(True, step, phi, g, mg)
+            return result(True, step, phi, g)
         if dphi >= 0.0:
             return zoom(step, phi, dphi, prev_step, phi_prev, dphi_prev)
         if step >= _MAX_STEP:
@@ -226,12 +254,14 @@ class _CurvatureHistory:
     read; once full, each accepted pair overwrites the oldest. ``gram`` holds
     the rows' inner products with each other and ``bg`` with the current
     gradient, both indexed like ``rows`` and taken in the minimizer's
-    metric (module docstring).
+    metric (module docstring). ``images`` holds the rows' metric images,
+    ``M.s`` and ``M.y``; under the Euclidean metric it is ``rows`` itself.
     """
 
-    def __init__(self, depth: int, size: int):
+    def __init__(self, depth: int, size: int, euclidean: bool):
         self.depth = depth
         self.rows = np.empty((2 * depth, size))
+        self.images = self.rows if euclidean else np.empty_like(self.rows)
         self.gram = np.empty((2 * depth, 2 * depth))
         self.bg = np.empty(2 * depth)
         self.clear()
@@ -243,15 +273,16 @@ class _CurvatureHistory:
         self._coef = np.zeros(0)
         self._coef_g = 1.0
 
-    def direction(self, grad):
-        """Search direction -H.g of the two-loop recursion.
+    def direction(self, grad, mgrad):
+        """Search direction -H.g of the two-loop recursion, and its image.
 
         The recursion runs on the coefficients of q over (rows, grad), whose
         inner products all come from ``gram`` and ``bg``; the direction is
-        then a single GEMV over the stored rows.
+        then a single GEMV over the stored rows, and its image, from the
+        same coefficients, one over ``images`` and ``mgrad = M.grad``.
         """
         if self.count == 0:
-            return -grad
+            return _steepest_descent(grad, mgrad)
         k = 2 * self.count
         gram, bg = self.gram[:k, :k], self.bg
         slots = [
@@ -274,21 +305,27 @@ class _CurvatureHistory:
         self._coef, self._coef_g = coef, coef_g
         direction = (-coef) @ self.rows[:k]
         direction -= coef_g * grad
-        return direction
+        if self.images is self.rows:
+            return direction, direction
+        image = (-coef) @ self.images[:k]
+        image -= coef_g * mgrad
+        return direction, image
 
-    def update(self, step, direction, grad, new_grad, mgrad, new_mgrad):
+    def update(
+        self, step, direction, mdirection, grad, new_grad, mgrad, new_mgrad
+    ):
         """Offer the pair (step * direction, new_grad - grad); move to new_grad.
 
-        ``mgrad`` and ``new_mgrad`` are ``M.grad`` and ``M.new_grad`` in the
-        minimizer's metric M, in which every inner product is taken.
-        ``direction`` must be the last one :meth:`direction` returned, or
-        ``-grad`` right after :meth:`clear`: the new s row's inner products
-        with the stored rows, and ``s.M.s``, come from its coefficients, and
-        the y row's from ``bg`` before and after the one GEMV with
-        ``new_mgrad``.
+        ``mdirection``, ``mgrad`` and ``new_mgrad`` are the images of
+        ``direction``, ``grad`` and ``new_grad`` under the minimizer's
+        metric M, in which every inner product is taken. ``direction`` must
+        be the last one :meth:`direction` returned, or ``-grad`` right after
+        :meth:`clear`: the new s row's inner products with the stored rows,
+        and ``s.M.s``, come from its coefficients, and the y row's from
+        ``bg`` before and after the one GEMV with ``new_mgrad``.
         """
         y = new_grad - grad
-        my = new_mgrad - mgrad
+        my = y if self.images is self.rows else new_mgrad - mgrad
         sy = step * float(direction @ my)
         yy = float(y @ my)
         k = 2 * self.count
@@ -312,6 +349,9 @@ class _CurvatureHistory:
             self.oldest = (self.oldest + 1) % self.depth
         np.multiply(direction, step, out=self.rows[slot])
         self.rows[slot + 1] = y
+        if self.images is not self.rows:
+            np.multiply(mdirection, step, out=self.images[slot])
+            self.images[slot + 1] = my
         k_new = 2 * self.count
         np.dot(self.rows[:k_new], new_mgrad, out=self.bg[:k_new])
         # In a full ring entries slot and slot + 1 belong to the evicted pair
@@ -333,14 +373,16 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
 
 
 def lbfgs_minimize(
-    objective, x0, cfg, norm=gradient_norm, metric=_identity
+    objective, x0, cfg, norm=gradient_norm, metric=_identity, x0_image=None
 ) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
     Parameters
     ----------
     objective : callable
-        Maps a parameter vector to ``(value, gradient)``.
+        Maps a parameter vector to ``(value, gradient)``. Under a ``metric``
+        other than the default it is called as ``objective(x, M.x)``: each
+        point comes with its image.
     x0 : array_like
         Starting point; the objective must be finite here.
     cfg
@@ -356,8 +398,11 @@ def lbfgs_minimize(
     metric : callable, optional
         ``metric(v) = M.v`` for the symmetric positive semidefinite ``M``
         of the inner product (module docstring, Coordinates and metric),
-        called once per objective evaluation. The default is the identity,
-        the Euclidean inner product.
+        called on the first gradient and on each accepted iterate's. The
+        default is the identity, the Euclidean inner product.
+    x0_image : array_like, optional
+        ``M.x0`` when the caller has it without a product; by default
+        ``metric(x0)``.
 
     Returns
     -------
@@ -370,8 +415,17 @@ def lbfgs_minimize(
     NumericalError
         If the objective or gradient is non-finite at ``x0``.
     """
+    euclidean = metric is _identity
+    if euclidean:
+
+        def evaluate(point, image):
+            return objective(point)
+
+    else:
+        evaluate = objective
     x = np.array(x0, dtype=np.float64)
-    fval, grad = objective(x)
+    image = metric(x) if x0_image is None else np.asarray(x0_image, np.float64)
+    fval, grad = evaluate(x, image)
     fval = float(fval)
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(fval) or not np.all(np.isfinite(grad)):
@@ -380,31 +434,32 @@ def lbfgs_minimize(
     mgrad = metric(grad)
     grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
-    history = _CurvatureHistory(cfg.lbfgs_history, x.size)
+    history = _CurvatureHistory(cfg.lbfgs_history, x.size, euclidean)
     line_search_failed = False
     iteration = 0
 
     while iteration < cfg.max_iterations and grad_inf > cfg.gradient_tolerance:
-        direction = history.direction(grad)
+        direction, mdirection = history.direction(grad, mgrad)
         slope = float(direction @ mgrad)
         if slope >= 0.0:
             # Stale curvature produced an ascent direction; restart from
             # steepest descent.
             history.clear()
-            direction = -grad
+            direction, mdirection = _steepest_descent(grad, mgrad)
             slope = float(direction @ mgrad)
         initial_step = 1.0
         if history.count == 0 and iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, norm(grad, 1)))
 
         search = strong_wolfe_line_search(
-            objective,
+            evaluate,
             x,
             fval,
             direction,
             slope,
             initial_step=initial_step,
-            metric=metric,
+            image=image,
+            direction_image=mdirection,
         )
         if not search.success:
             line_search_failed = True
@@ -421,12 +476,15 @@ def lbfgs_minimize(
 
         step = search.step
         new_grad = search.grad
-        history.update(step, direction, grad, new_grad, mgrad, search.mgrad)
+        new_mgrad = metric(new_grad)
+        history.update(
+            step, direction, mdirection, grad, new_grad, mgrad, new_mgrad
+        )
 
         iteration += 1
-        x = x + step * direction
+        x, image = _along(x, image, step, direction, mdirection)
         fval = float(search.fval)
-        grad, mgrad = new_grad, search.mgrad
+        grad, mgrad = new_grad, new_mgrad
         grad_inf = norm(grad, np.inf)
         trace.append(LbfgsIterate(iteration, fval, grad_inf, step))
 

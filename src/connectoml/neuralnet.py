@@ -32,8 +32,13 @@ takes the same steps as in the full space (the representer argument of
 Schoelkopf, Herbrich & Smola, COLT 2001, applied to the span of the L-BFGS
 vectors rather than the optimum), and nothing is factorized: duplicate rows
 or a rank-deficient ``x`` only leave directions of B that map to zero.
-Forming G costs n.n.d flops once; then an objective evaluation and a metric
-product each cost one (n, n) by (n, 32) product instead of n.d.32 flops.
+Forming G costs n.n.d flops once. The objective reads the first layer's
+outputs and penalty off the point's metric image, which L-BFGS carries
+along every vector it forms: ``z1 = (M.v)_B + b1`` and ``||W1||^2 =
+<v_B, (M.v)_B> + v_c.(M.v)_c``. So an evaluation forms no (n, n) by (n, 32)
+product, and the one product of each accepted iterate is the metric's, on
+its gradient; the start's image ``(P, the other layers, ||W1_0||^2)``
+needs none. The full space would spend n.d.32 flops on each.
 Convergence and the first step use norms of the full-space gradient. When
 d <= n the fit runs in the full space on :func:`loss_and_gradient`.
 
@@ -116,19 +121,30 @@ class MinMaxNormalizer:
     Transformed values are clipped to [0, 1]; features with a degenerate
     training range (max == min) map to 0. :meth:`transform` never writes
     into its input (a cohort's feature matrix is read-only): it allocates
-    its one output and scales that in place.
+    its one output and scales that in place. :meth:`transform_in_place`
+    scales rows the caller owns, such as a fresh gather of a cohort's rows,
+    over themselves, with the same operations and the same result.
     """
 
     minimum: np.ndarray
     maximum: np.ndarray
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        return self._scale(x, np.empty(np.shape(x)))
+
+    def transform_in_place(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`transform` of a writable float64 array, written over it."""
+        return self._scale(rows, rows)
+
+    def _scale(self, x, out: np.ndarray) -> np.ndarray:
+        """The scaled ``x`` in the float64 array ``out``, which may be
+        ``x`` itself."""
         span = self.maximum - self.minimum
         degenerate = ~(span > 0)
-        scaled = np.subtract(x, self.minimum, dtype=np.float64)
-        scaled /= np.where(degenerate, 1.0, span)
-        scaled[..., degenerate] = 0.0
-        return np.clip(scaled, 0.0, 1.0, out=scaled)
+        np.subtract(x, self.minimum, out=out)
+        out /= np.where(degenerate, 1.0, span)
+        out[..., degenerate] = 0.0
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _layer_shapes(input_dim: int):
@@ -342,6 +358,13 @@ class _KernelCoordinates:
         rest = flatten_parameters(init)[self.w1.size :]
         return np.concatenate([np.zeros(self.split), rest, [1.0]])
 
+    def start_image(self, start: np.ndarray) -> np.ndarray:
+        """``metric(start)`` of a :meth:`start` vector without a product:
+        B = 0 and c = 1 leave ``(P, the other layers, ||W1_0||^2)``."""
+        return np.concatenate(
+            [self.proj.ravel(), start[self.split : -1], [self.w1_norm]]
+        )
+
     def lift(self, v: np.ndarray) -> np.ndarray:
         """``v`` as a full-space vector, laid out as
         :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``."""
@@ -367,20 +390,19 @@ class _KernelCoordinates:
         )
         return out
 
-    def loss_and_gradient(self, theta: np.ndarray, y, l2_alpha: float):
+    def loss_and_gradient(
+        self, theta: np.ndarray, image: np.ndarray, y, l2_alpha: float
+    ):
         """:func:`loss_and_gradient` at ``lift(theta)``, with the gradient's
         representer in these coordinates: ``lift`` of it is the full-space
-        gradient."""
+        gradient. ``image`` is ``metric(theta)``; the first layer's outputs
+        and penalty come from it, with no product."""
         n = self.gram.shape[0]
         params = unflatten_parameters(theta[:-1], n)
         block, c = params.layer_weights[0], theta[-1]
-        products = self.gram @ block
-        z1 = c * self.proj + products + params.layer_biases[0]
-        first_norm = (
-            c * c * self.w1_norm
-            + 2.0 * c * float(np.dot(self.proj.ravel(), block.ravel()))
-            + float(np.dot(block.ravel(), products.ravel()))
-        )
+        first = image[: self.split]
+        z1 = first.reshape(block.shape) + params.layer_biases[0]
+        first_norm = float(np.dot(block.ravel(), first)) + c * image[-1]
         grad = np.empty(theta.size)
         views = unflatten_parameters(grad[:-1], n)
         value, dz1 = _upper_loss_and_backward(
@@ -435,12 +457,16 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpParameters:
                     return bound
             return gradient_norm(coords.lift(grad), order)
 
+        start = coords.start(init)
         result = lbfgs_minimize(
-            lambda theta: coords.loss_and_gradient(theta, y, alpha),
-            coords.start(init),
+            lambda theta, image: coords.loss_and_gradient(
+                theta, image, y, alpha
+            ),
+            start,
             cfg,
             norm=full_norm,
             metric=coords.metric,
+            x0_image=coords.start_image(start),
         )
         parameters = coords.lift(result.x)
     return unflatten_parameters(parameters, input_dim)

@@ -195,13 +195,16 @@ def instance_hardness_threshold(
         member_cfg = replace(
             train_cfg, seed=derive_seed(train_cfg.seed, fold.fold)
         )
+        # Each gather is a fresh copy, scaled over itself.
         rows = fused[fold.train_indices]
         normalizer = fit_normalizer(rows)
         model = train_classifier(
-            normalizer.transform(rows), labels[fold.train_indices], member_cfg
+            normalizer.transform_in_place(rows),
+            labels[fold.train_indices],
+            member_cfg,
         )
         out_of_fold[fold.test_indices] = predict_proba(
-            model, normalizer.transform(fused[fold.test_indices])
+            model, normalizer.transform_in_place(fused[fold.test_indices])
         )
 
     correct_class = np.where(labels == 1, out_of_fold, 1.0 - out_of_fold)

@@ -24,6 +24,22 @@ def rosenbrock(x):
     return f, g
 
 
+def euclidean(objective):
+    """``objective`` as the line search calls it, with each point's image
+    under M = I, the point itself."""
+    return lambda x, image: objective(x)
+
+
+def rosenbrock_chain(z):
+    """Chained Rosenbrock function of ``z`` and its gradient."""
+    head, tail = z[:-1], z[1:]
+    value = float(np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2))
+    grad = np.zeros_like(z)
+    grad[:-1] += -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+    grad[1:] += 200.0 * (tail - head**2)
+    return value, grad
+
+
 def quadratic(center):
     center = np.asarray(center, dtype=np.float64)
 
@@ -56,7 +72,8 @@ class TestLineSearch:
                 continue
             dphi0 = float(grad @ direction)
             result = strong_wolfe_line_search(
-                objective, x, fval, direction, dphi0
+                euclidean(objective), x, fval, direction, dphi0,
+                image=x, direction_image=direction,
             )
             assert result.success
             assert result.fval <= fval + WOLFE_C1 * result.step * dphi0 + 1e-15
@@ -67,7 +84,8 @@ class TestLineSearch:
         x = np.array([1.0, 1.0])
         fval, grad = objective(x)
         result = strong_wolfe_line_search(
-            objective, x, fval, grad, float(grad @ grad)
+            euclidean(objective), x, fval, grad, float(grad @ grad),
+            image=x, direction_image=grad,
         )
         assert not result.success
 
@@ -80,7 +98,8 @@ class TestLineSearch:
         x = np.array([1.5])
         fval, grad = objective(x)
         result = strong_wolfe_line_search(
-            objective, x, fval, -grad, float(grad @ -grad), initial_step=10.0
+            euclidean(objective), x, fval, -grad, float(grad @ -grad),
+            initial_step=10.0, image=x, direction_image=-grad,
         )
         assert result.success
         assert abs(x[0] - result.step * grad[0]) <= 2.0
@@ -188,7 +207,7 @@ class TestLbfgs:
         search = lbfgs.strong_wolfe_line_search
 
         def recording(objective, x, fval, direction, slope, **kwargs):
-            grad = objective(x)[1]
+            grad = objective(x, kwargs["image"])[1]
             slopes.append((slope, float(grad @ direction)))
             return search(objective, x, fval, direction, slope, **kwargs)
 
@@ -196,7 +215,9 @@ class TestLbfgs:
         if ascent:
             # Every direction is uphill, so every iteration restarts.
             monkeypatch.setattr(
-                lbfgs._CurvatureHistory, "direction", lambda self, g: g.copy()
+                lbfgs._CurvatureHistory,
+                "direction",
+                lambda self, g, mg: (g.copy(), mg.copy()),
             )
         cfg = TrainConfig(max_iterations=8, gradient_tolerance=1e-300)
         lbfgs_minimize(objective, rng.normal(size=size), cfg)
@@ -205,33 +226,21 @@ class TestLbfgs:
 
     @pytest.mark.parametrize("start", [0, 1, 2])
     def test_metric_coordinates_take_the_full_space_steps(self, start):
-        # F(x) = rosenbrock-like f(A^T.x) has every gradient in the range of
-        # A, so from x0 = A.v0 the full-space iterates are A.v_k for the
-        # iterates v_k of the minimizer on v -> F(A.v) with gradient
+        # F(x) = f(A^T.x), f the Rosenbrock chain, has every gradient in
+        # the range of A, so from x0 = A.v0 the full-space iterates are A.v_k
+        # for the iterates v_k of the minimizer on v -> F(A.v) with gradient
         # representer grad f(A^T.A.v) under the metric A^T.A.
         rng = np.random.default_rng(start)
         mapping = rng.normal(size=(9, 4))
         gram = mapping.T @ mapping
 
-        def f(z):
-            value = sum(
-                100.0 * (z[i + 1] - z[i] ** 2) ** 2 + (1.0 - z[i]) ** 2
-                for i in range(z.size - 1)
-            )
-            grad = np.zeros_like(z)
-            for i in range(z.size - 1):
-                grad[i] += -400.0 * z[i] * (z[i + 1] - z[i] ** 2) - 2.0 * (
-                    1.0 - z[i]
-                )
-                grad[i + 1] += 200.0 * (z[i + 1] - z[i] ** 2)
-            return float(value), grad
-
         def full(x):
-            value, grad = f(mapping.T @ x)
+            value, grad = rosenbrock_chain(mapping.T @ x)
             return value, mapping @ grad
 
-        def in_coordinates(v):
-            return f(gram @ v)
+        def in_coordinates(v, image):
+            # The image of v is A^T.A.v, the point f is evaluated at.
+            return rosenbrock_chain(image)
 
         v0 = 0.1 * rng.normal(size=4)
         cfg = TrainConfig(max_iterations=30, gradient_tolerance=1e-300)
@@ -249,6 +258,35 @@ class TestLbfgs:
             assert ours.step == pytest.approx(theirs.step, rel=1e-9)
         np.testing.assert_allclose(mapping @ got.x, expected.x, rtol=1e-8)
 
+    def test_carried_images_stay_the_metric_images(self):
+        # The minimizer never applies the metric to a point: each image is
+        # carried along the steps. Over 200 iterations of a 30-link
+        # Rosenbrock chain in mapped coordinates, every image the objective
+        # receives must still be metric(x) to 1e-12 relative.
+        rng = np.random.default_rng(0)
+        mapping = rng.normal(size=(63, 30))
+        gram = mapping.T @ mapping
+        calls = []
+
+        def in_coordinates(v, image):
+            exact = gram @ v
+            error = np.linalg.norm(image - exact)
+            assert error <= 1e-12 * np.linalg.norm(exact)
+            calls.append(1)
+            return rosenbrock_chain(image)
+
+        v0 = np.linalg.solve(gram, np.tile([-1.2, 1.0], 15))
+        cfg = TrainConfig(max_iterations=200, gradient_tolerance=1e-300)
+        result = lbfgs_minimize(
+            in_coordinates,
+            v0,
+            cfg,
+            norm=lambda g, order: lbfgs.gradient_norm(mapping @ g, order),
+            metric=lambda v: gram @ v,
+        )
+        assert result.iterations == 200
+        assert len(calls) > 200
+
     def test_identity_metric_takes_the_euclidean_steps_bit_for_bit(self):
         cfg = TrainConfig(max_iterations=40, gradient_tolerance=1e-12)
         plain = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
@@ -259,7 +297,7 @@ class TestLbfgs:
             return v.copy()
 
         metric = lbfgs_minimize(
-            rosenbrock, np.array([-1.2, 1.0]), cfg, metric=identity
+            euclidean(rosenbrock), np.array([-1.2, 1.0]), cfg, metric=identity
         )
         assert np.array_equal(plain.x, metric.x)
         assert [it.fval for it in plain.trace] == [
@@ -284,23 +322,36 @@ def drive_history(
     With an injective ``mapping`` A the history works under the metric
     M = A^T.A: accepted pairs have M.y = C s + noise instead, and the
     direction yielded is A.direction, the oracle's that of the A-mapped
-    gradients and pairs.
+    gradients and pairs. The history's image of each direction must be
+    M.direction; without a mapping it must be the direction itself, and the
+    history must keep a single ring.
     """
     rng = np.random.default_rng(seed)
     curvature = rng.uniform(0.5, 2.0, size)
-    history = _CurvatureHistory(depth, size)
+    history = _CurvatureHistory(depth, size, euclidean=mapping is None)
     metric = None if mapping is None else mapping.T @ mapping
 
     def image(v):
         return v if mapping is None else mapping @ v
 
-    for array in (history.rows, history.gram, history.bg):
+    def metric_image(v):
+        return v if metric is None else metric @ v
+
+    if metric is None:
+        assert history.images is history.rows
+    for array in (history.rows, history.images, history.gram, history.bg):
         array.fill(np.nan)
     s_list, y_list, rho_list = [], [], []
     accepted = 0
     grad = rng.normal(size=size)
     for k in range(n_steps):
-        direction = history.direction(grad)
+        direction, mdirection = history.direction(grad, metric_image(grad))
+        if metric is None:
+            assert mdirection is direction
+        else:
+            expected_image = metric @ direction
+            error = np.linalg.norm(mdirection - expected_image)
+            assert error <= 1e-12 * np.linalg.norm(expected_image)
         yield history.count, accepted, image(direction), two_loop_direction(
             image(grad), s_list, y_list, rho_list
         )
@@ -311,6 +362,7 @@ def drive_history(
             rho_list.clear()
             accepted = 0
             direction = -grad
+            mdirection = metric_image(direction)
         step = rng.uniform(0.2, 1.5)
         s = step * direction
         if k in reject_at:
@@ -321,13 +373,10 @@ def drive_history(
             if metric is not None:
                 y = np.linalg.solve(metric, y)
         new_grad = grad + y
-        if metric is None:
-            history.update(step, direction, grad, new_grad, grad, new_grad)
-        else:
-            history.update(
-                step, direction, grad, new_grad,
-                metric @ grad, metric @ new_grad,
-            )
+        history.update(
+            step, direction, mdirection, grad, new_grad,
+            metric_image(grad), metric_image(new_grad),
+        )
         if k not in reject_at:
             accepted += 1
             s, y = image(s), image(new_grad - grad)

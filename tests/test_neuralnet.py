@@ -343,6 +343,12 @@ class TestNormalizer:
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
         assert not np.shares_memory(got, x)
+        # A fresh gather scaled over itself gets the same bits.
+        gathered = x[np.arange(x.shape[0])]
+        in_place = norm.transform_in_place(gathered)
+        assert in_place is gathered
+        assert np.array_equal(in_place, expected)
+        assert np.array_equal(np.signbit(in_place), np.signbit(expected))
 
     def test_transform_of_a_strided_view_leaves_it_unwritten(self):
         # A cohort hands each measure as a read-only column block of its
@@ -533,6 +539,7 @@ class TestRowSpaceFit:
         coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
         start = coords.start(init)
         assert np.array_equal(coords.lift(start), flatten_parameters(init))
+        assert np.array_equal(coords.start_image(start), coords.metric(start))
         rng = np.random.default_rng(x.size)
         for _ in range(3):
             u, v = rng.normal(size=(2, start.size))
@@ -544,6 +551,30 @@ class TestRowSpaceFit:
             np.testing.assert_array_equal(
                 coords.metric(u)[coords.split : -1], u[coords.split : -1]
             )
+
+    @pytest.mark.parametrize("max_iterations", [1, 15, 60])
+    def test_metric_runs_once_per_iterate_and_at_the_start(
+        self, monkeypatch, max_iterations
+    ):
+        # The objective reads each trial point's carried image, so the
+        # metric's Gram product runs only on the first gradient and on each
+        # accepted iterate's.
+        xs, ys, _ = row_space_problem(seed=9, n=40, d=300)
+        calls = []
+        metric = neuralnet._KernelCoordinates.metric
+
+        def counting_metric(self, v):
+            calls.append(1)
+            return metric(self, v)
+
+        monkeypatch.setattr(
+            neuralnet._KernelCoordinates, "metric", counting_metric
+        )
+        cfg = TrainConfig(seed=2, max_iterations=max_iterations)
+        _, outcome = fit_with_outcome(monkeypatch, xs, ys, cfg)
+        assert not outcome.line_search_failed
+        assert outcome.iterations == max_iterations
+        assert len(calls) == outcome.iterations + 1
 
     def test_lift_equals_the_concatenated_form(self):
         # The paper's single-measure fit size: 105 rows, 7,140 inputs.
@@ -571,7 +602,9 @@ class TestRowSpaceFit:
         rng = np.random.default_rng(d)
         theta = coords.start(init)
         for point in range(3):
-            value, grad = coords.loss_and_gradient(theta, ys, 1e-2)
+            value, grad = coords.loss_and_gradient(
+                theta, coords.metric(theta), ys, 1e-2
+            )
             full_value, full_grad = loss_and_gradient(
                 unflatten_parameters(coords.lift(theta), d), x, ys, 1e-2
             )
