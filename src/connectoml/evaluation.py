@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -405,6 +405,16 @@ def run_experiment(
                 rows.append({"a": first, "b": second, "u": u, "p": p})
         tests[metric] = rows
 
+    sampler_config = {
+        "method": sampler.method,
+        "mode": sampler.mode,
+        "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
+        "seed": seed,
+        "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
+        "distance_space": "minmax_fused",
+    }
+    if sampler.leaks:
+        sampler_config["leakage"] = True
     config = {
         "n_subjects": working.size,
         "class_counts": working.class_counts(),
@@ -412,21 +422,8 @@ def run_experiment(
         "repetitions": repetitions,
         "seed": seed,
         "threshold": threshold,
-        "sampler": {
-            "method": sampler.method,
-            "mode": sampler.mode,
-            "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
-            "seed": seed,
-            "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
-            "distance_space": "minmax_fused",
-        },
-        "train": {
-            "l2_alpha": train_cfg.l2_alpha,
-            "lbfgs_history": train_cfg.lbfgs_history,
-            "max_iterations": train_cfg.max_iterations,
-            "gradient_tolerance": train_cfg.gradient_tolerance,
-            "seed": train_cfg.seed,
-        },
+        "sampler": sampler_config,
+        "train": asdict(train_cfg),
         "auc_mode": "per_fold",
         "significance_sample_unit": "fold",
     }

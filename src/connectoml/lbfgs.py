@@ -22,16 +22,15 @@ cubic interpolation that enforces the strong Wolfe conditions
 with c1 = 1e-4 and c2 = 0.9. Every accepted iterate therefore strictly
 decreases the objective.
 
-Coordinates and metric. Every inner product is taken in a metric M,
-given as ``metric(v) = M.v``; the default is the identity, M = I, which
-returns its argument and makes the minimizer the Euclidean one. A caller
-minimizing F over coordinates v of a linear map L (the point is ``L.v``)
-passes ``M = L^T.L`` and an objective that returns ``F(L.v)`` and a
-gradient representer g with ``L.g = grad F(L.v)``. Each inner product the
-minimizer takes, ``(L.u).(L.g)`` in the space of F, is then ``u.(M.g)``:
-the ring's products with the gradient, the slope, the line search's
-derivative, ``s.y`` and ``y.y``; ``s.s`` follows from the ring's
-coefficients. Up to rounding, L maps the iterates onto those of the
+Coordinates and metric. Every inner product is taken in a metric M, given
+as ``metric(v) = M.v``; by default M = I, and the minimizer is the
+Euclidean one. A caller minimizing F over coordinates v of a linear map L
+(the point is ``L.v``) passes ``M = L^T.L`` and an objective that returns
+``F(L.v)`` and a gradient representer g with ``L.g = grad F(L.v)``. Each
+inner product the minimizer takes, ``(L.u).(L.g)`` in the space of F, is
+then ``u.(M.g)``: the ring's products with the gradient, the slope, the
+line search's derivative, ``s.y`` and ``y.y``; ``s.s`` follows from the
+ring's coefficients. Up to rounding, L maps the iterates onto those of the
 minimizer run on F itself, while each vector has the length of v. The
 caller's ``norm`` measures gradients in the space of F too.
 
@@ -42,9 +41,8 @@ next to s and y, and a direction, a combination of the rows and the
 gradient, takes its image from the same coefficients. The objective
 receives each trial point's image along with the point, and ``metric``
 runs once at the start, on the first gradient, and once per accepted
-iterate, on its gradient. Under M = I each image is its vector itself, not
-a copy, so one arithmetic serves every metric, the identity included, and
-the Euclidean minimizer keeps one ring and takes no extra pass.
+iterate, on its gradient. One arithmetic serves every metric, the identity
+included.
 """
 
 from __future__ import annotations
@@ -64,26 +62,14 @@ _CURVATURE_GUARD = 1e-10
 
 
 def _identity(v):
-    """The Euclidean metric, M = I: ``v`` itself, not a copy."""
+    """The Euclidean metric, M = I."""
     return v
 
 
 def _along(x, image, step, direction, direction_image):
-    """``x + step.direction`` and its image ``image + step.direction_image``.
-
-    When both images are their vectors (M = I) the point is its own image.
-    """
-    point = x + step * direction
-    if image is x and direction_image is direction:
-        return point, point
-    return point, image + step * direction_image
-
-
-def _steepest_descent(grad, mgrad):
-    """``-grad`` and its image ``-mgrad``, one vector when ``mgrad`` is
-    ``grad`` (M = I)."""
-    direction = -grad
-    return direction, direction if mgrad is grad else -mgrad
+    """``x + step.direction`` and its image, ``image +
+    step.direction_image``."""
+    return x + step * direction, image + step * direction_image
 
 
 @dataclass(frozen=True)
@@ -169,16 +155,15 @@ def strong_wolfe_line_search(
     """Find a step along ``direction`` satisfying the strong Wolfe conditions.
 
     ``objective`` maps a point and its metric image to ``(f, grad)``;
-    ``image`` and ``direction_image`` are ``M.x`` and ``M.direction``,
-    ``x`` and ``direction`` themselves under M = I. ``fval`` is the
-    value at ``x`` and ``slope`` the derivative there along ``direction``,
-    which fails the search at once unless negative. A trial point's image is
-    ``image + step.direction_image`` and its derivative along the line
-    ``grad . direction_image`` (module docstring, Coordinates and metric):
-    no trial calls the metric. At most ``_MAX_EVALS`` trials are made in
-    each of the bracketing and zoom phases. Non-finite trial values are
-    treated as infinitely bad, which shrinks the bracket back toward
-    known-good steps.
+    ``image`` and ``direction_image`` are ``M.x`` and ``M.direction``.
+    ``fval`` is the value at ``x`` and ``slope`` the derivative there along
+    ``direction``, which fails the search at once unless negative. A trial
+    point's image is ``image + step.direction_image`` and its derivative
+    along the line ``grad . direction_image`` (module docstring,
+    Coordinates and metric): no trial calls the metric. At most
+    ``_MAX_EVALS`` trials are made in each of the bracketing and zoom
+    phases. Non-finite trial values are treated as infinitely bad, which
+    shrinks the bracket back toward known-good steps.
     """
     phi0, dphi0 = fval, slope
     if dphi0 >= 0.0:
@@ -255,13 +240,13 @@ class _CurvatureHistory:
     the rows' inner products with each other and ``bg`` with the current
     gradient, both indexed like ``rows`` and taken in the minimizer's
     metric (module docstring). ``images`` holds the rows' metric images,
-    ``M.s`` and ``M.y``; under the Euclidean metric it is ``rows`` itself.
+    ``M.s`` and ``M.y``, in the same slots.
     """
 
-    def __init__(self, depth: int, size: int, euclidean: bool):
+    def __init__(self, depth: int, size: int):
         self.depth = depth
         self.rows = np.empty((2 * depth, size))
-        self.images = self.rows if euclidean else np.empty_like(self.rows)
+        self.images = np.empty_like(self.rows)
         self.gram = np.empty((2 * depth, 2 * depth))
         self.bg = np.empty(2 * depth)
         self.clear()
@@ -282,7 +267,7 @@ class _CurvatureHistory:
         same coefficients, one over ``images`` and ``mgrad = M.grad``.
         """
         if self.count == 0:
-            return _steepest_descent(grad, mgrad)
+            return -grad, -mgrad
         k = 2 * self.count
         gram, bg = self.gram[:k, :k], self.bg
         slots = [
@@ -305,8 +290,6 @@ class _CurvatureHistory:
         self._coef, self._coef_g = coef, coef_g
         direction = (-coef) @ self.rows[:k]
         direction -= coef_g * grad
-        if self.images is self.rows:
-            return direction, direction
         image = (-coef) @ self.images[:k]
         image -= coef_g * mgrad
         return direction, image
@@ -325,7 +308,7 @@ class _CurvatureHistory:
         ``bg`` before and after the one GEMV with ``new_mgrad``.
         """
         y = new_grad - grad
-        my = y if self.images is self.rows else new_mgrad - mgrad
+        my = new_mgrad - mgrad
         sy = step * float(direction @ my)
         yy = float(y @ my)
         k = 2 * self.count
@@ -349,9 +332,8 @@ class _CurvatureHistory:
             self.oldest = (self.oldest + 1) % self.depth
         np.multiply(direction, step, out=self.rows[slot])
         self.rows[slot + 1] = y
-        if self.images is not self.rows:
-            np.multiply(mdirection, step, out=self.images[slot])
-            self.images[slot + 1] = my
+        np.multiply(mdirection, step, out=self.images[slot])
+        self.images[slot + 1] = my
         k_new = 2 * self.count
         np.dot(self.rows[:k_new], new_mgrad, out=self.bg[:k_new])
         # In a full ring entries slot and slot + 1 belong to the evicted pair
@@ -373,16 +355,16 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
 
 
 def lbfgs_minimize(
-    objective, x0, cfg, norm=gradient_norm, metric=_identity, x0_image=None
+    objective, x0, cfg, norm=gradient_norm, metric=None, x0_image=None
 ) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
     Parameters
     ----------
     objective : callable
-        Maps a parameter vector to ``(value, gradient)``. Under a ``metric``
-        other than the default it is called as ``objective(x, M.x)``: each
-        point comes with its image.
+        Maps a parameter vector to ``(value, gradient)``. When a ``metric``
+        is given it is called as ``objective(x, M.x)``: each point comes
+        with its image.
     x0 : array_like
         Starting point; the objective must be finite here.
     cfg
@@ -398,8 +380,9 @@ def lbfgs_minimize(
     metric : callable, optional
         ``metric(v) = M.v`` for the symmetric positive semidefinite ``M``
         of the inner product (module docstring, Coordinates and metric),
-        called on the first gradient and on each accepted iterate's. The
-        default is the identity, the Euclidean inner product.
+        called on the first gradient and on each accepted iterate's. By
+        default M = I, the Euclidean inner product, and the objective takes
+        the point alone.
     x0_image : array_like, optional
         ``M.x0`` when the caller has it without a product; by default
         ``metric(x0)``.
@@ -415,17 +398,14 @@ def lbfgs_minimize(
     NumericalError
         If the objective or gradient is non-finite at ``x0``.
     """
-    euclidean = metric is _identity
-    if euclidean:
-
-        def evaluate(point, image):
-            return objective(point)
-
-    else:
-        evaluate = objective
+    if metric is None:
+        return lbfgs_minimize(
+            lambda point, image: objective(point), x0, cfg, norm, _identity,
+            x0_image,
+        )
     x = np.array(x0, dtype=np.float64)
     image = metric(x) if x0_image is None else np.asarray(x0_image, np.float64)
-    fval, grad = evaluate(x, image)
+    fval, grad = objective(x, image)
     fval = float(fval)
     grad = np.asarray(grad, dtype=np.float64)
     if not np.isfinite(fval) or not np.all(np.isfinite(grad)):
@@ -434,7 +414,7 @@ def lbfgs_minimize(
     mgrad = metric(grad)
     grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
-    history = _CurvatureHistory(cfg.lbfgs_history, x.size, euclidean)
+    history = _CurvatureHistory(cfg.lbfgs_history, x.size)
     line_search_failed = False
     iteration = 0
 
@@ -445,14 +425,14 @@ def lbfgs_minimize(
             # Stale curvature produced an ascent direction; restart from
             # steepest descent.
             history.clear()
-            direction, mdirection = _steepest_descent(grad, mgrad)
+            direction, mdirection = -grad, -mgrad
             slope = float(direction @ mgrad)
         initial_step = 1.0
         if history.count == 0 and iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, norm(grad, 1)))
 
         search = strong_wolfe_line_search(
-            evaluate,
+            objective,
             x,
             fval,
             direction,

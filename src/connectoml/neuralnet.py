@@ -12,16 +12,16 @@ stays finite; the clip is inactive anywhere gradients matter. The network
 trains on and scores the rows as given; its callers scale them with a
 :class:`MinMaxNormalizer` fitted on the training rows only.
 
-Kernel coordinates. A fit often has far more inputs d than rows n (7,140
-per measure and 21,420 fused at 120 nodes, against ~105 rows). The
+Kernel coordinates. A fit usually has far more inputs d than rows n
+(7,140 per measure and 21,420 fused at 120 nodes, against ~105 rows). The
 first-layer weight gradient is ``x^T.dz1 + 2a.W1``, so by induction every
 vector L-BFGS forms (iterates, gradients, steps, curvature pairs, trial
 points) has a first-layer block ``c.W1_0 + x^T.B``, c a scalar and B an
-(n, 32) matrix. When d > n, :func:`train_classifier` runs L-BFGS on the
-coordinates (B, the other layers, c) of that subspace, starting from B = 0
-and c = 1 (:class:`_KernelCoordinates`). With ``G = x.x^T`` and
-``P = x.W1_0``, both formed once per fit, the first layer's outputs are
-``c.P + G.B + b1``, its penalty is
+(n, 32) matrix. :func:`train_classifier` runs L-BFGS on the coordinates
+(B, the other layers, c) of that subspace, starting from B = 0 and c = 1
+(:class:`_KernelCoordinates`), whatever the shape of ``x``. With
+``G = x.x^T`` and ``P = x.W1_0``, both formed once per fit, the first
+layer's outputs are ``c.P + G.B + b1``, its penalty is
 ``a.(c^2.||W1_0||^2 + 2c.<P, B> + <B, G.B>)``, and the representer of the
 full-space gradient is ``(dz1 + 2a.B, the other layers, 2a.c)``. L-BFGS
 measures these vectors in the full-space inner product, through the
@@ -39,8 +39,12 @@ along every vector it forms: ``z1 = (M.v)_B + b1`` and ``||W1||^2 =
 product, and the one product of each accepted iterate is the metric's, on
 its gradient; the start's image ``(P, the other layers, ||W1_0||^2)``
 needs none. The full space would spend n.d.32 flops on each.
-Convergence and the first step use norms of the full-space gradient. When
-d <= n the fit runs in the full space on :func:`loss_and_gradient`.
+Convergence and the first step use norms of the full-space gradient.
+When d < n, G is rank-deficient, which only adds directions of B that
+map to zero, and the coordinates outnumber the parameters: with d well
+below n such a fit costs more than a full-space fit would (README,
+Layout). :func:`loss_and_gradient` is the full-space objective, the
+reference that the kernel form reproduces.
 
 Trust boundary: the objectives, :func:`loss_and_gradient` and its kernel
 form, check nothing; they expect float64 ``x`` of shape (n, input_dim),
@@ -423,50 +427,36 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpParameters:
     unless ``xs`` is a nonempty 2-D matrix, ``ys`` has one 0/1 label per
     row, and both classes are present.
 
-    When d <= n the optimizer's vector is :func:`flatten_parameters` of the
-    model and the objective :func:`loss_and_gradient`. When d > n it is the
-    model in :class:`_KernelCoordinates`, minimized under their metric; the
-    full first-layer gradient, needed for the stopping norms, is formed
-    only when the other layers' gradient does not already exceed the
-    tolerance.
+    The optimizer's vector is the model in :class:`_KernelCoordinates`,
+    minimized under their metric, for every shape of ``xs``; in exact
+    arithmetic it takes the steps of the full-space fit on the reference
+    objective :func:`loss_and_gradient`. The full first-layer gradient,
+    needed for the stopping norms, is formed only when the other layers'
+    gradient does not already exceed the tolerance.
     """
     x, y = _validate_dataset(xs, ys)
     if np.unique(y).size < 2:
         raise ValidationError("training set contains a single class")
-    n, input_dim = x.shape
-    init = init_parameters(input_dim, cfg.seed)
-    alpha = cfg.l2_alpha
+    init = init_parameters(x.shape[1], cfg.seed)
+    coords = _KernelCoordinates(x, init.layer_weights[0])
 
-    if input_dim <= n:
+    def full_norm(grad, order):
+        rest = grad[coords.split : -1]
+        if order == np.inf:
+            bound = gradient_norm(rest, order)
+            if bound > cfg.gradient_tolerance:
+                return bound
+        return gradient_norm(coords.lift(grad), order)
 
-        def objective(theta):
-            return loss_and_gradient(
-                unflatten_parameters(theta, input_dim), x, y, alpha
-            )
-
-        result = lbfgs_minimize(objective, flatten_parameters(init), cfg)
-        parameters = result.x
-    else:
-        coords = _KernelCoordinates(x, init.layer_weights[0])
-
-        def full_norm(grad, order):
-            rest = grad[coords.split : -1]
-            if order == np.inf:
-                bound = gradient_norm(rest, order)
-                if bound > cfg.gradient_tolerance:
-                    return bound
-            return gradient_norm(coords.lift(grad), order)
-
-        start = coords.start(init)
-        result = lbfgs_minimize(
-            lambda theta, image: coords.loss_and_gradient(
-                theta, image, y, alpha
-            ),
-            start,
-            cfg,
-            norm=full_norm,
-            metric=coords.metric,
-            x0_image=coords.start_image(start),
-        )
-        parameters = coords.lift(result.x)
-    return unflatten_parameters(parameters, input_dim)
+    start = coords.start(init)
+    result = lbfgs_minimize(
+        lambda theta, image: coords.loss_and_gradient(
+            theta, image, y, cfg.l2_alpha
+        ),
+        start,
+        cfg,
+        norm=full_norm,
+        metric=coords.metric,
+        x0_image=coords.start_image(start),
+    )
+    return unflatten_parameters(coords.lift(result.x), x.shape[1])

@@ -66,6 +66,16 @@ class SamplerConfig:
         if self.mode not in (MODE_DATASET, MODE_FOLD):
             raise ValidationError(f"unknown sampler mode {self.mode!r}")
 
+    @property
+    def leaks(self) -> bool:
+        """Whether the kept subjects depend on the future test subjects: a
+        data-dependent method (near-miss-3, instance hardness) run on the
+        full cohort (``dataset`` mode)."""
+        return self.mode == MODE_DATASET and self.method in (
+            METHOD_NEAR_MISS_3,
+            METHOD_INSTANCE_HARDNESS,
+        )
+
 
 def _split_by_class(cohort: LabeledCohort):
     """(minority_indices, majority_indices), or None when already balanced."""

@@ -85,9 +85,10 @@ class TestFitFold:
             lambda rng: separable_cohort(rng, n_per_class=12, dim=4),
             lambda rng: distinct_measure_cohort(rng, 14, 14),
             lambda rng: distinct_measure_cohort(rng, 8, 22, dim=3),
-            # 20 training rows: every fit in kernel coordinates (d > n) ...
+            # 20 training rows: every fit's input is wider (d > n) ...
             lambda rng: distinct_measure_cohort(rng, 16, 24, dim=45),
-            # ... or every fit in the full space (d <= n).
+            # ... or 45 rows, every input narrower (d <= n): each fit's
+            # Gram is rank-deficient.
             lambda rng: distinct_measure_cohort(rng, 40, 50, dim=12),
         ],
         ids=[

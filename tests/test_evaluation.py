@@ -466,6 +466,9 @@ class TestRunExperiment:
             cohort, sampler, TrainConfig(max_iterations=5),
             k=2, repetitions=1, seed=8,
         )
+        leakage = [("leakage", True)] if (
+            mode == "dataset" and method != "random"
+        ) else []
         assert list(report.config["sampler"].items()) == [
             ("method", method),
             ("mode", mode),
@@ -473,7 +476,7 @@ class TestRunExperiment:
             ("seed", 8),
             ("iht_internal_folds", 5),
             ("distance_space", "minmax_fused"),
-        ]
+        ] + leakage
         expected_subjects = 36 if mode == "fold" else 28
         assert report.config["n_subjects"] == expected_subjects
         for strategy in STRATEGIES:

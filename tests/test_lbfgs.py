@@ -323,12 +323,11 @@ def drive_history(
     M = A^T.A: accepted pairs have M.y = C s + noise instead, and the
     direction yielded is A.direction, the oracle's that of the A-mapped
     gradients and pairs. The history's image of each direction must be
-    M.direction; without a mapping it must be the direction itself, and the
-    history must keep a single ring.
+    M.direction; without a mapping it must equal the direction itself.
     """
     rng = np.random.default_rng(seed)
     curvature = rng.uniform(0.5, 2.0, size)
-    history = _CurvatureHistory(depth, size, euclidean=mapping is None)
+    history = _CurvatureHistory(depth, size)
     metric = None if mapping is None else mapping.T @ mapping
 
     def image(v):
@@ -337,8 +336,6 @@ def drive_history(
     def metric_image(v):
         return v if metric is None else metric @ v
 
-    if metric is None:
-        assert history.images is history.rows
     for array in (history.rows, history.images, history.gram, history.bg):
         array.fill(np.nan)
     s_list, y_list, rho_list = [], [], []
@@ -347,7 +344,7 @@ def drive_history(
     for k in range(n_steps):
         direction, mdirection = history.direction(grad, metric_image(grad))
         if metric is None:
-            assert mdirection is direction
+            assert np.array_equal(mdirection, direction)
         else:
             expected_image = metric @ direction
             error = np.linalg.norm(mdirection - expected_image)

@@ -421,7 +421,7 @@ class TestTrainClassifier:
         checks = []
         evaluations = []
         check = neuralnet._validate_dataset
-        objective = neuralnet.loss_and_gradient
+        objective = neuralnet._KernelCoordinates.loss_and_gradient
 
         def counting_check(*args):
             checks.append(1)
@@ -432,7 +432,10 @@ class TestTrainClassifier:
             return objective(*args)
 
         monkeypatch.setattr(neuralnet, "_validate_dataset", counting_check)
-        monkeypatch.setattr(neuralnet, "loss_and_gradient", counting_objective)
+        monkeypatch.setattr(
+            neuralnet._KernelCoordinates, "loss_and_gradient",
+            counting_objective,
+        )
         rng = np.random.default_rng(22)
         xs = rng.normal(size=(30, 3))
         ys = (xs[:, 0] > 0).astype(float)
@@ -466,6 +469,7 @@ ROW_SPACE_PROBLEMS = {
     "duplicate_rows": dict(n=24, d=200, duplicate_rows=4),
     "constant_columns": dict(n=24, d=200, constant_columns=50),
     "d_at_most_n": dict(n=40, d=10),
+    "d_much_smaller_than_n": dict(n=200, d=5),
 }
 
 
@@ -500,11 +504,7 @@ class TestRowSpaceFit:
         reference, _ = train_classifier_reference(xs, ys, cfg)
         expected = predict_proba(reference, test)
         got = predict_proba(train_classifier(xs, ys, cfg), test)
-        if xs.shape[1] <= xs.shape[0]:
-            # When d <= n the fit is the full-space fit itself.
-            assert np.array_equal(got, expected)
-        else:
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("max_iterations", [15, 200])
     @pytest.mark.parametrize(
@@ -524,7 +524,7 @@ class TestRowSpaceFit:
         else:
             assert outcome.iterations == max_iterations
         if max_iterations == 200 and problem["d"] > problem["n"]:
-            # The kernel-coordinate fits do converge, so both sides are
+            # The fits with d > n do converge, so both sides are
             # exercised.
             assert outcome.converged
 
