@@ -14,10 +14,11 @@ One BLAS thread
 ---------------
 :func:`one_blas_thread` runs every loaded OpenBLAS on one thread inside its
 block and restores the previous counts after it. Sums split over threads
-round differently, so :func:`~connectoml.evaluation.run_experiment` runs
-inside it. The pool's workers fork inside it and keep one thread each: one
-worker per core with several BLAS threads each made the ingest 4-10x slower
-(2 cores, OpenBLAS 0.3.31). Other BLAS builds are not pinned.
+round differently, so :func:`~connectoml.evaluation.run_experiment` and the
+cohort fill of :mod:`connectoml.dataio` run inside it. The pool's workers
+fork inside it and keep one thread each: one worker per core with several
+BLAS threads each made the ingest 4-10x slower (2 cores, OpenBLAS 0.3.31).
+Other BLAS builds are not pinned.
 """
 
 from __future__ import annotations

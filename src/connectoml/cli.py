@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--max-iter", type=int, default=200)
     evaluate.add_argument(
         "--disconnected",
-        default="max_finite",
-        help="max_finite, constant:<v>, or error",
+        default=argparse.SUPPRESS,
+        help="max_finite (default), constant:<v>, or error; --manifest only",
     )
     evaluate.add_argument("--threshold", type=float, default=0.5)
     evaluate.add_argument("--out", required=True)
@@ -167,7 +167,7 @@ def _cmd_evaluate(args) -> int:
     )
     if args.manifest:
         cohort = dataio.load_cohort(
-            args.manifest, disconnected=args.disconnected
+            args.manifest, getattr(args, "disconnected", "max_finite")
         )
     else:
         cohort = dataio.load_feature_csvs(args.features_dir)
@@ -235,6 +235,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "features_dir", None) and "disconnected" in vars(args):
+        parser.error("--disconnected is for --manifest, not --features-dir")
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, FileNotFoundError, FileExistsError, OSError) as exc:

@@ -23,16 +23,15 @@ Both run their work units through the ordered pool of
 :mod:`connectoml._pool`: forked workers, one per core available to the
 process, whose results come back in unit order.
 
-:func:`load_cohort` writes every subject's features into one preallocated
-``(subject, measure, feature)`` float64 buffer on an anonymous shared
-mapping. Its ``(subject, 3*feature)`` reshape, a view, is the cohort's one
-matrix (:mod:`connectoml.cohort`), so the ingest makes no second copy. The
-first subject is parsed here, which sizes the buffer, and extracted into
-row 0. Each other subject is a unit: parsed, validated and extracted end to
-end by one function, which writes subject ``i``'s one contiguous row of all
-three measures and returns nothing. Of several bad subjects the first in
-manifest order is reported. :func:`cohort_from_matrices` fills the same
-buffer from matrices in hand.
+One fill serves :func:`load_cohort` and :func:`cohort_from_matrices`. It
+reads the first subject here, which sizes one ``(subject, measure,
+feature)`` float64 buffer on an anonymous shared mapping, and extracts it
+into row 0; workers read (from a manifest: parse and validate) and extract
+the others, a few subjects per unit, into their rows. The buffer's
+``(subject, 3*feature)`` reshape, a view, is the cohort's one matrix. Of
+several bad subjects the first in order is reported. The fill runs on one
+OpenBLAS thread (:func:`~connectoml._pool.one_blas_thread`), so the
+features do not depend on the thread count.
 
 :func:`write_feature_csvs` quotes the row prefixes, writes the headers and
 writes every file here. Its units are (measure, chunk of a few subjects)
@@ -43,7 +42,8 @@ the output directory; the three replace their targets only once the last
 is complete.
 
 :func:`load_feature_csvs` refuses a value that does not parse or is not
-finite, naming the file and the physical line.
+finite, naming the file and the physical line; it converts cells as
+:func:`load_matrix_file` does, by one row parser.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._pool import ordered_map
-from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
+from ._pool import one_blas_thread, ordered_map
+from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort, measure_columns
 from .connectome import (
     MEASURES,
     ConnectivityMatrix,
@@ -76,6 +76,14 @@ from .errors import ValidationError
 from .evaluation import METRIC_NAMES, STRATEGIES, EvaluationReport
 
 
+def _parse_cells(cells, path, line_number) -> np.ndarray:
+    """``cells`` as float64; a cell that does not parse names its line."""
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: line {line_number}: {exc}") from exc
+
+
 def load_matrix_file(path) -> np.ndarray:
     """Parse a comma-separated numeric grid; errors carry the line number."""
     path = Path(path)
@@ -83,14 +91,8 @@ def load_matrix_file(path) -> np.ndarray:
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(np.array(line.split(","), dtype=np.float64))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: line {line_number}: {exc}"
-                ) from exc
+            if line:
+                rows.append(_parse_cells(line.split(","), path, line_number))
     if not rows:
         raise ValidationError(f"{path}: file contains no data rows")
     width = len(rows[0])
@@ -170,46 +172,65 @@ def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
     )
 
 
-def _fill_subject(features, index, matrix, n_nodes, disconnected) -> None:
-    """Extract one subject's three measures into ``features[index]``."""
-    if matrix.n_nodes != n_nodes:
-        raise ValidationError(
-            f"connectivity matrix for subject {matrix.subject_id!r} has"
-            f" {matrix.n_nodes} nodes; the cohort's first subject has"
-            f" {n_nodes}"
-        )
-    extracted = extract_features(matrix, disconnected)
-    for k, measure in enumerate(MEASURES):
-        features[index, k] = extracted[measure].values
+#: Subjects per unit of the ordered pool, in the cohort fill and the
+#: feature writer. A 40-node subject takes about 1 ms to extract, less than
+#: a unit's round trip through the pool (2 cores).
+_ROWS_PER_CHUNK = 4
 
 
-def _cohort_on(features, subject_ids, labels) -> LabeledCohort:
-    """The cohort over the buffer's ``(subject, 3*feature)`` view."""
-    n_subjects, n_measures, width = features.shape
-    return LabeledCohort(
-        subject_ids, labels, features.reshape(n_subjects, n_measures * width)
-    )
+def _extract_subjects(state, indices) -> None:
+    """Extract subjects ``indices`` into their rows of ``features``; ``state``
+    is ``(read, disconnected, first, features)``, subject 0 ``first``."""
+    read, disconnected, first, features = state
+    for index in indices:
+        matrix = first if index == 0 else read(index)
+        if matrix.n_nodes != first.n_nodes:
+            raise ValidationError(
+                f"connectivity matrix for subject {matrix.subject_id!r} has"
+                f" {matrix.n_nodes} nodes; the cohort's first subject has"
+                f" {first.n_nodes}"
+            )
+        extracted = extract_features(matrix, disconnected)
+        for k, measure in enumerate(MEASURES):
+            features[index, k] = extracted[measure].values
+
+
+def _extract_cohort(subject_ids, labels, read, count, disconnected):
+    """The cohort of ``count`` subjects, subject ``i`` the validated matrix
+    ``read(i)``, filled as the module docstring says."""
+    _normalize_disconnected_policy(disconnected)
+    subjects = range(count)
+    with one_blas_thread():
+        first = read(0)
+        features = _feature_buffer(count, first.n_nodes)
+        state = (read, disconnected, first, features)
+        _extract_subjects(state, (0,))
+        units = [
+            subjects[start : start + _ROWS_PER_CHUNK]
+            for start in range(1, count, _ROWS_PER_CHUNK)
+        ]
+        for _ in ordered_map(_extract_subjects, state, units):
+            pass
+    matrix = features.reshape(count, len(MEASURES) * features.shape[2])
+    return LabeledCohort(subject_ids, labels, matrix)
 
 
 def cohort_from_matrices(
-    subject_ids,
-    labels,
-    matrices,
-    disconnected="max_finite",
+    subject_ids, labels, matrices, disconnected="max_finite"
 ) -> LabeledCohort:
-    """Assemble a cohort by extracting all three feature sets.
-
-    Every matrix must have the first one's node count.
+    """Assemble a cohort by extracting all three feature sets, on every
+    core available to the process (module docstring, Ingest and feature
+    writing). Every matrix must have the first one's node count.
     """
     matrices = list(matrices)
-    n_nodes = matrices[0].n_nodes
-    features = _feature_buffer(len(matrices), n_nodes)
-    for index, matrix in enumerate(matrices):
-        _fill_subject(features, index, matrix, n_nodes, disconnected)
-    return _cohort_on(features, subject_ids, labels)
+    return _extract_cohort(
+        subject_ids, labels, matrices.__getitem__, len(matrices), disconnected
+    )
 
 
-def _read_subject(subject_id, matrix_path) -> ConnectivityMatrix:
+def _read_subject(entry) -> ConnectivityMatrix:
+    """The validated matrix of one ``read_manifest`` entry."""
+    subject_id, _, matrix_path = entry
     if not matrix_path.exists():
         raise FileNotFoundError(
             f"matrix file not found for subject {subject_id!r}:"
@@ -219,40 +240,22 @@ def _read_subject(subject_id, matrix_path) -> ConnectivityMatrix:
     return validate_matrix(raw, subject_id=subject_id)
 
 
-def _ingest_subject(state, index: int) -> None:
-    """Parse, validate and extract manifest entry ``index`` into the buffer.
-
-    ``state`` is ``(entries, disconnected, n_nodes, features)``.
-    """
-    entries, disconnected, n_nodes, features = state
-    subject_id, _, matrix_path = entries[index]
-    matrix = _read_subject(subject_id, matrix_path)
-    _fill_subject(features, index, matrix, n_nodes, disconnected)
-
-
 def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
     """Load, validate, and featurize every subject listed in a manifest.
 
     Subject order follows the manifest. Missing matrix files raise
     ``FileNotFoundError`` naming the subject; parse and validation errors
     carry the offending path or subject id; of several bad subjects, the
-    first in manifest order is reported. The first subject is read and
-    extracted here, which sizes the buffer; the others are ingested on
-    every core available to the process (module docstring, Ingest and
+    first in manifest order is reported. Subjects are parsed and extracted
+    on every core available to the process (module docstring, Ingest and
     feature writing).
     """
     entries = read_manifest(manifest_path)
-    _normalize_disconnected_policy(disconnected)
-    subject_id, _, matrix_path = entries[0]
-    first = _read_subject(subject_id, matrix_path)
-    features = _feature_buffer(len(entries), first.n_nodes)
-    _fill_subject(features, 0, first, first.n_nodes, disconnected)
-    state = (entries, disconnected, first.n_nodes, features)
-    for _ in ordered_map(_ingest_subject, state, range(1, len(entries))):
-        pass
-    subject_ids = [entry[0] for entry in entries]
-    labels = [entry[1] for entry in entries]
-    return _cohort_on(features, subject_ids, labels)
+    subject_ids, labels, _ = zip(*entries)
+    return _extract_cohort(
+        subject_ids, labels, lambda index: _read_subject(entries[index]),
+        len(entries), disconnected,
+    )
 
 
 @dataclass(frozen=True)
@@ -360,10 +363,6 @@ def _csv_records(rows) -> list[str]:
     return records
 
 
-#: Subjects per unit of feature-file formatting.
-_ROWS_PER_CHUNK = 4
-
-
 def _format_rows(state, unit) -> bytes:
     """The UTF-8 feature-file rows of one ``(measure index, first subject)``
     unit, ``_ROWS_PER_CHUNK`` subjects or the cohort's last ones.
@@ -433,66 +432,63 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     return paths
 
 
+def _read_feature_file(path):
+    """``(subject_ids, labels, width, rows)`` of one feature file; each row
+    is a finite float64 array."""
+    if not path.exists():
+        raise FileNotFoundError(f"feature file not found: {path}")
+    ids, labels, rows = [], [], []
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if not header or header[:2] != ["subject_id", "label"]:
+            raise ValidationError(
+                f"{path}: expected header subject_id,label,f0,..."
+            )
+        for row in reader:
+            # The physical line the record ends on: a quoted id may span
+            # several lines.
+            line_number = reader.line_num
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: line {line_number}: expected"
+                    f" {len(header)} columns, got {len(row)}"
+                )
+            if row[1] not in LABEL_CODES:
+                raise ValidationError(
+                    f"{path}: line {line_number}: unknown label {row[1]!r}"
+                )
+            ids.append(row[0])
+            labels.append(LABEL_CODES[row[1]])
+            values = _parse_cells(row[2:], path, line_number)
+            if not np.isfinite(values).all():
+                column = 2 + int(np.argmin(np.isfinite(values)))
+                raise ValidationError(
+                    f"{path}: line {line_number}: feature"
+                    f" {header[column]} is not finite: {row[column]!r}"
+                )
+            rows.append(values)
+    return ids, labels, len(header) - 2, rows
+
+
 def load_feature_csvs(directory) -> LabeledCohort:
     """Rebuild a cohort from the files written by :func:`write_feature_csvs`.
 
-    Each file's rows are written into its column block of the cohort's one
-    matrix, which the first file sizes.
+    Each file's rows are copied, one at a time, into its column block of
+    the cohort's one matrix, which the first file sizes.
     """
     directory = Path(directory)
-    subject_ids = None
-    labels = None
-    matrix = None
     widths = {}
-    for index, measure in enumerate(MEASURES):
+    for measure in MEASURES:
         path = directory / f"features_{measure}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"feature file not found: {path}")
-        ids = []
-        measure_labels = []
-        rows = []
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header or header[:2] != ["subject_id", "label"]:
-                raise ValidationError(
-                    f"{path}: expected header subject_id,label,f0,..."
-                )
-            for row in reader:
-                # The physical line the record ends on: a quoted id may
-                # span several lines.
-                line_number = reader.line_num
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"{path}: line {line_number}: expected"
-                        f" {len(header)} columns, got {len(row)}"
-                    )
-                if row[1] not in LABEL_CODES:
-                    raise ValidationError(
-                        f"{path}: line {line_number}: unknown label {row[1]!r}"
-                    )
-                ids.append(row[0])
-                measure_labels.append(LABEL_CODES[row[1]])
-                try:
-                    values = np.array(row[2:], dtype=np.float64)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}: line {line_number}: {exc}"
-                    ) from exc
-                if not np.isfinite(values).all():
-                    column = 2 + int(np.argmin(np.isfinite(values)))
-                    raise ValidationError(
-                        f"{path}: line {line_number}: feature"
-                        f" {header[column]} is not finite: {row[column]!r}"
-                    )
-                rows.append(values)
-        width = len(header) - 2
-        if subject_ids is None:
+        ids, measure_labels, width, rows = _read_feature_file(path)
+        if not widths:
             if not ids:
                 raise ValidationError(f"{path}: feature file lists no subjects")
             subject_ids = ids
             labels = measure_labels
             matrix = np.empty((len(ids), len(MEASURES) * width))
+            blocks = measure_columns(matrix)
         elif ids != subject_ids or measure_labels != labels:
             raise ValidationError(
                 f"{path}: subjects disagree with the other feature files"
@@ -503,9 +499,9 @@ def load_feature_csvs(directory) -> LabeledCohort:
                 f"{path}: feature matrices must have the same number of"
                 f" columns for every measure (got {widths})"
             )
-        block = matrix[:, index * width : (index + 1) * width]
-        for row_index, values in enumerate(rows):
-            block[row_index] = values
+        for target, values in zip(blocks[measure], rows):
+            target[:] = values
+        del rows  # before the next file's rows are read, not after
     return LabeledCohort(subject_ids, labels, matrix)
 
 

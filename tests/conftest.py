@@ -10,7 +10,9 @@ tautology. The bit-identity oracles (``write_feature_csvs_reference``,
 are the straightforward or earlier forms of library code, kept so tests can
 require exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
-kernel-coordinate fit of ``train_classifier`` must reproduce.
+kernel-coordinate fit of ``train_classifier`` must reproduce. The
+``openblas`` fixture runs a test with the loaded OpenBLAS on two threads;
+mark such a test ``needs_openblas``.
 """
 
 import csv
@@ -18,7 +20,9 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import connectoml._pool
 from connectoml import (
     MEASURES,
     LabeledCohort,
@@ -36,6 +40,33 @@ from connectoml.neuralnet import (
     unflatten_parameters,
 )
 from connectoml.evaluation import STRATEGY_ENSEMBLE, STRATEGY_FUSION
+
+
+def numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas = pytest.mark.skipif(
+    not numpy_uses_openblas(),
+    reason="numpy's BLAS is not OpenBLAS, the only BLAS that is pinned",
+)
+
+
+@pytest.fixture
+def openblas():
+    """The loaded OpenBLAS, set to two threads for the test."""
+    controls = connectoml._pool._loaded_openblas()
+    assert controls, "numpy uses OpenBLAS, but it was not found loaded"
+    before = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(2)
+    yield controls
+    for (setter, _), count in zip(controls, before):
+        setter(count)
 
 
 def taylor_expm(a, terms=60):

@@ -632,6 +632,35 @@ class TestExitCodes:
         assert calls == {"load_cohort": 0, "load_feature_csvs": 0}
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("policy", ["error", "max_finite", "nearest"])
+    def test_disconnected_with_a_feature_store_is_one(
+        self, tmp_path, capsys, monkeypatch, policy
+    ):
+        # The store's policy was fixed by extract, so any value is refused,
+        # before the store (here, a directory that does not exist) is read.
+        def unread(directory):
+            raise AssertionError("the feature store was read")
+
+        monkeypatch.setattr(cli.dataio, "load_feature_csvs", unread)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                [
+                    "evaluate",
+                    "--features-dir", str(tmp_path / "features"),
+                    "--disconnected", policy,
+                    "--out", str(tmp_path / "r.json"),
+                ]
+            )
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: connectoml")
+        assert err.endswith(
+            "connectoml: error: --disconnected is for --manifest, not"
+            " --features-dir\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_numerical_failure_is_three(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalError("synthetic numerical failure")

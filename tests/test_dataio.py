@@ -1,6 +1,7 @@
 """Tests for manifest loading, the synthetic generator, and report files."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -11,7 +12,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from conftest import make_measure_cohort, write_feature_csvs_reference
+from conftest import (
+    make_measure_cohort,
+    needs_openblas,
+    write_feature_csvs_reference,
+)
 
 import connectoml._pool as pool
 import connectoml.cli as cli
@@ -368,6 +373,57 @@ class TestParallelIngest:
 
         monkeypatch.setattr(dataio, "extract_features", die_in_worker)
         assert isinstance(ingest(monkeypatch, 2, manifest), BrokenProcessPool)
+
+
+@needs_openblas
+class TestIngestOnOneBlasThread:
+    """Both loaders extract every subject on one OpenBLAS thread, the first
+    subject and the one-core loop included, and give the caller back its
+    thread count."""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("source", ["load_cohort", "cohort_from_matrices"])
+    def test_every_subject_is_extracted_on_one_thread(
+        self, tmp_path, monkeypatch, openblas, source, workers, fails
+    ):
+        def counts():
+            return [getter() for _, getter in openblas]
+
+        before = counts()
+        cfg = SyntheticCohortConfig(n_nodes=6, n_hc=3, n_mci=3, seed=2)
+        ids, labels, matrices = generate_synthetic_matrices(cfg)
+        parent = os.getpid()
+        seen = []
+        original = dataio.extract_features
+
+        def recording(matrix, disconnected):
+            # A worker cannot append to this process's list; it fails
+            # instead, and the pool raises its error here.
+            if os.getpid() == parent:
+                seen.append(counts())
+            elif counts() != [1] * len(openblas):
+                raise AssertionError(f"worker saw {counts()} threads")
+            if fails and matrix.subject_id == ids[-1]:
+                raise RuntimeError("extraction failed")
+            return original(matrix, disconnected)
+
+        monkeypatch.setattr(dataio, "extract_features", recording)
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
+        if source == "load_cohort":
+            manifest = materialize_cohort(ids, labels, matrices, tmp_path)
+            build = functools.partial(load_cohort, manifest)
+        else:
+            build = functools.partial(
+                cohort_from_matrices, ids, labels, matrices
+            )
+        expected = pytest.raises(RuntimeError, match="extraction failed")
+        with time_limit(60), expected if fails else contextlib.nullcontext():
+            build()
+        assert seen and all(c == [1] * len(openblas) for c in seen)
+        if workers == 1:
+            assert len(seen) == len(ids)
+        assert counts() == before
 
 
 def recorded_buffers(monkeypatch):
