@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -154,7 +155,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    # Refuse before any work, not after every fold is trained.
+    # Refuse a missing directory or an existing file before any work, not
+    # after every fold is trained.
     for path in (args.out, args.dump_folds):
         if path:
             dataio.refuse_to_overwrite(path, args.overwrite)
@@ -237,6 +239,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "features_dir", None) and "disconnected" in vars(args):
         parser.error("--disconnected is for --manifest, not --features-dir")
+    dump_folds = getattr(args, "dump_folds", None)
+    if dump_folds and Path(dump_folds).resolve() == Path(args.out).resolve():
+        parser.error("--dump-folds must name a different file from --out")
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, FileNotFoundError, FileExistsError, OSError) as exc:

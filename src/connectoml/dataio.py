@@ -43,7 +43,8 @@ is complete.
 
 :func:`load_feature_csvs` refuses a value that does not parse or is not
 finite, naming the file and the physical line; it converts cells as
-:func:`load_matrix_file` does, by one row parser.
+:func:`load_matrix_file` does, by one row parser, which accepts plain ASCII
+numerals only (no ``1_0``, no non-ASCII digits or spaces).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import json
 import math
 import mmap
 import os
+import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,32 +78,44 @@ from .errors import ValidationError
 from .evaluation import METRIC_NAMES, STRATEGIES, EvaluationReport
 
 
-def _parse_cells(cells, path, line_number) -> np.ndarray:
-    """``cells`` as float64; a cell that does not parse names its line."""
+def _parse_cells(text, cells, path, line_number) -> np.ndarray:
+    """``cells``, the numeric fields of one row, as float64; a cell that
+    does not parse names its line.
+
+    numpy converts a cell as Python's ``float`` does, which also reads
+    ``1_0`` as 10 and accepts non-ASCII digits and spaces. So a row whose
+    ``text`` (the fields as one string) holds an underscore or a non-ASCII
+    character is refused too, by one check per row.
+    """
     try:
+        if "_" in text or not text.isascii():
+            cell = next(c for c in cells if "_" in c or not c.isascii())
+            raise ValueError(f"could not convert string to float: {cell!r}")
         return np.array(cells, dtype=np.float64)
     except ValueError as exc:
         raise ValidationError(f"{path}: line {line_number}: {exc}") from exc
 
 
 def load_matrix_file(path) -> np.ndarray:
-    """Parse a comma-separated numeric grid; errors carry the line number."""
+    """Parse a comma-separated numeric grid; errors carry the physical line
+    number, and the first bad line in the file is reported."""
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                rows.append(_parse_cells(line.split(","), path, line_number))
+            # ASCII whitespace only, so a no-break space reaches the check.
+            line = line.strip(string.whitespace)
+            if not line:
+                continue
+            cells = line.split(",")
+            if rows and len(cells) != len(rows[0]):
+                raise ValidationError(
+                    f"{path}: line {line_number}: expected {len(rows[0])}"
+                    f" columns, got {len(cells)}"
+                )
+            rows.append(_parse_cells(line, cells, path, line_number))
     if not rows:
         raise ValidationError(f"{path}: file contains no data rows")
-    width = len(rows[0])
-    for line_number, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: line {line_number}: expected {width} columns,"
-                f" got {len(row)}"
-            )
     return np.array(rows, dtype=np.float64)
 
 
@@ -460,7 +474,8 @@ def _read_feature_file(path):
                 )
             ids.append(row[0])
             labels.append(LABEL_CODES[row[1]])
-            values = _parse_cells(row[2:], path, line_number)
+            cells = row[2:]
+            values = _parse_cells(",".join(cells), cells, path, line_number)
             if not np.isfinite(values).all():
                 column = 2 + int(np.argmin(np.isfinite(values)))
                 raise ValidationError(
@@ -506,9 +521,14 @@ def load_feature_csvs(directory) -> LabeledCohort:
 
 
 def refuse_to_overwrite(path, overwrite: bool = False) -> Path:
-    """``path`` as a ``Path``; raises ``FileExistsError`` if it exists and
-    ``overwrite`` is false."""
+    """``path`` as a ``Path``; raises ``FileNotFoundError`` if its directory
+    does not exist, ``IsADirectoryError`` if it is a directory, and
+    ``FileExistsError`` if it exists and ``overwrite`` is false."""
     path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"output directory not found: {path.parent}")
+    if path.is_dir():
+        raise IsADirectoryError(f"output path is a directory: {path}")
     if path.exists() and not overwrite:
         raise FileExistsError(f"refusing to overwrite existing file: {path}")
     return path

@@ -53,20 +53,6 @@ EXACT_ENUMERATION_LIMIT = 8
 _EXACT_ENUMERATION_BUDGET = 300_000
 
 
-@dataclass(frozen=True)
-class FoldMetrics:
-    """Classification metrics for one test fold, MCI positive."""
-
-    accuracy: float
-    auc: float
-    sensitivity: float
-    specificity: float
-    f1: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, with tied values sharing the average rank."""
     _, inverse, counts = np.unique(
@@ -98,8 +84,9 @@ def auc(true_labels, scores) -> float:
     )
 
 
-def compute_fold_metrics(true_labels, predicted_labels, scores) -> FoldMetrics:
-    """Confusion-matrix metrics plus AUC for one fold (MCI = positive)."""
+def compute_fold_metrics(true_labels, predicted_labels, scores) -> dict:
+    """Confusion-matrix metrics plus AUC for one fold (MCI = positive), as
+    ``{metric: value}`` in :data:`METRIC_NAMES` order."""
     y = np.asarray(true_labels)
     pred = np.asarray(predicted_labels)
     fold_auc = auc(y, scores)  # also rejects empty and one-class folds
@@ -107,13 +94,13 @@ def compute_fold_metrics(true_labels, predicted_labels, scores) -> FoldMetrics:
     fn = int(np.sum((y == 1) & (pred == 0)))
     tn = int(np.sum((y == 0) & (pred == 0)))
     fp = int(np.sum((y == 0) & (pred == 1)))
-    return FoldMetrics(
-        accuracy=(tp + tn) / y.size,
-        auc=fold_auc,
-        sensitivity=tp / (tp + fn),
-        specificity=tn / (tn + fp),
-        f1=2 * tp / (2 * tp + fp + fn),
-    )
+    return {
+        "accuracy": (tp + tn) / y.size,
+        "auc": fold_auc,
+        "sensitivity": tp / (tp + fn),
+        "specificity": tn / (tn + fp),
+        "f1": 2 * tp / (2 * tp + fp + fn),
+    }
 
 
 def _normal_sf(z: float) -> float:
@@ -379,8 +366,8 @@ def run_experiment(
                     predict_label(scores[strategy], threshold),
                     scores[strategy],
                 )
-                for metric, value in metrics.as_dict().items():
-                    fold_values[strategy][metric].append(float(value))
+                for metric, value in metrics.items():
+                    fold_values[strategy][metric].append(value)
 
     strategies_summary = {}
     for strategy in STRATEGIES:

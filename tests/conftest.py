@@ -23,20 +23,17 @@ import numpy as np
 import pytest
 
 import connectoml._pool
-from connectoml import (
-    MEASURES,
-    LabeledCohort,
-    predict_proba,
-    train_classifier,
-    validate_matrix,
-)
-from connectoml.cohort import LABEL_NAMES
+from connectoml import validate_matrix
+from connectoml.connectome import MEASURES
+from connectoml.cohort import LABEL_NAMES, LabeledCohort
 from connectoml.lbfgs import lbfgs_minimize
 from connectoml.neuralnet import (
     fit_normalizer,
     flatten_parameters,
     init_parameters,
     loss_and_gradient,
+    predict_proba,
+    train_classifier,
     unflatten_parameters,
 )
 from connectoml.evaluation import STRATEGY_ENSEMBLE, STRATEGY_FUSION

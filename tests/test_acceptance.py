@@ -21,28 +21,33 @@ from conftest import (
 )
 
 from connectoml import (
-    MEASURES,
-    STRATEGIES,
     SamplerConfig,
     TrainConfig,
     ValidationError,
-    auc,
-    communicability_matrix,
-    forward,
-    init_parameters,
-    instance_hardness_threshold,
-    lbfgs_minimize,
-    mann_whitney_u,
-    near_miss_3,
-    normalized_adjacency,
-    random_undersample,
     run_experiment,
-    shortest_path_matrix,
-    stratified_kfold,
     validate_matrix,
 )
+from connectoml.connectome import (
+    MEASURES,
+    communicability_matrix,
+    normalized_adjacency,
+    shortest_path_matrix,
+)
+from connectoml.evaluation import STRATEGIES, auc, mann_whitney_u
+from connectoml.folds import stratified_kfold
+from connectoml.lbfgs import lbfgs_minimize
+from connectoml.sampling import (
+    instance_hardness_threshold,
+    near_miss_3,
+    random_undersample,
+)
 from connectoml.dataio import SyntheticCohortConfig, generate_synthetic_cohort
-from connectoml.neuralnet import flatten_parameters, unflatten_parameters
+from connectoml.neuralnet import (
+    flatten_parameters,
+    forward,
+    init_parameters,
+    unflatten_parameters,
+)
 from test_neuralnet import assert_gradient_matches
 from test_sampling import near_miss_oracle
 

@@ -203,6 +203,70 @@ class TestEvaluate:
             existing
         ]
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-folds"])
+    @pytest.mark.parametrize("fault", ["missing directory", "directory"])
+    def test_bad_output_path_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag, fault
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the cohort was read")
+
+        monkeypatch.setattr(cli.dataio, "load_cohort", unread)
+        outputs = {
+            "--out": tmp_path / "report.json",
+            "--dump-folds": tmp_path / "folds.csv",
+        }
+        if fault == "directory":
+            outputs[flag] = tmp_path / "existing"
+            outputs[flag].mkdir()
+            message = f"output path is a directory: {outputs[flag]}"
+        else:
+            outputs[flag] = tmp_path / "missing" / outputs[flag].name
+            message = f"output directory not found: {tmp_path / 'missing'}"
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--manifest", str(tmp_path / "manifest.csv"),
+                "--out", str(outputs["--out"]),
+                "--dump-folds", str(outputs["--dump-folds"]),
+                "--overwrite",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(path.is_file() for path in outputs.values())
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]])
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_fold_dump_naming_the_report_is_one(
+        self, tmp_path, capsys, monkeypatch, overwrite, spelling
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the cohort was read")
+
+        monkeypatch.setattr(cli.dataio, "load_cohort", unread)
+        out = tmp_path / "report.json"
+        out.write_text("keep\n")
+        dump = {"same": str(out), "dotted": f"{tmp_path}/./report.json"}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                [
+                    "evaluate",
+                    "--manifest", str(tmp_path / "manifest.csv"),
+                    "--out", str(out),
+                    "--dump-folds", dump[spelling],
+                ]
+                + overwrite
+            )
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "connectoml: error: --dump-folds must name a different file"
+            " from --out\n"
+        )
+        assert out.read_text() == "keep\n"
+
     def test_overwrite_replaces_report_and_fold_dump(
         self, cohort_dir, tmp_path
     ):

@@ -11,12 +11,11 @@ from conftest import (
     taylor_expm,
 )
 
-from connectoml import (
+from connectoml import ValidationError, extract_features, validate_matrix
+from connectoml.connectome import (
     MEASURES,
-    ValidationError,
     communicability,
     communicability_matrix,
-    extract_features,
     feature_length,
     flatten_upper_triangle,
     matrix_exponential_symmetric,
@@ -25,7 +24,6 @@ from connectoml import (
     shortest_path_lengths,
     shortest_path_matrix,
     unflatten_upper_triangle,
-    validate_matrix,
     weight_features,
 )
 

@@ -22,16 +22,15 @@ import connectoml._pool as pool
 import connectoml.cli as cli
 import connectoml.dataio as dataio
 from connectoml import (
-    MEASURES,
-    LabeledCohort,
     SamplerConfig,
     TrainConfig,
     ValidationError,
-    load_cohort,
-    mann_whitney_u,
     run_experiment,
     validate_matrix,
 )
+from connectoml.cohort import LabeledCohort
+from connectoml.connectome import MEASURES
+from connectoml.evaluation import mann_whitney_u
 from connectoml.dataio import (
     SyntheticCohortConfig,
     cohort_from_matrices,
@@ -39,6 +38,7 @@ from connectoml.dataio import (
     export_report,
     generate_synthetic_cohort,
     generate_synthetic_matrices,
+    load_cohort,
     load_feature_csvs,
     load_matrix_file,
     load_report,
@@ -55,6 +55,12 @@ def write_manifest(path, rows):
 
 def tiny_matrix_file(path, weights):
     write_matrix_file(path, np.asarray(weights, dtype=np.float64))
+
+
+#: Numerals that Python's ``float`` (and so numpy) reads, which the
+#: readers refuse: 10 with a digit separator, 12 in Arabic-Indic digits,
+#: and 1 behind a no-break space.
+PYTHON_ONLY_NUMERALS = ["1_0", "\u0661\u0662", "\u00a01"]
 
 
 class TestMatrixFiles:
@@ -74,7 +80,9 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
 
-    @pytest.mark.parametrize("cell", ["0x10", "", "1__0", "1.5e", "١x"])
+    @pytest.mark.parametrize(
+        "cell", ["0x10", "", "1__0", "1.5e", "١x", *PYTHON_ONLY_NUMERALS]
+    )
     def test_rejected_cell_message_is_pinned(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"0,1\n\n{cell},0\n", encoding="utf-8")
@@ -84,10 +92,10 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
 
-    def test_accepts_what_float_accepts(self, tmp_path):
+    def test_accepts_ascii_float_syntax(self, tmp_path):
         path = tmp_path / "lenient.csv"
         path.write_text(
-            "\n0, 1_000 ,\t2.5\n\n  1000,0,1e-320\n2.5,1e-320,-0\n\n",
+            "\n0, 1000 ,\t2.5\n\n  1e3,0,1e-320\n2.5,1e-320,-0\n\n",
             encoding="utf-8",
         )
         parsed = load_matrix_file(path)
@@ -96,10 +104,20 @@ class TestMatrixFiles:
         assert parsed.tolist() == expected
         assert np.signbit(parsed[2, 2])
 
-    def test_ragged_rows_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,1\n1\n", "line 2: expected 2 columns, got 1"),
+            # The physical line, blank lines counted, as for a bad cell.
+            ("0,1\n\n1,0,2\n", "line 3: expected 2 columns, got 3"),
+            # The first bad line, whatever its fault.
+            ("0,1\n1,0,2\n1,x\n", "line 2: expected 2 columns, got 3"),
+        ],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, text, message):
         path = tmp_path / "ragged.csv"
-        path.write_text("0,1\n1\n", encoding="utf-8")
-        message = f"{path}: line 2: expected 2 columns, got 1"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}: {message}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
 
@@ -752,6 +770,26 @@ class TestFeatureStore:
         lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         message = f"{path}: line 3: could not convert string to float: 'x'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_feature_csvs(tmp_path)
+
+    @pytest.mark.parametrize("cell", PYTHON_ONLY_NUMERALS)
+    def test_python_only_numerals_rejected(self, tmp_path, cell):
+        # The check covers the feature cells, never the subject id.
+        ids = ("s_1", "sujet-\u00e9", "c")
+        cohort = make_measure_cohort(
+            {m: np.full((3, 2), 1.5) for m in MEASURES}, [0, 1, 0], ids=ids
+        )
+        write_feature_csvs(cohort, tmp_path)
+        assert load_feature_csvs(tmp_path).subject_ids == ids
+        path = tmp_path / "features_shortest_path.csv"
+        records = path.read_bytes().decode("utf-8").split("\r\n")
+        assert records[2] == "sujet-\u00e9,MCI,1.5,1.5"  # line 3
+        records[2] = f"sujet-\u00e9,MCI,{cell},1.5"
+        path.write_bytes("\r\n".join(records).encode("utf-8"))
+        message = (
+            f"{path}: line 3: could not convert string to float: {cell!r}"
+        )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_feature_csvs(tmp_path)
 

@@ -8,25 +8,23 @@ import pytest
 from conftest import fit_fold_reference, make_cohort, make_measure_cohort
 
 import connectoml.evaluation
-from connectoml import (
-    MEASURES,
+from connectoml import TrainConfig, ValidationError
+from connectoml.connectome import MEASURES
+from connectoml.evaluation import (
     STRATEGIES,
     FoldModels,
-    LabeledCohort,
-    TrainConfig,
-    ValidationError,
     auc,
     fit_fold,
     predict_label,
-    predict_proba,
-    train_classifier,
 )
-from connectoml.cohort import measure_columns
+from connectoml.cohort import LabeledCohort, measure_columns
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MinMaxNormalizer,
     MlpParameters,
     fit_normalizer,
+    predict_proba,
+    train_classifier,
 )
 
 

@@ -19,20 +19,22 @@ from conftest import (
 )
 
 from connectoml import (
+    SamplerConfig,
+    TrainConfig,
+    ValidationError,
+    run_experiment,
+)
+from connectoml.dataio import SyntheticCohortConfig
+from connectoml.evaluation import (
     METRIC_NAMES,
     STRATEGIES,
     EvaluationReport,
-    SamplerConfig,
-    SyntheticCohortConfig,
-    TrainConfig,
-    ValidationError,
     aggregate_metrics,
     auc,
     compute_fold_metrics,
     mann_whitney_u,
-    run_experiment,
-    stratified_kfold,
 )
+from connectoml.folds import derive_seed, stratified_kfold
 import connectoml
 import connectoml.cli as cli
 import connectoml.evaluation
@@ -95,11 +97,12 @@ class TestFoldMetrics:
         y = np.array([1, 1, 0, 0, 1])
         scores = np.array([0.9, 0.8, 0.1, 0.2, 0.7])
         metrics = compute_fold_metrics(y, y, scores)
-        assert metrics.accuracy == 1.0
-        assert metrics.auc == 1.0
-        assert metrics.sensitivity == 1.0
-        assert metrics.specificity == 1.0
-        assert metrics.f1 == 1.0
+        assert tuple(metrics) == METRIC_NAMES
+        assert metrics["accuracy"] == 1.0
+        assert metrics["auc"] == 1.0
+        assert metrics["sensitivity"] == 1.0
+        assert metrics["specificity"] == 1.0
+        assert metrics["f1"] == 1.0
 
     def test_hand_confusion_matrix(self):
         # TP=8, FN=2, TN=3, FP=2.
@@ -107,17 +110,18 @@ class TestFoldMetrics:
         pred = np.array([1] * 8 + [0] * 2 + [0] * 3 + [1] * 2)
         scores = pred.astype(float)
         metrics = compute_fold_metrics(y, pred, scores)
-        assert metrics.sensitivity == pytest.approx(0.8)
-        assert metrics.specificity == pytest.approx(0.6)
-        assert metrics.accuracy == pytest.approx(11 / 15)
-        assert metrics.f1 == pytest.approx(0.8)
+        assert metrics["sensitivity"] == pytest.approx(0.8)
+        assert metrics["specificity"] == pytest.approx(0.6)
+        assert metrics["accuracy"] == pytest.approx(11 / 15)
+        assert metrics["f1"] == pytest.approx(0.8)
+        assert all(type(value) is float for value in metrics.values())
 
     def test_all_predicted_positive(self):
         y = np.array([1, 0, 1, 0])
         pred = np.ones(4, dtype=int)
         metrics = compute_fold_metrics(y, pred, np.full(4, 0.9))
-        assert metrics.sensitivity == 1.0
-        assert metrics.specificity == 0.0
+        assert metrics["sensitivity"] == 1.0
+        assert metrics["specificity"] == 0.0
 
     def test_empty_and_single_class_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -358,8 +362,7 @@ class TestRunExperiment:
         assert len(recorded) == 8
         fold_members = recorded[0:3]
         ensemble_auc = report.fold_values["ensemble"]["auc"][0]
-        derive = __import__("connectoml").derive_seed
-        folds = stratified_kfold(cohort.labels, 2, derive(0, 0))
+        folds = stratified_kfold(cohort.labels, 2, derive_seed(0, 0))
         y_test = cohort.labels[folds[0].test_indices]
         assert ensemble_auc == auc(y_test, np.mean(fold_members, axis=0))
 
@@ -412,8 +415,7 @@ class TestRunExperiment:
             repetitions=reps,
             seed=6,
         )
-        derive = __import__("connectoml").derive_seed
-        folds = stratified_kfold(cohort.labels, k, derive(6, 0))
+        folds = stratified_kfold(cohort.labels, k, derive_seed(6, 0))
         # One normalizer per fold, fitted on the sampled training rows.
         assert len(fitted_rows) == k
         for fold, rows in zip(folds, fitted_rows):
@@ -442,12 +444,11 @@ class TestRunExperiment:
             cohort, SamplerConfig(method="random", mode=mode), train_cfg,
             k=k, repetitions=reps, seed=seed,
         )
-        derive = __import__("connectoml").derive_seed
         if mode == "dataset":
             expected = [seed]
         else:
             expected = [
-                derive(seed, repetition, fold)
+                derive_seed(seed, repetition, fold)
                 for repetition in range(reps)
                 for fold in range(k)
             ]

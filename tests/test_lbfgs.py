@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from conftest import two_loop_direction
 
-from connectoml import NumericalError, TrainConfig, lbfgs, lbfgs_minimize
+from connectoml import NumericalError, TrainConfig, lbfgs
 from connectoml.lbfgs import (
     WOLFE_C1,
     WOLFE_C2,
     _CurvatureHistory,
+    lbfgs_minimize,
     strong_wolfe_line_search,
 )
 

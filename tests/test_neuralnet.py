@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 from conftest import minmax_reference, train_classifier_reference
 
-from connectoml import (
-    TrainConfig,
-    ValidationError,
-    fit_normalizer,
-    forward,
-    init_parameters,
-    loss_and_gradient,
-    predict_proba,
-    train_classifier,
-)
+from connectoml import TrainConfig, ValidationError
 import connectoml.neuralnet as neuralnet
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MlpParameters,
     _forward_pass,
+    fit_normalizer,
     flatten_parameters,
+    forward,
+    init_parameters,
+    loss_and_gradient,
+    predict_proba,
+    train_classifier,
     unflatten_parameters,
 )
 

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from conftest import make_cohort
 
-from connectoml import (
-    MEASURES,
-    SamplerConfig,
-    TrainConfig,
-    ValidationError,
+from connectoml import SamplerConfig, TrainConfig, ValidationError
+from connectoml.connectome import MEASURES
+from connectoml.sampling import (
     apply_sampler,
     instance_hardness_threshold,
     near_miss_3,

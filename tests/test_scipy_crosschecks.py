@@ -7,12 +7,12 @@ not installed.
 import numpy as np
 import pytest
 
-from connectoml import (
-    mann_whitney_u,
+from connectoml import validate_matrix
+from connectoml.connectome import (
     matrix_exponential_symmetric,
     shortest_path_matrix,
-    validate_matrix,
 )
+from connectoml.evaluation import mann_whitney_u
 
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
 linalg = pytest.importorskip("scipy.linalg")
