@@ -1,14 +1,16 @@
 """The ordered pool of forked workers, and the one BLAS thread.
 
-Ingest and feature writing
---------------------------
-Both run their work units through one ordered pool, :func:`ordered_map`:
+Ingest, feature writing and cross-validation
+--------------------------------------------
+All three run their work units through one ordered pool, :func:`ordered_map`:
 the units go to forked workers, one per core available to the process (up
 to one per unit), and their results come back in unit order. With one core
 or no ``fork`` the same per-unit function runs in this process, and the
 results are the same. At most two results per worker are in flight, so the
 results held at once do not grow with the cohort. The first unit to fail,
-in order, raises its own exception.
+in order, raises its own exception. Ingest and
+:func:`~connectoml.evaluation.run_experiment` run their first unit (subject
+0, fold unit 0) in the calling process before the pool starts.
 
 One BLAS thread
 ---------------
@@ -16,8 +18,9 @@ One BLAS thread
 block and restores the previous counts after it. Sums split over threads
 round differently, so :func:`~connectoml.evaluation.run_experiment` and the
 cohort fill of :mod:`connectoml.dataio` run inside it. The pool's workers
-fork inside it and keep one thread each: one worker per core with several
-BLAS threads each made the ingest 4-10x slower (2 cores, OpenBLAS 0.3.31).
+fork inside it and keep one thread each, so a unit gives the same bytes in
+a worker as in the calling process. One worker per core with several BLAS
+threads each also made the ingest 4-10x slower (2 cores, OpenBLAS 0.3.31).
 Other BLAS builds are not pinned.
 """
 

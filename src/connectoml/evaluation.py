@@ -11,6 +11,13 @@ these alone. Metrics are computed per test fold with MCI as the positive
 class and aggregated as mean and standard error over all repetitions * folds
 values; strategies are compared pairwise with the Mann-Whitney U test on
 those per-fold samples.
+
+Each (repetition, fold) unit is independent of the others: the first runs
+in this process, the rest on every available core through
+:func:`~connectoml._pool.ordered_map`, and their metrics come back in unit
+order. Every random draw of a unit is keyed by
+:func:`~connectoml.folds.derive_seed`, so reports do not depend on the
+number of cores.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sampling
-from ._pool import one_blas_thread
+from ._pool import one_blas_thread, ordered_map
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort, measure_columns
 from .connectome import MEASURES
 from .errors import ValidationError
@@ -314,6 +321,31 @@ def check_experiment_settings(
     check_fold_minimum(k)
 
 
+def _evaluate_unit(state, unit) -> list:
+    """The :func:`compute_fold_metrics` dicts of the five strategies, in
+    :data:`STRATEGIES` order, on one ``(repetition, fold)`` unit of
+    :func:`run_experiment`, whose arguments ``state`` carries."""
+    working, sampler, train_cfg, seed, threshold = state
+    repetition, fold = unit
+    train = working.subset(fold.train_indices)
+    if sampler.mode == MODE_FOLD:
+        fold_seed = derive_seed(seed, repetition, fold.fold)
+        train = apply_sampler(train, sampler, fold_seed, train_cfg)
+    test = working.subset(fold.test_indices)
+    fold_cfg = replace(
+        train_cfg, seed=derive_seed(train_cfg.seed, repetition, fold.fold)
+    )
+    scores = fit_fold(train, fold_cfg).scores(test)
+    return [
+        compute_fold_metrics(
+            test.labels,
+            predict_label(scores[strategy], threshold),
+            scores[strategy],
+        )
+        for strategy in STRATEGIES
+    ]
+
+
 @one_blas_thread()
 def run_experiment(
     cohort: LabeledCohort,
@@ -326,12 +358,15 @@ def run_experiment(
 ) -> EvaluationReport:
     """Repeated stratified k-fold evaluation of all five strategies.
 
-    The sampler runs either once on the full cohort (``dataset`` mode)
-    or on each training split (``fold`` mode). Fold assignments, sampler
-    draws and model initializations all derive deterministically from
-    ``seed`` and ``train_cfg.seed``, and the whole run keeps OpenBLAS on
+    The sampler runs either once on the full cohort (``dataset`` mode), in
+    this process, or on each training split (``fold`` mode). The first
+    (repetition, fold) unit runs in this process and the others in forked
+    workers, one per available core (module docstring). Fold assignments,
+    sampler draws and model initializations all derive deterministically
+    from ``seed`` and ``train_cfg.seed``, and every unit runs OpenBLAS on
     one thread (:mod:`connectoml._pool`), so identical inputs reproduce
-    the report bit for bit whatever the BLAS thread count around it.
+    the report bit for bit whatever the core or BLAS thread count. Of
+    several failing units, the first in order raises its own exception.
     """
     check_experiment_settings(k, repetitions, seed, threshold)
     # Every sampler keeps the minority class whole, so the folds can be
@@ -345,29 +380,23 @@ def run_experiment(
         strategy: {metric: [] for metric in METRIC_NAMES}
         for strategy in STRATEGIES
     }
-    for repetition in range(repetitions):
-        folds = stratified_kfold(
+    state = (working, sampler, train_cfg, seed, threshold)
+    units = [
+        (repetition, fold)
+        for repetition in range(repetitions)
+        for fold in stratified_kfold(
             working.labels, k, derive_seed(seed, repetition)
         )
-        for fold in folds:
-            train = working.subset(fold.train_indices)
-            if sampler.mode == MODE_FOLD:
-                fold_seed = derive_seed(seed, repetition, fold.fold)
-                train = apply_sampler(train, sampler, fold_seed, train_cfg)
-            test = working.subset(fold.test_indices)
-            fold_cfg = replace(
-                train_cfg,
-                seed=derive_seed(train_cfg.seed, repetition, fold.fold),
-            )
-            scores = fit_fold(train, fold_cfg).scores(test)
-            for strategy in STRATEGIES:
-                metrics = compute_fold_metrics(
-                    test.labels,
-                    predict_label(scores[strategy], threshold),
-                    scores[strategy],
-                )
-                for metric, value in metrics.items():
-                    fold_values[strategy][metric].append(value)
+    ]
+    # The first unit runs here before the pool starts, so a profiler or
+    # tracer of this process sees one whole fold on any number of cores.
+    first = _evaluate_unit(state, units[0])
+    for unit_metrics in itertools.chain(
+        [first], ordered_map(_evaluate_unit, state, units[1:])
+    ):
+        for strategy, metrics in zip(STRATEGIES, unit_metrics):
+            for metric, value in metrics.items():
+                fold_values[strategy][metric].append(value)
 
     strategies_summary = {}
     for strategy in STRATEGIES:

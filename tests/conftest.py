@@ -12,11 +12,14 @@ require exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
 kernel-coordinate fit of ``train_classifier`` must reproduce. The
 ``openblas`` fixture runs a test with the loaded OpenBLAS on two threads;
-mark such a test ``needs_openblas``.
+mark such a test ``needs_openblas``. ``time_limit`` fails a test whose
+forked workers hang.
 """
 
+import contextlib
 import csv
 import itertools
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,22 @@ def openblas():
     yield controls
     for (setter, _), count in zip(controls, before):
         setter(count)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a test whose forked workers hang instead of waiting forever."""
+
+    def expired(signum, frame):
+        raise AssertionError(f"forked workers took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def taylor_expm(a, terms=60):

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import re
-import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -15,6 +14,7 @@ import pytest
 from conftest import (
     make_measure_cohort,
     needs_openblas,
+    time_limit,
     write_feature_csvs_reference,
 )
 
@@ -194,22 +194,6 @@ class TestLoadCohort:
         write_manifest(manifest, [("s9", "HC", "a.csv")])
         with pytest.raises(ValidationError, match="s9"):
             load_cohort(manifest)
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail a test whose forked workers hang instead of waiting forever."""
-
-    def expired(signum, frame):
-        raise AssertionError(f"forked workers took over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def ingest(monkeypatch, workers, manifest, disconnected="max_finite"):

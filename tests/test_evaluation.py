@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     mann_whitney_exact_oracle,
     midranks_reference,
     needs_openblas,
+    time_limit,
 )
 
 from connectoml import (
@@ -24,7 +26,12 @@ from connectoml import (
     ValidationError,
     run_experiment,
 )
-from connectoml.dataio import SyntheticCohortConfig
+from connectoml.dataio import (
+    SyntheticCohortConfig,
+    generate_synthetic_cohort,
+    load_feature_csvs,
+    write_feature_csvs,
+)
 from connectoml.evaluation import (
     METRIC_NAMES,
     STRATEGIES,
@@ -36,6 +43,7 @@ from connectoml.evaluation import (
 )
 from connectoml.folds import derive_seed, stratified_kfold
 import connectoml
+import connectoml._pool as pool
 import connectoml.cli as cli
 import connectoml.evaluation
 
@@ -406,6 +414,8 @@ class TestRunExperiment:
         monkeypatch.setattr(
             connectoml.evaluation, "fit_fold", recording_fit_fold
         )
+        # Forked workers cannot append to this process's list.
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
         k, reps = 3, 1
         run_experiment(
             cohort,
@@ -437,6 +447,8 @@ class TestRunExperiment:
         monkeypatch.setattr(
             connectoml.evaluation, "apply_sampler", recording_sampler
         )
+        # Forked workers cannot append to this process's list.
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
         cohort = quick_cohort(np.random.default_rng(12), n_hc=12, n_mci=18)
         train_cfg = TrainConfig(max_iterations=5, seed=4)
         k, reps, seed = 3, 2, 9
@@ -556,6 +568,106 @@ class TestOneBlasThread:
             )
             outputs[threads] = (report.read_bytes(), folds.read_bytes())
         assert outputs["1"] == outputs["2"]
+
+
+@pytest.fixture(scope="module")
+def weak_store(tmp_path_factory):
+    """A feature store whose fold values are not saturated (effect 0.06),
+    so a fold value out of order or from the wrong seed shows."""
+    store = tmp_path_factory.mktemp("weak") / "features"
+    cfg = SyntheticCohortConfig(
+        n_nodes=10, n_hc=15, n_mci=21, seed=3, effect_size=0.06
+    )
+    write_feature_csvs(generate_synthetic_cohort(cfg), store)
+    return store
+
+
+def evaluate_on_workers(monkeypatch, workers, store, out, *flags):
+    """``evaluate`` on the store with the core count forced to ``workers``;
+    returns the exit code."""
+    monkeypatch.setattr(pool, "available_cores", lambda: workers)
+    with time_limit(120), contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(
+            ["evaluate", "--features-dir", str(store), "--folds", "3",
+             "--repeats", "2", "--seed", "0", "--max-iter", "15",
+             "--out", str(out), *flags]
+        )
+
+
+class TestParallelFolds:
+    """The first (repetition, fold) unit runs in this process and the rest
+    in forked workers; the report does not depend on how many."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--sampler", "none"), ("--sampler", "iht", "--sampler-mode", "fold")],
+        ids=["none", "iht_fold"],
+    )
+    def test_report_bytes_do_not_depend_on_workers(
+        self, tmp_path, monkeypatch, weak_store, flags
+    ):
+        # Six units, five of them in the pool: two workers keep four in
+        # flight, five workers take one each.
+        written = {}
+        for workers in (1, 2, 5):
+            out = tmp_path / f"report{workers}.json"
+            assert evaluate_on_workers(
+                monkeypatch, workers, weak_store, out, *flags
+            ) == 0
+            written[workers] = out.read_bytes()
+        assert written[2] == written[1]
+        assert written[5] == written[1]
+        fold_values = json.loads(written[1])["fold_values"]
+        assert len(set(fold_values["ensemble"]["auc"])) > 1
+
+    def test_a_later_units_validation_error_reaches_the_caller(
+        self, tmp_path, monkeypatch, weak_store, capsys
+    ):
+        parent = os.getpid()
+        failing_seed = derive_seed(0, 1, 2)  # repetition 1, fold 2
+        original = connectoml.evaluation.fit_fold
+
+        def fail_in_worker(train, cfg):
+            if os.getpid() != parent and cfg.seed == failing_seed:
+                raise ValidationError("unit (1, 2) failed in a worker")
+            return original(train, cfg)
+
+        monkeypatch.setattr(connectoml.evaluation, "fit_fold", fail_in_worker)
+        out = tmp_path / "report.json"
+        assert evaluate_on_workers(monkeypatch, 2, weak_store, out) == 2
+        assert capsys.readouterr().err == (
+            "error: unit (1, 2) failed in a worker\n"
+        )
+        assert not out.exists()
+        cohort = load_feature_csvs(weak_store)
+        with time_limit(120), pytest.raises(
+            ValidationError, match=r"^unit \(1, 2\) failed in a worker$"
+        ):
+            run_experiment(
+                cohort, SamplerConfig(method="none"), FAST_TRAIN,
+                k=3, repetitions=2,
+            )
+
+    def test_a_worker_that_dies_raises_instead_of_hanging(
+        self, monkeypatch, weak_store
+    ):
+        parent = os.getpid()
+        dying_seed = derive_seed(0, 1, 0)  # repetition 1, fold 0
+        original = connectoml.evaluation.fit_fold
+
+        def die_in_worker(train, cfg):
+            if os.getpid() != parent and cfg.seed == dying_seed:
+                os._exit(1)
+            return original(train, cfg)
+
+        monkeypatch.setattr(connectoml.evaluation, "fit_fold", die_in_worker)
+        monkeypatch.setattr(pool, "available_cores", lambda: 2)
+        cohort = load_feature_csvs(weak_store)
+        with time_limit(120), pytest.raises(BrokenProcessPool):
+            run_experiment(
+                cohort, SamplerConfig(method="none"), FAST_TRAIN,
+                k=3, repetitions=2,
+            )
 
 
 class TestDatasetModeLeakage:
