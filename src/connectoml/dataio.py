@@ -75,7 +75,8 @@ from .connectome import (
     validate_matrix,
 )
 from .errors import ValidationError
-from .evaluation import METRIC_NAMES, STRATEGIES, EvaluationReport
+from .evaluation import METRIC_NAMES, REPORT_SCHEMA, STRATEGIES
+from .evaluation import EvaluationReport
 
 
 def _parse_cells(text, cells, path, line_number) -> np.ndarray:
@@ -452,6 +453,7 @@ def _read_feature_file(path):
     if not path.exists():
         raise FileNotFoundError(f"feature file not found: {path}")
     ids, labels, rows = [], [], []
+    seen = set()
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -472,6 +474,12 @@ def _read_feature_file(path):
                 raise ValidationError(
                     f"{path}: line {line_number}: unknown label {row[1]!r}"
                 )
+            if row[0] in seen:
+                raise ValidationError(
+                    f"{path}: line {line_number}: duplicate"
+                    f" subject id {row[0]!r}"
+                )
+            seen.add(row[0])
             ids.append(row[0])
             labels.append(LABEL_CODES[row[1]])
             cells = row[2:]
@@ -552,6 +560,11 @@ def load_report(path) -> EvaluationReport:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: report is not a JSON object")
+    schema = payload.get("schema")
+    if schema != REPORT_SCHEMA:
+        raise ValidationError(
+            f"{path}: report schema {schema!r} is not {REPORT_SCHEMA!r}"
+        )
     for key in ("config", "strategies", "tests", "fold_values"):
         if key not in payload:
             raise ValidationError(f"{path}: report is missing key {key!r}")

@@ -51,6 +51,10 @@ STRATEGIES = MEASURES + (STRATEGY_FUSION, STRATEGY_ENSEMBLE)
 
 METRIC_NAMES = ("accuracy", "auc", "sensitivity", "specificity", "f1")
 
+#: The ``schema`` every report is written with, and the only one
+#: :func:`connectoml.dataio.load_report` reads.
+REPORT_SCHEMA = "connectoml-report/1"
+
 #: Largest min(n, m) for which the Mann-Whitney p-value is enumerated exactly
 #: when ``method="auto"``.
 EXACT_ENUMERATION_LIMIT = 8
@@ -233,7 +237,7 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "connectoml-report/1",
+            "schema": REPORT_SCHEMA,
             "config": self.config,
             "strategies": self.strategies,
             "tests": self.tests,

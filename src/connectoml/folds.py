@@ -51,31 +51,32 @@ def check_fold_count(labels, k: int) -> None:
 def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
     """Partition subjects into k disjoint folds preserving class balance.
 
-    Each class is shuffled with its own seeded permutation and dealt to the
-    folds round-robin, so per-fold class counts differ by at most one from
-    perfect stratification. Index arrays are sorted ascending.
+    Each class, in ascending label order, draws one seeded permutation of
+    its indices, and fold f tests the sorted union of every
+    ``permutation[f::k]``: the permutations are dealt round-robin, so
+    per-fold class counts differ by at most one from perfect
+    stratification. Fold f trains on every other index, ascending. Both
+    index arrays are int64.
 
     Raises ``ValidationError`` as :func:`check_fold_count` does.
     """
     labels = np.asarray(labels)
     check_fold_count(labels, k)
     rng = np.random.default_rng(seed)
-    test_sets: list[list] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
-        class_indices = np.flatnonzero(labels == cls)
-        for position, index in enumerate(rng.permutation(class_indices)):
-            test_sets[position % k].append(int(index))
-
-    everything = np.arange(labels.size)
+    dealt = [
+        rng.permutation(np.flatnonzero(labels == cls))
+        for cls in np.unique(labels)
+    ]
+    everything = np.arange(labels.size, dtype=np.int64)
     folds = []
-    for fold_index, test in enumerate(test_sets):
-        test_indices = np.array(sorted(test), dtype=np.int64)
-        train_mask = np.ones(labels.size, dtype=bool)
-        train_mask[test_indices] = False
+    for fold_index in range(k):
+        test_indices = np.sort(
+            np.concatenate([order[fold_index::k] for order in dealt])
+        ).astype(np.int64)
         folds.append(
             FoldAssignment(
                 fold=fold_index,
-                train_indices=everything[train_mask],
+                train_indices=np.delete(everything, test_indices),
                 test_indices=test_indices,
             )
         )

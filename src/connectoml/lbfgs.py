@@ -105,14 +105,13 @@ class LbfgsResult:
 
 @dataclass(frozen=True)
 class LineSearchResult:
+    """The accepted step, or on failure the lowest finite trial: step 0 at
+    the starting value, with no gradient, when no trial went lower."""
+
     success: bool
     step: float
     fval: float
     grad: np.ndarray | None
-    # Best (lowest finite f) trial seen, whether or not it satisfied Wolfe.
-    best_step: float = 0.0
-    best_fval: float = np.inf
-    best_grad: np.ndarray | None = None
 
 
 def _cubic_minimizer(a, fa, ga, b, fb, gb):
@@ -179,12 +178,6 @@ def strong_wolfe_line_search(
             best = (step, f, g)
         return f, g, float(g @ direction_image)
 
-    def result(success, step, f, g=None):
-        return LineSearchResult(
-            success, step, f, g,
-            best_step=best[0], best_fval=best[1], best_grad=best[2],
-        )
-
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi):
         for _ in range(_MAX_EVALS):
             width = hi - lo
@@ -203,13 +196,13 @@ def strong_wolfe_line_search(
                 hi, phi_hi, dphi_hi = trial, phi, dphi
             else:
                 if abs(dphi) <= -WOLFE_C2 * dphi0:
-                    return result(True, trial, phi, g)
+                    return LineSearchResult(True, trial, phi, g)
                 if dphi * (hi - lo) >= 0.0:
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
                 lo, phi_lo, dphi_lo = trial, phi, dphi
             if abs(hi - lo) <= 1e-14 * max(1.0, abs(lo), abs(hi)):
                 break
-        return result(False, 0.0, phi0)
+        return LineSearchResult(False, *best)
 
     prev_step, phi_prev, dphi_prev = 0.0, phi0, dphi0
     step = min(initial_step, _MAX_STEP)
@@ -220,14 +213,14 @@ def strong_wolfe_line_search(
         ):
             return zoom(prev_step, phi_prev, dphi_prev, step, phi, dphi)
         if abs(dphi) <= -WOLFE_C2 * dphi0:
-            return result(True, step, phi, g)
+            return LineSearchResult(True, step, phi, g)
         if dphi >= 0.0:
             return zoom(step, phi, dphi, prev_step, phi_prev, dphi_prev)
         if step >= _MAX_STEP:
             break
         prev_step, phi_prev, dphi_prev = step, phi, dphi
         step = min(2.0 * step, _MAX_STEP)
-    return result(False, 0.0, phi0)
+    return LineSearchResult(False, *best)
 
 
 class _CurvatureHistory:
@@ -443,14 +436,14 @@ def lbfgs_minimize(
         )
         if not search.success:
             line_search_failed = True
-            if search.best_fval < fval:
+            if search.fval < fval:
                 iteration += 1
-                x = x + search.best_step * direction
-                fval = search.best_fval
-                grad = search.best_grad
+                x = x + search.step * direction
+                fval = search.fval
+                grad = search.grad
                 grad_inf = norm(grad, np.inf)
                 trace.append(
-                    LbfgsIterate(iteration, fval, grad_inf, search.best_step)
+                    LbfgsIterate(iteration, fval, grad_inf, search.step)
                 )
             break
 

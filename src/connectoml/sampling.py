@@ -116,25 +116,20 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _by_descending_score(scores: np.ndarray, candidates: np.ndarray):
-    """Candidate indices ordered by score descending, ties by ascending index."""
-    order = np.lexsort((candidates, -scores))
-    return candidates[order]
-
-
 def near_miss_3(
     cohort: LabeledCohort, k: int = NEAR_MISS_NEIGHBORS
 ) -> LabeledCohort:
     """Two-step neighbor-based under-sampling of the majority class.
 
     Step 1 short-lists, for each minority subject, its k nearest majority
-    neighbors. Step 2 keeps the short-listed majority subjects whose average
-    distance to their k nearest minority neighbors is largest, until the
-    classes are balanced; if the short-list is too small, the remaining slots
-    are filled from the other majority subjects by the same criterion.
+    neighbors, distance ties by ascending subject index. Step 2 keeps the
+    first minority-size majority subjects of one ordering: short-listed
+    subjects first, then by average distance to their k nearest minority
+    neighbors, largest first, then by ascending subject index. So the
+    short-list is kept by that score, and when it is too small the other
+    majority subjects fill the remaining slots by the same score.
 
-    k is clamped to the available class sizes. Distance ties are broken by
-    ascending subject index.
+    k is clamped to the available class sizes.
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
@@ -146,31 +141,13 @@ def near_miss_3(
     features = fit_normalizer(fused).transform(fused)
     distances = _pairwise_distances(features[majority], features[minority])
 
-    k_shortlist = min(k, majority.size)
-    shortlist_positions = set()
-    for col in range(minority.size):
-        order = np.argsort(distances[:, col], kind="stable")
-        shortlist_positions.update(order[:k_shortlist].tolist())
-
-    k_score = min(k, minority.size)
-    nearest = np.sort(distances, axis=1)[:, :k_score]
-    average_distance = nearest.mean(axis=1)
-
-    target = minority.size
-    shortlist = np.array(sorted(shortlist_positions), dtype=np.int64)
-    ranked_shortlist = _by_descending_score(
-        average_distance[shortlist], majority[shortlist]
-    )
-    kept = list(ranked_shortlist[:target])
-    if len(kept) < target:
-        rest_mask = np.ones(majority.size, dtype=bool)
-        rest_mask[shortlist] = False
-        rest = np.flatnonzero(rest_mask)
-        ranked_rest = _by_descending_score(
-            average_distance[rest], majority[rest]
-        )
-        kept.extend(ranked_rest[: target - len(kept)])
-    return _retain(cohort, np.concatenate([minority, np.array(kept)]))
+    nearest_majority = np.argsort(distances, axis=0, kind="stable")
+    shortlisted = np.zeros(majority.size, dtype=bool)
+    shortlisted[nearest_majority[: min(k, majority.size)]] = True
+    nearest = np.sort(distances, axis=1)[:, : min(k, minority.size)]
+    order = np.lexsort((majority, -nearest.mean(axis=1), ~shortlisted))
+    kept = majority[order[: minority.size]]
+    return _retain(cohort, np.concatenate([minority, kept]))
 
 
 def instance_hardness_threshold(
@@ -218,9 +195,8 @@ def instance_hardness_threshold(
         )
 
     correct_class = np.where(labels == 1, out_of_fold, 1.0 - out_of_fold)
-    kept = _by_descending_score(correct_class[majority], majority)[
-        : minority.size
-    ]
+    order = np.lexsort((majority, -correct_class[majority]))
+    kept = majority[order[: minority.size]]
     return _retain(cohort, np.concatenate([minority, kept]))
 
 

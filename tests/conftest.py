@@ -6,9 +6,9 @@ Dijkstra (``dijkstra_all_sources_reference``) instead of Floyd-Warshall,
 explicit pair counting instead of rank sums, vector two-loop recursion
 instead of Gram-matrix coefficients) so that agreement is evidence, not
 tautology. The bit-identity oracles (``write_feature_csvs_reference``,
-``fit_fold_reference``, ``midranks_reference``, ``minmax_reference``)
-are the straightforward or earlier forms of library code, kept so tests can
-require exactly the same floats and bytes.
+``fit_fold_reference``, ``midranks_reference``, ``minmax_reference``,
+``stratified_kfold_reference``) are the straightforward or earlier forms of
+library code, kept so tests can require exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
 kernel-coordinate fit of ``train_classifier`` must reproduce. The
 ``openblas`` fixture runs a test with the loaded OpenBLAS on two threads;
@@ -232,6 +232,27 @@ def mann_whitney_exact_oracle(sample_a, sample_b):
             extreme += 1
         total += 1
     return observed, extreme / total
+
+
+def stratified_kfold_reference(labels, k, seed):
+    """``[(train_indices, test_indices)]`` of each fold, dealt one subject
+    at a time: each class's seeded permutation goes round-robin to the
+    folds, and each training set is the complement of its test set."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    test_sets = [[] for _ in range(k)]
+    for cls in np.unique(labels):
+        class_indices = np.flatnonzero(labels == cls)
+        for position, index in enumerate(rng.permutation(class_indices)):
+            test_sets[position % k].append(int(index))
+    everything = np.arange(labels.size)
+    folds = []
+    for test in test_sets:
+        test_indices = np.array(sorted(test), dtype=np.int64)
+        train_mask = np.ones(labels.size, dtype=bool)
+        train_mask[test_indices] = False
+        folds.append((everything[train_mask], test_indices))
+    return folds
 
 
 def two_loop_direction(grad, s_history, y_history, rho_history):

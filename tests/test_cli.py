@@ -339,6 +339,33 @@ class TestCompare:
             " finite numbers\n"
         )
 
+    @pytest.mark.parametrize(
+        "schema", ["connectoml-report/2", None], ids=["schema_2", "no_schema"]
+    )
+    def test_report_of_another_schema_is_two(
+        self, cohort_dir, tmp_path, capsys, schema
+    ):
+        good = tmp_path / "good.json"
+        bad = tmp_path / "bad.json"
+        assert run_cli(
+            ["evaluate", "--manifest", str(cohort_dir / "manifest.csv")]
+            + EVAL_SPEED
+            + ["--out", str(good)]
+        ) == 0
+        payload = json.loads(good.read_text())
+        assert payload["schema"] == "connectoml-report/1"
+        if schema is None:
+            del payload["schema"]
+        else:
+            payload["schema"] = schema
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: report schema {schema!r} is not"
+            " 'connectoml-report/1'\n"
+        )
+
     @pytest.mark.parametrize("value", ["7", "1", "0", "-0.5", "nan"])
     def test_significance_outside_unit_interval_is_two(
         self, tmp_path, capsys, value
@@ -469,6 +496,39 @@ class TestExitCodes:
             f"error: {path}: line 5: could not convert string to float:"
             " '1.5.2'\n"
         )
+
+    def test_duplicate_subject_in_feature_store_is_two(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        features = tmp_path / "features"
+        extract = [
+            "extract",
+            "--manifest", str(cohort_dir / "manifest.csv"),
+            "--out-dir", str(features),
+        ]
+        assert run_cli(extract) == 0
+        # Repeat subject row 2 at the end of every file, on line 17.
+        for measure in ("weights", "shortest_path", "communicability"):
+            path = features / f"features_{measure}.csv"
+            records = path.read_bytes().split(b"\r\n")
+            assert len(records) == 17 and records[-1] == b""
+            records.insert(-1, records[2])
+            path.write_bytes(b"\r\n".join(records))
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--features-dir", str(features),
+                "--out", str(tmp_path / "r.json"),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {features / 'features_weights.csv'}: line 17:"
+            " duplicate subject id 'HC0002'\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_value_is_two(

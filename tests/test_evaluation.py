@@ -17,6 +17,7 @@ from conftest import (
     mann_whitney_exact_oracle,
     midranks_reference,
     needs_openblas,
+    stratified_kfold_reference,
     time_limit,
 )
 
@@ -83,6 +84,28 @@ class TestStratifiedKfold:
             not np.array_equal(a.test_indices, b.test_indices)
             for a, b in zip(first, third)
         )
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_the_dealing_loop(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(40):
+            minority = int(rng.integers(k, 3 * k + 2))
+            majority = int(rng.integers(minority + 1, 6 * minority + 1))
+            labels = np.repeat([0, 1], [minority, majority])
+            if rng.random() < 0.5:
+                labels = 1 - labels
+            labels = rng.permutation(labels)
+            seed = int(rng.integers(2**32))
+            folds = stratified_kfold(labels, k, seed)
+            expected = stratified_kfold_reference(labels, k, seed)
+            assert [fold.fold for fold in folds] == list(range(k))
+            for fold, (train, test) in zip(folds, expected, strict=True):
+                for got, want in (
+                    (fold.train_indices, train),
+                    (fold.test_indices, test),
+                ):
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
 
     def test_class_smaller_than_k_rejected(self):
         labels = np.concatenate([np.zeros(3), np.ones(30)]).astype(int)

@@ -89,6 +89,39 @@ class TestLineSearch:
             image=x, direction_image=grad,
         )
         assert not result.success
+        assert (result.step, result.fval, result.grad) == (0.0, fval, None)
+
+    def test_failed_search_returns_its_lowest_trial(self):
+        # A linear objective never meets the curvature condition: the step
+        # doubles on every trial, and the search fails at the last one.
+        def objective(x):
+            return float(-x[0]), np.array([-1.0])
+
+        x = np.array([0.0])
+        direction = np.array([1.0])
+        result = strong_wolfe_line_search(
+            euclidean(objective), x, 0.0, direction, -1.0,
+            image=x, direction_image=direction,
+        )
+        assert not result.success
+        assert result.step == 2.0 ** (lbfgs._MAX_EVALS - 1)
+        assert result.fval == -result.step
+        assert np.array_equal(result.grad, [-1.0])
+
+    def test_failed_search_without_a_lower_trial_returns_the_start(self):
+        def objective(x):
+            if x[0] == 1.0:
+                return 1.0, np.array([2.0])
+            return np.inf, np.array([np.nan])
+
+        x = np.array([1.0])
+        direction = np.array([-1.0])
+        result = strong_wolfe_line_search(
+            euclidean(objective), x, 1.0, direction, -2.0,
+            image=x, direction_image=direction,
+        )
+        assert not result.success
+        assert (result.step, result.fval, result.grad) == (0.0, 1.0, None)
 
     def test_non_finite_trials_shrink_the_step(self):
         def objective(x):

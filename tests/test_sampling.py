@@ -120,11 +120,23 @@ class TestNearMiss3:
         assert kept_ids == sorted(cohort.subject_ids[i] for i in expected)
 
     def test_matches_oracle_on_random_toys(self):
+        # The last 20 toys sit on a quarter lattice whose corners (0, 0) and
+        # (2, 2) fix every span at 2. Their normalized coordinates and
+        # squared distances are then exact, so distance ties are real ties
+        # for the library and for the oracle, which is handed the same
+        # fused coordinates the library measures, and the index tie-break
+        # decides them.
         rng = np.random.default_rng(5)
-        for _ in range(20):
+        for trial in range(40):
+            lattice = trial >= 20
             n_minority = int(rng.integers(2, 6))
-            n_majority = int(rng.integers(n_minority + 1, 14))
-            points = rng.normal(size=(n_minority + n_majority, 2)) * 3
+            high = 40 if lattice else 14
+            n_majority = int(rng.integers(n_minority + 1, high))
+            if lattice:
+                points = rng.integers(0, 9, (n_minority + n_majority, 2)) / 4
+                points[0], points[-1] = 0.0, 2.0
+            else:
+                points = rng.normal(size=(n_minority + n_majority, 2)) * 3
             labels = np.concatenate(
                 [np.zeros(n_minority), np.ones(n_majority)]
             ).astype(int)
@@ -132,6 +144,8 @@ class TestNearMiss3:
             cohort = make_cohort(points[perm], labels[perm])
             k = int(rng.integers(1, 5))
             out = near_miss_3(cohort, k=k)
+            if lattice:
+                points = np.hstack([points] * len(MEASURES))
             expected = near_miss_oracle(points[perm], labels[perm], k)
             assert sorted(out.subject_ids) == sorted(
                 cohort.subject_ids[i] for i in expected
