@@ -132,7 +132,7 @@ def flatten_upper_triangle(matrix) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     iu = np.triu_indices(matrix.shape[0], k=1)
-    return matrix[iu].copy()
+    return matrix[iu]
 
 
 def unflatten_upper_triangle(values, n_nodes: int) -> np.ndarray:

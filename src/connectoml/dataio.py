@@ -17,6 +17,10 @@ File formats
   representation, so exporting and re-parsing reproduces every number
   exactly.
 
+The matrix, manifest and feature readers skip one leading UTF-8 byte-order
+mark, as spreadsheet "CSV UTF-8" exports write; a mark anywhere else in a
+numeric row is refused like any other non-ASCII character.
+
 Ingest and feature writing
 --------------------------
 Both run their work units through the ordered pool of
@@ -102,7 +106,7 @@ def load_matrix_file(path) -> np.ndarray:
     number, and the first bad line in the file is reported."""
     path = Path(path)
     rows = []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             # ASCII whitespace only, so a no-break space reaches the check.
             line = line.strip(string.whitespace)
@@ -132,7 +136,7 @@ def read_manifest(manifest_path):
     base = manifest_path.parent
     entries = []
     seen = set()
-    with manifest_path.open("r", encoding="utf-8", newline="") as handle:
+    with manifest_path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"subject_id", "label", "path"}
         if reader.fieldnames is None or not required.issubset(
@@ -214,6 +218,8 @@ def _extract_cohort(subject_ids, labels, read, count, disconnected):
     """The cohort of ``count`` subjects, subject ``i`` the validated matrix
     ``read(i)``, filled as the module docstring says."""
     _normalize_disconnected_policy(disconnected)
+    if count == 0:
+        raise ValidationError("cohort lists no subjects")
     subjects = range(count)
     with one_blas_thread():
         first = read(0)
@@ -454,7 +460,7 @@ def _read_feature_file(path):
         raise FileNotFoundError(f"feature file not found: {path}")
     ids, labels, rows = [], [], []
     seen = set()
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[:2] != ["subject_id", "label"]:

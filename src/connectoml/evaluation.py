@@ -451,7 +451,5 @@ def run_experiment(
         config=config,
         strategies=strategies_summary,
         tests=tests,
-        fold_values={
-            s: dict(fold_values[s]) for s in STRATEGIES
-        },
+        fold_values=fold_values,
     )

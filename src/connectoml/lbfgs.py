@@ -40,7 +40,7 @@ a.M.d``, the ring holds ``M.s = step.M.d`` and ``M.y = M.g_new - M.g``
 next to s and y, and a direction, a combination of the rows and the
 gradient, takes its image from the same coefficients. The objective
 receives each trial point's image along with the point, and ``metric``
-runs once at the start, on the first gradient, and once per accepted
+runs on the start point, on the first gradient, and once per accepted
 iterate, on its gradient. One arithmetic serves every metric, the identity
 included.
 """
@@ -348,7 +348,7 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
 
 
 def lbfgs_minimize(
-    objective, x0, cfg, norm=gradient_norm, metric=None, x0_image=None
+    objective, x0, cfg, norm=gradient_norm, metric=None
 ) -> LbfgsResult:
     """Minimize ``objective`` starting from ``x0``.
 
@@ -373,12 +373,9 @@ def lbfgs_minimize(
     metric : callable, optional
         ``metric(v) = M.v`` for the symmetric positive semidefinite ``M``
         of the inner product (module docstring, Coordinates and metric),
-        called on the first gradient and on each accepted iterate's. By
-        default M = I, the Euclidean inner product, and the objective takes
-        the point alone.
-    x0_image : array_like, optional
-        ``M.x0`` when the caller has it without a product; by default
-        ``metric(x0)``.
+        called on the start point, on the first gradient, and on each
+        accepted iterate's gradient. By default M = I, the Euclidean inner
+        product, and the objective takes the point alone.
 
     Returns
     -------
@@ -393,11 +390,10 @@ def lbfgs_minimize(
     """
     if metric is None:
         return lbfgs_minimize(
-            lambda point, image: objective(point), x0, cfg, norm, _identity,
-            x0_image,
+            lambda point, image: objective(point), x0, cfg, norm, _identity
         )
     x = np.array(x0, dtype=np.float64)
-    image = metric(x) if x0_image is None else np.asarray(x0_image, np.float64)
+    image = metric(x)
     fval, grad = objective(x, image)
     fval = float(fval)
     grad = np.asarray(grad, dtype=np.float64)
@@ -421,7 +417,7 @@ def lbfgs_minimize(
             direction, mdirection = -grad, -mgrad
             slope = float(direction @ mgrad)
         initial_step = 1.0
-        if history.count == 0 and iteration == 0:
+        if iteration == 0:
             initial_step = min(1.0, 1.0 / max(1.0, norm(grad, 1)))
 
         search = strong_wolfe_line_search(

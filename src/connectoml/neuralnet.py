@@ -37,8 +37,7 @@ outputs and penalty off the point's metric image, which L-BFGS carries
 along every vector it forms: ``z1 = (M.v)_B + b1`` and ``||W1||^2 =
 <v_B, (M.v)_B> + v_c.(M.v)_c``. So an evaluation forms no (n, n) by (n, 32)
 product, and the one product of each accepted iterate is the metric's, on
-its gradient; the start's image ``(P, the other layers, ||W1_0||^2)``
-needs none. The full space would spend n.d.32 flops on each.
+its gradient. The full space would spend n.d.32 flops on each.
 Convergence and the first step use norms of the full-space gradient.
 When d < n, G is rank-deficient, which only adds directions of B that
 map to zero, and the coordinates outnumber the parameters: with d well
@@ -362,13 +361,6 @@ class _KernelCoordinates:
         rest = flatten_parameters(init)[self.w1.size :]
         return np.concatenate([np.zeros(self.split), rest, [1.0]])
 
-    def start_image(self, start: np.ndarray) -> np.ndarray:
-        """``metric(start)`` of a :meth:`start` vector without a product:
-        B = 0 and c = 1 leave ``(P, the other layers, ||W1_0||^2)``."""
-        return np.concatenate(
-            [self.proj.ravel(), start[self.split : -1], [self.w1_norm]]
-        )
-
     def lift(self, v: np.ndarray) -> np.ndarray:
         """``v`` as a full-space vector, laid out as
         :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``."""
@@ -448,15 +440,13 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpParameters:
                 return bound
         return gradient_norm(coords.lift(grad), order)
 
-    start = coords.start(init)
     result = lbfgs_minimize(
         lambda theta, image: coords.loss_and_gradient(
             theta, image, y, cfg.l2_alpha
         ),
-        start,
+        coords.start(init),
         cfg,
         norm=full_norm,
         metric=coords.metric,
-        x0_image=coords.start_image(start),
     )
     return unflatten_parameters(coords.lift(result.x), x.shape[1])

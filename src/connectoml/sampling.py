@@ -122,12 +122,17 @@ def near_miss_3(
     """Two-step neighbor-based under-sampling of the majority class.
 
     Step 1 short-lists, for each minority subject, its k nearest majority
-    neighbors, distance ties by ascending subject index. Step 2 keeps the
-    first minority-size majority subjects of one ordering: short-listed
-    subjects first, then by average distance to their k nearest minority
-    neighbors, largest first, then by ascending subject index. So the
-    short-list is kept by that score, and when it is too small the other
-    majority subjects fill the remaining slots by the same score.
+    neighbors, ties of computed distance by ascending subject index. Step 2
+    keeps the first minority-size majority subjects of one ordering:
+    short-listed subjects first, then by average distance to their k
+    nearest minority neighbors, largest first, then by ascending subject
+    index. So the short-list is kept by that score, and when it is too
+    small the other majority subjects fill the remaining slots by the same
+    score.
+
+    The index decides only between equal computed values. Distances come
+    from the expansion ``|a|^2 + |b|^2 - 2a.b``, which can round two
+    mathematically equal distances apart, and then rounding decides.
 
     k is clamped to the available class sizes.
     """

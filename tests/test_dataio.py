@@ -121,6 +121,23 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
 
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_only_a_leading_byte_order_mark_is_skipped(self, tmp_path, line):
+        # Spreadsheet "CSV UTF-8" exports start the file with U+FEFF.
+        rows = ["0,1", "1,0"]
+        rows[line - 1] = "\ufeff" + rows[line - 1]
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        if line == 1:
+            assert load_matrix_file(path).tolist() == [[0, 1], [1, 0]]
+            return
+        message = (
+            f"{path}: line 2: could not convert string to float:"
+            f" {chr(0xFEFF) + '1'!r}"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_matrix_file(path)
+
 
 class TestLoadCohort:
     def test_manifest_order_and_labels(self, tmp_path):
@@ -136,6 +153,22 @@ class TestLoadCohort:
         assert cohort.size == 2
         assert cohort.features["weights"][0].tolist() == [1.0]
         assert cohort.features["weights"][1].tolist() == [2.0]
+
+    @pytest.mark.parametrize("field", ["subject_id", "label"])
+    def test_only_a_leading_byte_order_mark_is_skipped(self, tmp_path, field):
+        tiny_matrix_file(tmp_path / "a.csv", [[0, 1], [1, 0]])
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [("s1", "HC", "a.csv")])
+        text = manifest.read_text(encoding="utf-8")
+        if field == "subject_id":
+            manifest.write_text("\ufeff" + text, encoding="utf-8")
+            assert load_cohort(manifest).subject_ids == ("s1",)
+            return
+        manifest.write_text(
+            text.replace(",HC,", ",\ufeffHC,"), encoding="utf-8"
+        )
+        with pytest.raises(ValidationError, match="line 2: unknown label"):
+            load_cohort(manifest)
 
     def test_missing_matrix_file_names_subject_and_path(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
@@ -343,6 +376,12 @@ class TestParallelIngest:
             ValidationError, match="subject 'b' has 4 nodes;.* has 3$"
         ):
             cohort_from_matrices(["a", "b"], [0, 1], [small, large])
+
+    def test_empty_in_memory_cohort_is_refused(self):
+        with pytest.raises(
+            ValidationError, match="^cohort lists no subjects$"
+        ):
+            cohort_from_matrices([], [], [])
 
     def test_unknown_policy_fails_before_any_parse(
         self, tmp_path, monkeypatch
@@ -702,6 +741,17 @@ class TestFeatureStore:
             load_feature_csvs(tmp_path)
         path = tmp_path / f"features_{MEASURES[0]}.csv"
         assert str(excinfo.value) == f"{path}: feature file lists no subjects"
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, measure):
+        cfg = SyntheticCohortConfig(n_nodes=6, n_hc=2, n_mci=2, seed=6)
+        cohort = generate_synthetic_cohort(cfg)
+        write_feature_csvs(cohort, tmp_path)
+        path = tmp_path / f"features_{measure}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        reloaded = load_feature_csvs(tmp_path)
+        assert reloaded.subject_ids == cohort.subject_ids
+        assert np.array_equal(reloaded.fused(), cohort.fused())
 
     def test_missing_measure_file_rejected(self, tmp_path):
         cfg = SyntheticCohortConfig(n_nodes=8, n_hc=4, n_mci=4, seed=6)

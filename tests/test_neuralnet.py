@@ -536,7 +536,6 @@ class TestRowSpaceFit:
         coords = neuralnet._KernelCoordinates(x, init.layer_weights[0])
         start = coords.start(init)
         assert np.array_equal(coords.lift(start), flatten_parameters(init))
-        assert np.array_equal(coords.start_image(start), coords.metric(start))
         rng = np.random.default_rng(x.size)
         for _ in range(3):
             u, v = rng.normal(size=(2, start.size))
@@ -554,8 +553,8 @@ class TestRowSpaceFit:
         self, monkeypatch, max_iterations
     ):
         # The objective reads each trial point's carried image, so the
-        # metric's Gram product runs only on the first gradient and on each
-        # accepted iterate's.
+        # metric's Gram product runs only on the start point, on the first
+        # gradient and on each accepted iterate's.
         xs, ys, _ = row_space_problem(seed=9, n=40, d=300)
         calls = []
         metric = neuralnet._KernelCoordinates.metric
@@ -571,7 +570,7 @@ class TestRowSpaceFit:
         _, outcome = fit_with_outcome(monkeypatch, xs, ys, cfg)
         assert not outcome.line_search_failed
         assert outcome.iterations == max_iterations
-        assert len(calls) == outcome.iterations + 1
+        assert len(calls) == outcome.iterations + 2
 
     def test_lift_equals_the_concatenated_form(self):
         # The paper's single-measure fit size: 105 rows, 7,140 inputs.
