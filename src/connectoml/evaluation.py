@@ -78,8 +78,9 @@ def auc(true_labels, scores) -> float:
     """Area under the ROC curve as a rank statistic.
 
     Equals the probability that a uniformly chosen positive outranks a
-    uniformly chosen negative, with ties counted one half. Computed from
-    midranks, which reproduces brute-force pair counting exactly.
+    uniformly chosen negative, with ties counted one half: the U statistic
+    of the positives over the negatives, per pair. U comes from midranks,
+    which reproduces brute-force pair counting exactly.
     """
     y = np.asarray(true_labels)
     s = np.asarray(scores, dtype=np.float64)
@@ -89,10 +90,7 @@ def auc(true_labels, scores) -> float:
     negatives = int(np.sum(y == 0))
     if positives == 0 or negatives == 0:
         raise ValidationError("AUC requires both classes in the fold")
-    rank_sum = float(np.sum(_midranks(s)[y == 1]))
-    return (rank_sum - positives * (positives + 1) / 2.0) / (
-        positives * negatives
-    )
+    return _u_statistic(s[y == 1], s[y == 0]) / (positives * negatives)
 
 
 def compute_fold_metrics(true_labels, predicted_labels, scores) -> dict:

@@ -1,17 +1,10 @@
 """Limited-memory BFGS minimizer with a strong Wolfe line search.
 
-The search direction is the two-loop recursion's -H.g over the last
-``history`` curvature pairs (s, y), scaled by ``(s.y)/(y.y)``, computed in
-the compact, vector-free form (Byrd, Nocedal & Schnabel, Math. Prog. 63,
-1994; Chen, Wang & Zhou, "Large-scale L-BFGS using MapReduce", NIPS 2014).
-The pairs live in one preallocated (2 * history, n) ring of rows
-s_1, y_1, s_2, y_2, ..., next to the Gram matrix of the rows' inner
-products and the rows' inner products with the gradient. The recursion then
-runs on 2 * history + 1 scalar coefficients, and each iteration touches the
-stored rows in two matrix-vector products: one forms the direction, the
-other the inner products with the next gradient. The new pair's remaining
-inner products need no pass over the rows: s lies in the span of the rows
-and the gradient, and rows.y = rows.g_new - rows.g.
+The search direction is -H.g of the two-loop recursion (Nocedal, "Updating
+quasi-Newton matrices with limited storage", Math. Comp. 35, 1980) over the
+last ``history`` curvature pairs (s, y), with the initial matrix scaled by
+``(s.y)/(y.y)`` of the newest pair. The pairs are kept as vectors, oldest
+first, and each direction takes two passes over them.
 
 Step lengths are chosen by a bracket-and-zoom line search with safeguarded
 cubic interpolation that enforces the strong Wolfe conditions
@@ -28,25 +21,25 @@ Euclidean one. A caller minimizing F over coordinates v of a linear map L
 (the point is ``L.v``) passes ``M = L^T.L`` and an objective that returns
 ``F(L.v)`` and a gradient representer g with ``L.g = grad F(L.v)``. Each
 inner product the minimizer takes, ``(L.u).(L.g)`` in the space of F, is
-then ``u.(M.g)``: the ring's products with the gradient, the slope, the
-line search's derivative, ``s.y`` and ``y.y``; ``s.s`` follows from the
-ring's coefficients. Up to rounding, L maps the iterates onto those of the
-minimizer run on F itself, while each vector has the length of v. The
-caller's ``norm`` measures gradients in the space of F too.
+then ``u.(M.g)``: the recursion's products with the pairs, the slope, the
+line search's derivative, ``s.y``, ``s.s`` and ``y.y``. Up to rounding, L
+maps the iterates onto those of the minimizer run on F itself, while each
+vector has the length of v. The caller's ``norm`` measures gradients in the
+space of F too.
 
 M is linear, so the minimizer carries the image ``M.u`` of every vector u
 it forms instead of applying ``metric`` to it: ``M.(x + a.d) = M.x +
-a.M.d``, the ring holds ``M.s = step.M.d`` and ``M.y = M.g_new - M.g``
-next to s and y, and a direction, a combination of the rows and the
-gradient, takes its image from the same coefficients. The objective
-receives each trial point's image along with the point, and ``metric``
-runs on the start point, on the first gradient, and once per accepted
-iterate, on its gradient. One arithmetic serves every metric, the identity
-included.
+a.M.d``, each pair is held with ``M.s = step.M.d`` and ``M.y = M.g_new -
+M.g``, and the recursion updates a direction's image with the same
+coefficients as the direction. The objective receives each trial point's
+image along with the point, and ``metric`` runs on the start point, on the
+first gradient, and once per accepted iterate, on its gradient. One
+arithmetic serves every metric, the identity included.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,119 +217,57 @@ def strong_wolfe_line_search(
 
 
 class _CurvatureHistory:
-    """The last ``depth`` accepted curvature pairs, with their inner products.
+    """The last ``depth`` accepted curvature pairs, with their images.
 
-    ``rows`` is a ring of ``depth`` slots: slot j holds s in row 2j and y in
-    row 2j + 1. After :meth:`clear` pairs fill slots 0, 1, ... in order, so
-    until the ring is full only the written prefix ``rows[:2 * count]`` is
-    read; once full, each accepted pair overwrites the oldest. ``gram`` holds
-    the rows' inner products with each other and ``bg`` with the current
-    gradient, both indexed like ``rows`` and taken in the minimizer's
-    metric (module docstring). ``images`` holds the rows' metric images,
-    ``M.s`` and ``M.y``, in the same slots.
+    ``pairs`` holds ``(s, y, M.s, M.y, s.M.y, y.M.y)`` for each pair, oldest
+    first, in the minimizer's metric M (module docstring); a new pair past
+    ``depth`` drops the oldest.
     """
 
-    def __init__(self, depth: int, size: int):
-        self.depth = depth
-        self.rows = np.empty((2 * depth, size))
-        self.images = np.empty_like(self.rows)
-        self.gram = np.empty((2 * depth, 2 * depth))
-        self.bg = np.empty(2 * depth)
-        self.clear()
+    def __init__(self, depth: int):
+        self.pairs = collections.deque(maxlen=depth)
 
     def clear(self):
         """Drop every pair; the next direction is steepest descent."""
-        self.count = 0
-        self.oldest = 0
-        self._coef = np.zeros(0)
-        self._coef_g = 1.0
+        self.pairs.clear()
 
     def direction(self, grad, mgrad):
-        """Search direction -H.g of the two-loop recursion, and its image.
-
-        The recursion runs on the coefficients of q over (rows, grad), whose
-        inner products all come from ``gram`` and ``bg``; the direction is
-        then a single GEMV over the stored rows, and its image, from the
-        same coefficients, one over ``images`` and ``mgrad = M.grad``.
-        """
-        if self.count == 0:
-            return -grad, -mgrad
-        k = 2 * self.count
-        gram, bg = self.gram[:k, :k], self.bg
-        slots = [
-            2 * ((self.oldest + i) % self.depth) for i in range(self.count)
-        ]
-        coef = np.zeros(k)
-        coef_g = 1.0
+        """Search direction -H.g of the two-loop recursion, and its image,
+        given ``mgrad = M.grad``."""
+        q, mq = -grad, -mgrad
         alphas = []
-        for s in reversed(slots):
-            alpha = (gram[s] @ coef + coef_g * bg[s]) / gram[s, s + 1]
-            coef[s + 1] -= alpha
+        for s, y, ms, my, sy, yy in reversed(self.pairs):
+            alpha = float(ms @ q) / sy
+            q -= alpha * y
+            mq -= alpha * my
             alphas.append(alpha)
-        newest = slots[-1]
-        gamma = gram[newest, newest + 1] / gram[newest + 1, newest + 1]
-        coef *= gamma
-        coef_g *= gamma
-        for s, alpha in zip(slots, reversed(alphas)):
-            beta = (gram[s + 1] @ coef + coef_g * bg[s + 1]) / gram[s, s + 1]
-            coef[s] += alpha - beta
-        self._coef, self._coef_g = coef, coef_g
-        direction = (-coef) @ self.rows[:k]
-        direction -= coef_g * grad
-        image = (-coef) @ self.images[:k]
-        image -= coef_g * mgrad
-        return direction, image
+        if self.pairs:
+            sy, yy = self.pairs[-1][4:]
+            q *= sy / yy
+            mq *= sy / yy
+        for (s, y, ms, my, sy, yy), alpha in zip(self.pairs, reversed(alphas)):
+            coef = alpha - float(my @ q) / sy
+            q += coef * s
+            mq += coef * ms
+        return q, mq
 
     def update(
         self, step, direction, mdirection, grad, new_grad, mgrad, new_mgrad
     ):
-        """Offer the pair (step * direction, new_grad - grad); move to new_grad.
+        """Offer the pair (step * direction, new_grad - grad).
 
         ``mdirection``, ``mgrad`` and ``new_mgrad`` are the images of
-        ``direction``, ``grad`` and ``new_grad`` under the minimizer's
-        metric M, in which every inner product is taken. ``direction`` must
-        be the last one :meth:`direction` returned, or ``-grad`` right after
-        :meth:`clear`: the new s row's inner products with the stored rows,
-        and ``s.M.s``, come from its coefficients, and the y row's from
-        ``bg`` before and after the one GEMV with ``new_mgrad``.
+        ``direction``, ``grad`` and ``new_grad`` under the metric M. The
+        pair is kept only if its curvature ``s.M.y`` is positive beyond
+        rounding.
         """
-        y = new_grad - grad
-        my = new_mgrad - mgrad
-        sy = step * float(direction @ my)
+        s, ms = step * direction, step * mdirection
+        y, my = new_grad - grad, new_mgrad - mgrad
+        sy = float(s @ my)
+        ss = float(s @ ms)
         yy = float(y @ my)
-        k = 2 * self.count
-        rows_s = -step * (
-            self.gram[:k, :k] @ self._coef + self._coef_g * self.bg[:k]
-        )
-        # s = -step.(coef.rows + coef_g.grad), and rows_s = rows.M.s.
-        ss = -step * (
-            float(self._coef @ rows_s)
-            + self._coef_g * step * float(direction @ mgrad)
-        )
-        if not sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
-            np.dot(self.rows[:k], new_mgrad, out=self.bg[:k])
-            return
-        bg_old = self.bg[:k].copy()
-        if self.count < self.depth:
-            slot = k
-            self.count += 1
-        else:
-            slot = 2 * self.oldest
-            self.oldest = (self.oldest + 1) % self.depth
-        np.multiply(direction, step, out=self.rows[slot])
-        self.rows[slot + 1] = y
-        np.multiply(mdirection, step, out=self.images[slot])
-        self.images[slot + 1] = my
-        k_new = 2 * self.count
-        np.dot(self.rows[:k_new], new_mgrad, out=self.bg[:k_new])
-        # In a full ring entries slot and slot + 1 belong to the evicted pair
-        # and are overwritten by the 2x2 block below.
-        gram = self.gram
-        gram[:k, slot] = gram[slot, :k] = rows_s
-        gram[:k, slot + 1] = gram[slot + 1, :k] = self.bg[:k] - bg_old
-        gram[slot, slot] = ss
-        gram[slot, slot + 1] = gram[slot + 1, slot] = sy
-        gram[slot + 1, slot + 1] = yy
+        if sy > _CURVATURE_GUARD * np.sqrt(ss) * np.sqrt(yy):
+            self.pairs.append((s, y, ms, my, sy, yy))
 
 
 def gradient_norm(grad: np.ndarray, order: float) -> float:
@@ -403,7 +334,7 @@ def lbfgs_minimize(
     mgrad = metric(grad)
     grad_inf = norm(grad, np.inf)
     trace = [LbfgsIterate(0, fval, grad_inf, None)]
-    history = _CurvatureHistory(cfg.lbfgs_history, x.size)
+    history = _CurvatureHistory(cfg.lbfgs_history)
     line_search_failed = False
     iteration = 0
 
@@ -430,32 +361,26 @@ def lbfgs_minimize(
             image=image,
             direction_image=mdirection,
         )
-        if not search.success:
-            line_search_failed = True
-            if search.fval < fval:
-                iteration += 1
-                x = x + search.step * direction
-                fval = search.fval
-                grad = search.grad
-                grad_inf = norm(grad, np.inf)
-                trace.append(
-                    LbfgsIterate(iteration, fval, grad_inf, search.step)
-                )
+        line_search_failed = not search.success
+        if line_search_failed and not search.fval < fval:
             break
-
         step = search.step
-        new_grad = search.grad
-        new_mgrad = metric(new_grad)
-        history.update(
-            step, direction, mdirection, grad, new_grad, mgrad, new_mgrad
-        )
+        if search.success:
+            new_mgrad = metric(search.grad)
+            history.update(
+                step, direction, mdirection, grad, search.grad, mgrad,
+                new_mgrad,
+            )
+            mgrad = new_mgrad
 
         iteration += 1
         x, image = _along(x, image, step, direction, mdirection)
         fval = float(search.fval)
-        grad, mgrad = new_grad, new_mgrad
+        grad = search.grad
         grad_inf = norm(grad, np.inf)
         trace.append(LbfgsIterate(iteration, fval, grad_inf, step))
+        if line_search_failed:
+            break
 
     return LbfgsResult(
         x=x,

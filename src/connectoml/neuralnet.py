@@ -122,7 +122,9 @@ class MinMaxNormalizer:
     """Per-feature min-max scaler fitted on training rows only.
 
     Transformed values are clipped to [0, 1]; features with a degenerate
-    training range (max == min) map to 0. :meth:`transform` never writes
+    training range map to 0. A range is degenerate when its span is at most
+    four ulps of the column's magnitude: such a span is rounding, which
+    scaling would stretch to the whole interval. :meth:`transform` never writes
     into its input (a cohort's feature matrix is read-only): it allocates
     its one output and scales that in place. :meth:`transform_in_place`
     scales rows the caller owns, such as a fresh gather of a cohort's rows,
@@ -143,7 +145,8 @@ class MinMaxNormalizer:
         """The scaled ``x`` in the float64 array ``out``, which may be
         ``x`` itself."""
         span = self.maximum - self.minimum
-        degenerate = ~(span > 0)
+        magnitude = np.maximum(np.abs(self.minimum), np.abs(self.maximum))
+        degenerate = ~(span > 4.0 * np.spacing(magnitude))
         np.subtract(x, self.minimum, out=out)
         out /= np.where(degenerate, 1.0, span)
         out[..., degenerate] = 0.0

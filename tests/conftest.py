@@ -293,11 +293,14 @@ def train_classifier_reference(xs, ys, cfg):
 
 def minmax_reference(normalizer, x):
     """``normalizer.transform(x)`` through a zeroed output, a masked divide
-    and a clip into a new array."""
+    and a clip into a new array. A span of at most four ulps of the larger
+    bound's magnitude is degenerate."""
     x = np.asarray(x, dtype=np.float64)
-    span = normalizer.maximum - normalizer.minimum
+    low, high = normalizer.minimum, normalizer.maximum
+    span = high - low
+    ulp = np.spacing(np.maximum(np.abs(low), np.abs(high)))
     scaled = np.zeros_like(x, dtype=np.float64)
-    np.divide(x - normalizer.minimum, span, out=scaled, where=span > 0)
+    np.divide(x - low, span, out=scaled, where=span > 4.0 * ulp)
     return np.clip(scaled, 0.0, 1.0)
 
 

@@ -350,8 +350,7 @@ def drive_history(
     Accepted pairs have y = C s + noise with C diagonal in [0.5, 2] and
     |noise| <= 0.1 |s|, so s.y > 0.4 |s|^2. Steps in ``reject_at`` get
     y = -c s, which the curvature guard must refuse; steps in ``restart_at``
-    take the ascent-restart path. Every array of the history starts as NaN,
-    so reading a row, Gram entry or inner product never written shows up.
+    take the ascent-restart path.
 
     With an injective ``mapping`` A the history works under the metric
     M = A^T.A: accepted pairs have M.y = C s + noise instead, and the
@@ -361,7 +360,7 @@ def drive_history(
     """
     rng = np.random.default_rng(seed)
     curvature = rng.uniform(0.5, 2.0, size)
-    history = _CurvatureHistory(depth, size)
+    history = _CurvatureHistory(depth)
     metric = None if mapping is None else mapping.T @ mapping
 
     def image(v):
@@ -370,8 +369,6 @@ def drive_history(
     def metric_image(v):
         return v if metric is None else metric @ v
 
-    for array in (history.rows, history.images, history.gram, history.bg):
-        array.fill(np.nan)
     s_list, y_list, rho_list = [], [], []
     accepted = 0
     grad = rng.normal(size=size)
@@ -383,8 +380,11 @@ def drive_history(
             expected_image = metric @ direction
             error = np.linalg.norm(mdirection - expected_image)
             assert error <= 1e-12 * np.linalg.norm(expected_image)
-        yield history.count, accepted, image(direction), two_loop_direction(
-            image(grad), s_list, y_list, rho_list
+        yield (
+            len(history.pairs),
+            accepted,
+            image(direction),
+            two_loop_direction(image(grad), s_list, y_list, rho_list),
         )
         if k in restart_at:
             history.clear()
@@ -416,7 +416,7 @@ def drive_history(
             rho_list.append(1.0 / float(s @ y))
             if len(s_list) > depth:
                 del s_list[0], y_list[0], rho_list[0]
-        assert history.count == len(s_list)
+        assert len(history.pairs) == len(s_list)
         grad = new_grad
 
 

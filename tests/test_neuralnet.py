@@ -307,6 +307,16 @@ class TestNormalizer:
         out = norm.transform(np.array([[3.0], [7.0], [-1.0]]))
         assert np.array_equal(out[:, 0], [0.0, 0.0, 0.0])
 
+    def test_spans_of_rounding_map_to_zero(self):
+        # One ulp above 30, and one subnormal above 0, are rounding, not a
+        # range to stretch over [0, 1].
+        train = np.array(
+            [[30.0, 5e-324], [np.nextafter(30.0, np.inf), 0.0], [30.0, 0.0]]
+        )
+        norm = fit_normalizer(train)
+        assert np.array_equal(norm.transform(train), np.zeros((3, 2)))
+        assert np.array_equal(minmax_reference(norm, train), np.zeros((3, 2)))
+
     def test_out_of_range_values_clipped(self):
         norm = fit_normalizer(np.array([[0.0], [10.0]]))
         out = norm.transform(np.array([[20.0], [-5.0]]))
