@@ -2,15 +2,16 @@
 
 Ingest, feature writing and cross-validation
 --------------------------------------------
-All three run their work units through one ordered pool, :func:`ordered_map`:
-the units go to forked workers, one per core available to the process (up
-to one per unit), and their results come back in unit order. With one core
-or no ``fork`` the same per-unit function runs in this process, and the
-results are the same. At most two results per worker are in flight, so the
-results held at once do not grow with the cohort. The first unit to fail,
-in order, raises its own exception. Ingest and
-:func:`~connectoml.evaluation.run_experiment` run their first unit (subject
-0, fold unit 0) in the calling process before the pool starts.
+All three, and the feature-store reader, run their work units through one
+ordered pool, :func:`ordered_map`: the calling process runs the first unit
+while forked workers, one per core available to the process (up to one per
+remaining unit), run the others, and the results come back in unit order.
+The caller is one process more than there are cores, so no core idles while
+the first unit runs. With one core, one unit or no ``fork`` the same
+per-unit function runs in this process alone, and the results are the same.
+At most two results per worker are in flight, so the results held at once
+do not grow with the cohort. The first unit to fail, in order, raises its
+own exception.
 
 One BLAS thread
 ---------------
@@ -109,13 +110,19 @@ def _work_in_worker(unit):
 
 
 def ordered_map(work, state, units):
-    """Yield ``work(state, unit)`` for each of ``units``, in their order,
-    from ``min(cores, len(units))`` forked workers (module docstring)."""
-    workers = min(available_cores(), len(units))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    """Yield ``work(state, unit)`` for each of ``units``, in their order:
+    the first from this process, the others from ``min(cores,
+    len(units) - 1)`` forked workers (module docstring)."""
+    cores = available_cores()
+    if (
+        cores <= 1
+        or len(units) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         for unit in units:
             yield work(state, unit)
         return
+    workers = min(cores, len(units) - 1)
     # Fork, not spawn: under fork the initializer's ``state`` (the shared
     # feature buffer among it) is inherited, not pickled; only units,
     # results and a failing unit's exception cross processes. Unlike
@@ -128,12 +135,13 @@ def ordered_map(work, state, units):
         initializer=_start_worker,
         initargs=(work, state),
     ) as pool:
-        remaining = iter(units)
+        remaining = itertools.islice(units, 1, None)
         in_flight = collections.deque(
             pool.submit(_work_in_worker, unit)
             for unit in itertools.islice(remaining, 2 * workers)
         )
         try:
+            yield work(state, units[0])
             while in_flight:
                 result = in_flight.popleft().result()
                 for unit in itertools.islice(remaining, 1):

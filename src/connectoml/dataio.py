@@ -21,34 +21,41 @@ The matrix, manifest and feature readers skip one leading UTF-8 byte-order
 mark, as spreadsheet "CSV UTF-8" exports write; a mark anywhere else in a
 numeric row is refused like any other non-ASCII character.
 
-Ingest and feature writing
---------------------------
-Both run their work units through the ordered pool of
-:mod:`connectoml._pool`: forked workers, one per core available to the
-process, whose results come back in unit order.
+Ingest and the feature store
+----------------------------
+All three run their work units through the ordered pool of
+:mod:`connectoml._pool`: this process runs the first unit while forked
+workers, one per core available to the process, run the others, and the
+results come back in unit order.
 
 One fill serves :func:`load_cohort` and :func:`cohort_from_matrices`. It
 reads the first subject here, which sizes one ``(subject, measure,
-feature)`` float64 buffer on an anonymous shared mapping, and extracts it
-into row 0; workers read (from a manifest: parse and validate) and extract
-the others, a few subjects per unit, into their rows. The buffer's
-``(subject, 3*feature)`` reshape, a view, is the cohort's one matrix. Of
-several bad subjects the first in order is reported. The fill runs on one
-OpenBLAS thread (:func:`~connectoml._pool.one_blas_thread`), so the
-features do not depend on the thread count.
+feature)`` float64 buffer on an anonymous shared mapping; then each unit,
+a few subjects, reads (from a manifest: parses and validates) and extracts
+its subjects into their rows, the first unit here and the others in
+workers. The buffer's ``(subject, 3*feature)`` reshape, a view, is the
+cohort's one matrix. Of several bad subjects the first in order is
+reported. The fill runs on one OpenBLAS thread
+(:func:`~connectoml._pool.one_blas_thread`), so the features do not depend
+on the thread count.
 
 :func:`write_feature_csvs` quotes the row prefixes, writes the headers and
 writes every file here. Its units are (measure, chunk of a few subjects)
-pairs; a worker formats one chunk's rows and returns their UTF-8 bytes,
+pairs; a unit formats one chunk's rows and returns their UTF-8 bytes,
 which are written in (measure, subject) order, so the files do not depend
 on the number of workers. Each file is written under a temporary name in
 the output directory; the three replace their targets only once the last
 is complete.
 
-:func:`load_feature_csvs` refuses a value that does not parse or is not
-finite, naming the file and the physical line; it converts cells as
-:func:`load_matrix_file` does, by one row parser, which accepts plain ASCII
-numerals only (no ``1_0``, no non-ASCII digits or spaces).
+:func:`load_feature_csvs` fills the same kind of shared buffer: the
+weights file, read here, sizes it, and the other two files are one unit
+each, parsed into their measure's slot; only their subject ids, labels and
+widths come back, and they are checked here in file order. It refuses a
+value that does not parse or is not finite, naming the file and the
+physical line; it converts cells as :func:`load_matrix_file` does, by one
+row parser, which accepts plain ASCII numerals only (no ``1_0``, no
+non-ASCII digits or spaces). A record that :mod:`csv` itself refuses (a
+field over its size limit) is refused the same way, in manifests too.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from pathlib import Path
 import numpy as np
 
 from ._pool import one_blas_thread, ordered_map
-from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort, measure_columns
+from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
 from .connectome import (
     MEASURES,
     ConnectivityMatrix,
@@ -128,6 +135,19 @@ def write_matrix_file(path, weights: np.ndarray) -> None:
     np.savetxt(path, np.asarray(weights), fmt="%.17g", delimiter=",")
 
 
+@contextlib.contextmanager
+def _csv_errors(path, reader):
+    """``reader`` inside the block; a ``csv.Error`` it raises (a field over
+    csv's size limit, a NUL byte on Python 3.10) is refused as a
+    ``ValidationError`` naming ``path`` and the physical line."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        # A DictReader's own line_num stops at the last record it returned.
+        line_number = getattr(reader, "reader", reader).line_num
+        raise ValidationError(f"{path}: line {line_number}: {exc}") from exc
+
+
 def read_manifest(manifest_path):
     """Rows of (subject_id, label_code, absolute matrix path)."""
     manifest_path = Path(manifest_path)
@@ -136,8 +156,9 @@ def read_manifest(manifest_path):
     base = manifest_path.parent
     entries = []
     seen = set()
-    with manifest_path.open("r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
+    with manifest_path.open(
+        "r", encoding="utf-8-sig", newline=""
+    ) as handle, _csv_errors(manifest_path, csv.DictReader(handle)) as reader:
         required = {"subject_id", "label", "path"}
         if reader.fieldnames is None or not required.issubset(
             reader.fieldnames
@@ -179,10 +200,11 @@ def read_manifest(manifest_path):
     return entries
 
 
-def _feature_buffer(n_subjects: int, n_nodes: int) -> np.ndarray:
-    """Zeroed (subject, measure, feature) float64 array on an anonymous
-    shared mapping, so forked workers write into the parent's pages."""
-    shape = (n_subjects, len(MEASURES), feature_length(n_nodes))
+def _feature_buffer(n_subjects: int, width: int) -> np.ndarray:
+    """Zeroed (subject, measure, feature) float64 array, ``width`` features
+    per measure, on an anonymous shared mapping, so forked workers write
+    into the parent's pages."""
+    shape = (n_subjects, len(MEASURES), width)
     count = math.prod(shape)
     # mmap refuses length 0 (a 1-node cohort has no features).
     mapping = mmap.mmap(-1, max(count, 1) * 8)
@@ -199,7 +221,8 @@ _ROWS_PER_CHUNK = 4
 
 def _extract_subjects(state, indices) -> None:
     """Extract subjects ``indices`` into their rows of ``features``; ``state``
-    is ``(read, disconnected, first, features)``, subject 0 ``first``."""
+    is ``(read, disconnected, first, features)``, subject 0 ``first``, which
+    was read to size ``features``."""
     read, disconnected, first, features = state
     for index in indices:
         matrix = first if index == 0 else read(index)
@@ -223,12 +246,11 @@ def _extract_cohort(subject_ids, labels, read, count, disconnected):
     subjects = range(count)
     with one_blas_thread():
         first = read(0)
-        features = _feature_buffer(count, first.n_nodes)
+        features = _feature_buffer(count, feature_length(first.n_nodes))
         state = (read, disconnected, first, features)
-        _extract_subjects(state, (0,))
         units = [
             subjects[start : start + _ROWS_PER_CHUNK]
-            for start in range(1, count, _ROWS_PER_CHUNK)
+            for start in range(0, count, _ROWS_PER_CHUNK)
         ]
         for _ in ordered_map(_extract_subjects, state, units):
             pass
@@ -240,8 +262,8 @@ def cohort_from_matrices(
     subject_ids, labels, matrices, disconnected="max_finite"
 ) -> LabeledCohort:
     """Assemble a cohort by extracting all three feature sets, on every
-    core available to the process (module docstring, Ingest and feature
-    writing). Every matrix must have the first one's node count.
+    core available to the process (module docstring, Ingest and the
+    feature store). Every matrix must have the first one's node count.
     """
     matrices = list(matrices)
     return _extract_cohort(
@@ -269,7 +291,7 @@ def load_cohort(manifest_path, disconnected="max_finite") -> LabeledCohort:
     carry the offending path or subject id; of several bad subjects, the
     first in manifest order is reported. Subjects are parsed and extracted
     on every core available to the process (module docstring, Ingest and
-    feature writing).
+    the feature store).
     """
     entries = read_manifest(manifest_path)
     subject_ids, labels, _ = zip(*entries)
@@ -408,8 +430,8 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     """One CSV per measure: subject_id, label, then the feature columns.
 
     The rows are formatted on every core available to the process and
-    written here in subject order (module docstring, Ingest and feature
-    writing). Each file is written under a temporary name in ``out_dir``
+    written here in subject order (module docstring, Ingest and the
+    feature store). Each file is written under a temporary name in ``out_dir``
     and all three replace their targets only after the last row is
     written, so a failure part-way leaves an earlier store as it was.
     """
@@ -460,8 +482,9 @@ def _read_feature_file(path):
         raise FileNotFoundError(f"feature file not found: {path}")
     ids, labels, rows = [], [], []
     seen = set()
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+    with path.open(
+        "r", encoding="utf-8-sig", newline=""
+    ) as handle, _csv_errors(path, csv.reader(handle)) as reader:
         header = next(reader, None)
         if not header or header[:2] != ["subject_id", "label"]:
             raise ValidationError(
@@ -500,37 +523,58 @@ def _read_feature_file(path):
     return ids, labels, len(header) - 2, rows
 
 
+def _load_feature_file(state, measure_index):
+    """``(subject_ids, labels, width)`` of one measure's feature file, whose
+    rows go into that measure's slot of ``features`` when their count and
+    width fit it; ``state`` is ``(paths, features)``."""
+    paths, features = state
+    ids, labels, width, rows = _read_feature_file(paths[measure_index])
+    if len(rows) == features.shape[0] and width == features.shape[2]:
+        for target, values in zip(features[:, measure_index], rows):
+            target[:] = values
+    return ids, labels, width
+
+
 def load_feature_csvs(directory) -> LabeledCohort:
     """Rebuild a cohort from the files written by :func:`write_feature_csvs`.
 
-    Each file's rows are copied, one at a time, into its column block of
-    the cohort's one matrix, which the first file sizes.
+    The weights file, the smallest, is read here and sizes one shared
+    ``(subject, measure, feature)`` buffer, as the cohort fill does; the
+    other two files are read on every core available to the process, each
+    into its measure's slot (module docstring, Ingest and the feature
+    store). Their subjects and widths are checked here in file order, so of
+    several bad files the first in
+    :data:`~connectoml.connectome.MEASURES` order is reported.
     """
     directory = Path(directory)
-    widths = {}
-    for measure in MEASURES:
-        path = directory / f"features_{measure}.csv"
-        ids, measure_labels, width, rows = _read_feature_file(path)
-        if not widths:
-            if not ids:
-                raise ValidationError(f"{path}: feature file lists no subjects")
-            subject_ids = ids
-            labels = measure_labels
-            matrix = np.empty((len(ids), len(MEASURES) * width))
-            blocks = measure_columns(matrix)
-        elif ids != subject_ids or measure_labels != labels:
-            raise ValidationError(
-                f"{path}: subjects disagree with the other feature files"
-            )
-        widths[measure] = width
-        if width != widths[MEASURES[0]]:
-            raise ValidationError(
-                f"{path}: feature matrices must have the same number of"
-                f" columns for every measure (got {widths})"
-            )
-        for target, values in zip(blocks[measure], rows):
-            target[:] = values
-        del rows  # before the next file's rows are read, not after
+    paths = [directory / f"features_{measure}.csv" for measure in MEASURES]
+    subject_ids, labels, width, rows = _read_feature_file(paths[0])
+    if not subject_ids:
+        raise ValidationError(f"{paths[0]}: feature file lists no subjects")
+    features = _feature_buffer(len(subject_ids), width)
+    for target, values in zip(features[:, 0], rows):
+        target[:] = values
+    del rows  # before the other files' rows are read, not after
+    widths = {MEASURES[0]: width}
+    others = range(1, len(MEASURES))
+    with contextlib.closing(
+        ordered_map(_load_feature_file, (paths, features), others)
+    ) as results:
+        for index, (ids, measure_labels, measure_width) in zip(
+            others, results
+        ):
+            if ids != subject_ids or measure_labels != labels:
+                raise ValidationError(
+                    f"{paths[index]}: subjects disagree with the other"
+                    " feature files"
+                )
+            widths[MEASURES[index]] = measure_width
+            if measure_width != width:
+                raise ValidationError(
+                    f"{paths[index]}: feature matrices must have the same"
+                    f" number of columns for every measure (got {widths})"
+                )
+    matrix = features.reshape(len(subject_ids), len(MEASURES) * width)
     return LabeledCohort(subject_ids, labels, matrix)
 
 

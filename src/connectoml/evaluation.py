@@ -12,17 +12,16 @@ class and aggregated as mean and standard error over all repetitions * folds
 values; strategies are compared pairwise with the Mann-Whitney U test on
 those per-fold samples.
 
-Each (repetition, fold) unit is independent of the others: the first runs
-in this process, the rest on every available core through
-:func:`~connectoml._pool.ordered_map`, and their metrics come back in unit
-order. Every random draw of a unit is keyed by
+Each (repetition, fold) unit is independent of the others: they run on
+every available core through :func:`~connectoml._pool.ordered_map`, the
+first in this process beside the workers, and their metrics come back in
+unit order. Every random draw of a unit is keyed by
 :func:`~connectoml.folds.derive_seed`, so reports do not depend on the
 number of cores.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -55,11 +54,11 @@ METRIC_NAMES = ("accuracy", "auc", "sensitivity", "specificity", "f1")
 #: :func:`connectoml.dataio.load_report` reads.
 REPORT_SCHEMA = "connectoml-report/1"
 
-#: Largest min(n, m) for which the Mann-Whitney p-value is enumerated exactly
+#: Largest min(n, m) for which the Mann-Whitney p-value is computed exactly
 #: when ``method="auto"``.
 EXACT_ENUMERATION_LIMIT = 8
 
-#: Auto mode also refuses enumerations beyond this many group assignments
+#: Auto mode also refuses exact tests beyond this many group assignments
 #: (min(n, m) can be small while comb(n + m, min) is astronomical).
 _EXACT_ENUMERATION_BUDGET = 300_000
 
@@ -123,6 +122,33 @@ def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return rank_sum_a - a.size * (a.size + 1) / 2.0
 
 
+def _exact_p_value(a: np.ndarray, b: np.ndarray, u_observed: float) -> float:
+    """Share of the ``comb(n + m, n)`` assignments of the pooled values to
+    the groups whose U is at least as far from ``n * m / 2`` as observed.
+
+    Midranks are multiples of 1/2, so doubled they are integers, and
+    ``counts[j, s]`` counts the j-subsets of the values seen so far whose
+    doubled rank sum is ``s``; each pooled value adds its shifted rows once.
+    The counts are exact integers, so the p-value is the one of enumerating
+    every assignment.
+    """
+    n, m = a.size, b.size
+    total = math.comb(n + m, n)
+    doubled = (2.0 * _midranks(np.concatenate([a, b]))).astype(np.int64)
+    # Object integers do not overflow where comb(n + m, n) would in int64.
+    dtype = np.int64 if total < 2**63 else object
+    counts = np.zeros((n + 1, int(doubled.sum()) + 1), dtype=dtype)
+    counts[0, 0] = 1
+    for r in doubled:
+        # The right side is copied first: row j takes the j-1 subsets as
+        # they were before this value.
+        counts[1:, r:] += counts[:-1, :-r].copy()
+    # 2U - n*m of a subset with doubled rank sum s, in integers.
+    deviation = np.abs(np.arange(counts.shape[1]) - n * (n + 1) - n * m)
+    extreme = counts[n, deviation >= abs(2.0 * u_observed - n * m)].sum()
+    return int(extreme) / total
+
+
 def mann_whitney_u(sample_a, sample_b, method: str = "auto"):
     """Two-sided Mann-Whitney U test.
 
@@ -131,12 +157,12 @@ def mann_whitney_u(sample_a, sample_b, method: str = "auto"):
     sample_a, sample_b : array_like
         Nonempty samples of real values.
     method : str
-        ``"exact"`` enumerates every way of assigning the pooled values to
-        the two groups (feasible for small samples), ``"normal"`` uses the
+        ``"exact"`` counts every way of assigning the pooled values to the
+        two groups (feasible for small samples), ``"normal"`` uses the
         normal approximation with tie-corrected variance, a continuity
         correction, and (for untied data) a fourth-cumulant Edgeworth
-        refinement; ``"auto"`` picks exact when ``min(n, m) <= 8`` and the
-        enumeration itself is small enough to be practical.
+        refinement; ``"auto"`` picks exact when ``min(n, m) <= 8`` and there
+        are at most 300,000 assignments.
 
     Returns
     -------
@@ -161,20 +187,7 @@ def mann_whitney_u(sample_a, sample_b, method: str = "auto"):
         method = "exact" if small else "normal"
 
     if method == "exact":
-        combined = np.concatenate([a, b])
-        ranks = _midranks(combined)
-        offset = n * (n + 1) / 2.0
-        center = n * m / 2.0
-        observed_deviation = abs(u_observed - center)
-        extreme = 0
-        total = 0
-        # U values are multiples of 1/2, so the >= comparison is exact.
-        for subset in itertools.combinations(range(n + m), n):
-            u = ranks[list(subset)].sum() - offset
-            if abs(u - center) >= observed_deviation:
-                extreme += 1
-            total += 1
-        return float(u_observed), extreme / total
+        return float(u_observed), _exact_p_value(a, b, u_observed)
 
     pooled = np.concatenate([a, b])
     total = n + m
@@ -362,8 +375,8 @@ def run_experiment(
 
     The sampler runs either once on the full cohort (``dataset`` mode), in
     this process, or on each training split (``fold`` mode). The first
-    (repetition, fold) unit runs in this process and the others in forked
-    workers, one per available core (module docstring). Fold assignments,
+    (repetition, fold) unit runs in this process while forked workers, one
+    per available core, run the others (module docstring). Fold assignments,
     sampler draws and model initializations all derive deterministically
     from ``seed`` and ``train_cfg.seed``, and every unit runs OpenBLAS on
     one thread (:mod:`connectoml._pool`), so identical inputs reproduce
@@ -390,12 +403,7 @@ def run_experiment(
             working.labels, k, derive_seed(seed, repetition)
         )
     ]
-    # The first unit runs here before the pool starts, so a profiler or
-    # tracer of this process sees one whole fold on any number of cores.
-    first = _evaluate_unit(state, units[0])
-    for unit_metrics in itertools.chain(
-        [first], ordered_map(_evaluate_unit, state, units[1:])
-    ):
+    for unit_metrics in ordered_map(_evaluate_unit, state, units):
         for strategy, metrics in zip(STRATEGIES, unit_metrics):
             for metric, value in metrics.items():
                 fold_values[strategy][metric].append(value)

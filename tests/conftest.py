@@ -7,8 +7,9 @@ explicit pair counting instead of rank sums, vector two-loop recursion
 instead of Gram-matrix coefficients) so that agreement is evidence, not
 tautology. The bit-identity oracles (``write_feature_csvs_reference``,
 ``fit_fold_reference``, ``midranks_reference``, ``minmax_reference``,
-``stratified_kfold_reference``) are the straightforward or earlier forms of
-library code, kept so tests can require exactly the same floats and bytes.
+``stratified_kfold_reference``, ``mann_whitney_exact_reference``) are the
+straightforward or earlier forms of library code, kept so tests can require
+exactly the same floats and bytes.
 ``train_classifier_reference`` is the full-space fit that the
 kernel-coordinate fit of ``train_classifier`` must reproduce. The
 ``openblas`` fixture runs a test with the loaded OpenBLAS on two threads;
@@ -232,6 +233,28 @@ def mann_whitney_exact_oracle(sample_a, sample_b):
             extreme += 1
         total += 1
     return observed, extreme / total
+
+
+def mann_whitney_exact_reference(sample_a, sample_b):
+    """``(u, p)`` of the exact two-sided test by enumerating every subset of
+    the pooled midranks that could be group a."""
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    n, m = a.size, b.size
+    ranks = midranks_reference(np.concatenate([a, b]))
+    offset = n * (n + 1) / 2.0
+    center = n * m / 2.0
+    u_observed = float(ranks[:n].sum() - offset)
+    observed_deviation = abs(u_observed - center)
+    extreme = 0
+    total = 0
+    # U values are multiples of 1/2, so the >= comparison is exact.
+    for subset in itertools.combinations(range(n + m), n):
+        u = ranks[list(subset)].sum() - offset
+        if abs(u - center) >= observed_deviation:
+            extreme += 1
+        total += 1
+    return u_observed, extreme / total
 
 
 def stratified_kfold_reference(labels, k, seed):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: synth, extract, evaluate, compare."""
 
+import csv
 import json
 
 import pytest
@@ -496,6 +497,60 @@ class TestExitCodes:
             f"error: {path}: line 5: could not convert string to float:"
             " '1.5.2'\n"
         )
+
+    def test_oversized_field_in_feature_store_is_two(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        features = tmp_path / "features"
+        extract = [
+            "extract",
+            "--manifest", str(cohort_dir / "manifest.csv"),
+            "--out-dir", str(features),
+        ]
+        assert run_cli(extract) == 0
+        path = features / "features_shortest_path.csv"
+        records = path.read_bytes().split(b"\r\n")
+        limit = csv.field_size_limit()
+        records[2] = b"x" * (limit + 1) + records[2][len(b"HC0002"):]
+        path.write_bytes(b"\r\n".join(records))
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "evaluate",
+                "--features-dir", str(features),
+                "--out", str(tmp_path / "r.json"),
+            ]
+            + EVAL_SPEED
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: field larger than field limit"
+            f" ({limit})\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_oversized_field_in_manifest_is_two(
+        self, cohort_dir, tmp_path, capsys
+    ):
+        manifest = cohort_dir / "manifest.csv"
+        records = manifest.read_bytes().split(b"\r\n")
+        limit = csv.field_size_limit()
+        records[1] = b"x" * (limit + 1) + records[1][len(b"HC0001"):]
+        manifest.write_bytes(b"\r\n".join(records))
+        capsys.readouterr()
+        code = run_cli(
+            [
+                "extract",
+                "--manifest", str(manifest),
+                "--out-dir", str(tmp_path / "features"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 2: field larger than field limit"
+            f" ({limit})\n"
+        )
+        assert not (tmp_path / "features").exists()
 
     def test_duplicate_subject_in_feature_store_is_two(
         self, cohort_dir, tmp_path, capsys

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -863,6 +864,78 @@ class TestFeatureStore:
             load_feature_csvs(tmp_path)
 
 
+def load_on_workers(monkeypatch, workers, directory):
+    """load_feature_csvs with the core count forced to ``workers``; returns
+    the cohort, or the exception it raised."""
+    monkeypatch.setattr(pool, "available_cores", lambda: workers)
+    try:
+        with time_limit(60):
+            return load_feature_csvs(directory)
+    except Exception as exc:  # compared across worker counts by the tests
+        return exc
+
+
+def drop_last_column(path):
+    records = path.read_bytes().split(b"\r\n")
+    path.write_bytes(
+        b"\r\n".join(r.rsplit(b",", 1)[0] if r else r for r in records)
+    )
+
+
+def put_bad_cell(path):
+    records = path.read_bytes().split(b"\r\n")
+    records[2] = records[2].rsplit(b",", 1)[0] + b",x"
+    path.write_bytes(b"\r\n".join(records))
+
+
+class TestParallelFeatureStore:
+    """The weights file is read here; the other two files are read by the
+    pool into the same shared buffer, whatever the number of workers."""
+
+    def test_cohort_does_not_depend_on_workers(self, tmp_path, monkeypatch):
+        cohort = awkward_ids_cohort(tmp_path)
+        write_feature_csvs(cohort, tmp_path)
+        for workers in (1, 2, 5):
+            loaded = load_on_workers(monkeypatch, workers, tmp_path)
+            assert loaded.subject_ids == cohort.subject_ids
+            assert loaded.labels.tolist() == cohort.labels.tolist()
+            assert np.array_equal(loaded.fused(), cohort.fused())
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (
+                {"shortest_path": put_bad_cell,
+                 "communicability": put_bad_cell},
+                "{shortest_path}: line 3: could not convert string to"
+                " float: 'x'",
+            ),
+            (
+                {"shortest_path": drop_last_column,
+                 "communicability": os.unlink},
+                "{shortest_path}: feature matrices must have the same number"
+                " of columns for every measure (got {{'weights': 21,"
+                " 'shortest_path': 20}})",
+            ),
+        ],
+        ids=["two_bad_cells", "width_then_missing_file"],
+    )
+    def test_the_first_bad_file_is_reported_on_any_workers(
+        self, tmp_path, monkeypatch, spoil, message
+    ):
+        cfg = SyntheticCohortConfig(n_nodes=7, n_hc=4, n_mci=5, seed=9)
+        write_feature_csvs(generate_synthetic_cohort(cfg), tmp_path)
+        for measure, action in spoil.items():
+            action(tmp_path / f"features_{measure}.csv")
+        expected = message.format(
+            shortest_path=tmp_path / "features_shortest_path.csv"
+        )
+        for workers in (1, 2, 5):
+            error = load_on_workers(monkeypatch, workers, tmp_path)
+            assert type(error) is ValidationError
+            assert str(error) == expected
+
+
 def awkward_ids_cohort(tmp_path):
     """Nine subjects, so each measure's last chunk is a partial one, with
     ids that ``csv.writer`` quotes or that encode to several bytes."""
@@ -969,6 +1042,23 @@ class TestParallelWriter:
                 reloaded.features[measure], earlier.features[measure]
             )
 
+    def test_the_callers_unit_raises_once_the_workers_run(self, monkeypatch):
+        parent = os.getpid()
+        workers_seen = []
+
+        def work(state, unit):
+            if os.getpid() == parent:
+                workers_seen.append(len(multiprocessing.active_children()))
+                raise RuntimeError(f"unit {unit} failed in the caller")
+            return unit
+
+        monkeypatch.setattr(pool, "available_cores", lambda: 2)
+        with time_limit(60), pytest.raises(
+            RuntimeError, match="^unit 0 failed in the caller$"
+        ):
+            list(pool.ordered_map(work, None, range(6)))
+        assert workers_seen == [2]
+
     def test_at_most_two_results_per_worker_are_in_flight(self, monkeypatch):
         submitted = []
 
@@ -985,4 +1075,5 @@ class TestParallelWriter:
         with time_limit(60):
             for consumed, result in enumerate(results, start=1):
                 assert result == 100 + consumed - 1
-                assert len(submitted) == min(consumed + 2 * 2, 20)
+                # Unit 0 runs in this process and is never submitted.
+                assert len(submitted) == min(consumed - 1 + 2 * 2, 19)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from conftest import (
     brute_force_auc,
     make_cohort,
     mann_whitney_exact_oracle,
+    mann_whitney_exact_reference,
     midranks_reference,
     needs_openblas,
     stratified_kfold_reference,
@@ -232,6 +234,26 @@ class TestMannWhitney:
             assert u == u_expected
             assert p == pytest.approx(p_expected, abs=1e-12)
 
+    def test_exact_counts_give_the_enumerated_p_value_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 9))
+            levels = int(rng.choice([2, 3, 5, 10**9]))
+            a = rng.integers(0, levels, n) / levels
+            b = rng.integers(0, levels, m) / levels
+            expected = mann_whitney_exact_reference(a, b)
+            assert mann_whitney_u(a, b, method="exact") == expected
+
+    def test_exact_counts_do_not_overflow_past_int64(self):
+        # comb(67, 33) = 1.4e19 assignments exceeds int64; of them only
+        # the two that separate the groups are as extreme as this one.
+        a = np.arange(33.0)
+        b = np.arange(33.0, 67.0)
+        u, p = mann_whitney_u(a, b, method="exact")
+        assert u == 0.0
+        assert p == 2 / math.comb(67, 33)
+
     def test_normal_approximation_close_to_exact_at_8_vs_8(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -377,6 +399,8 @@ class TestRunExperiment:
         monkeypatch.setattr(
             connectoml.evaluation, "predict_proba", recording_predict
         )
+        # Forked workers cannot append to this process's list.
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
         rng = np.random.default_rng(8)
         cohort = quick_cohort(rng, n_hc=10, n_mci=14)
         report = run_experiment(
