@@ -17,6 +17,7 @@ row-major order, giving ``n * (n - 1) / 2`` features per subject.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +125,16 @@ def node_strengths(matrix: ConnectivityMatrix) -> np.ndarray:
     return matrix.weights.sum(axis=1)
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(n_nodes: int) -> tuple:
+    """``np.triu_indices(n_nodes, k=1)`` as read-only arrays, built once per
+    node count."""
+    rows, cols = np.triu_indices(n_nodes, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def flatten_upper_triangle(matrix) -> np.ndarray:
     """Flatten a square matrix's strict upper triangle in row-major order.
 
@@ -131,8 +142,7 @@ def flatten_upper_triangle(matrix) -> np.ndarray:
     with length ``n * (n - 1) / 2``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    iu = np.triu_indices(matrix.shape[0], k=1)
-    return matrix[iu]
+    return matrix[_upper_triangle(matrix.shape[0])]
 
 
 def unflatten_upper_triangle(values, n_nodes: int) -> np.ndarray:
@@ -146,7 +156,7 @@ def unflatten_upper_triangle(values, n_nodes: int) -> np.ndarray:
             f" {n_nodes} nodes, got {values.shape}"
         )
     out = np.zeros((n_nodes, n_nodes))
-    out[np.triu_indices(n_nodes, k=1)] = values
+    out[_upper_triangle(n_nodes)] = values
     return out + out.T
 
 

@@ -3,14 +3,16 @@
 One experiment evaluates five classification strategies on the same folds:
 the three single-measure classifiers, a classifier on the fused feature
 vector, and the soft-voting ensemble (which reuses the three single-measure
-models trained in the same fold). :func:`fit_fold` scales the training
-subjects by one min-max normalizer and trains the four models of one fold,
-and :meth:`FoldModels.scores` scales the test subjects by it and scores them
-under all five strategies; :func:`run_experiment` trains and scores through
-these alone. Metrics are computed per test fold with MCI as the positive
-class and aggregated as mean and standard error over all repetitions * folds
-values; strategies are compared pairwise with the Mann-Whitney U test on
-those per-fold samples.
+models trained in the same fold). :func:`fit_fold` scales the training rows
+by one min-max normalizer and trains the four models of one fold, and
+:meth:`FoldModels.scores` scales the test rows by it and scores them under
+all five strategies; :func:`run_experiment` trains and scores through these
+alone. Both take a fresh gather of the cohort's rows and scale it over
+itself, so a unit holds one copy of its training rows while it fits and
+gathers its test rows only after the four fits return. Metrics are computed
+per test fold with MCI as the positive class and aggregated as mean and
+standard error over all repetitions * folds values; strategies are compared
+pairwise with the Mann-Whitney U test on those per-fold samples.
 
 Each (repetition, fold) unit is independent of the others: they run on
 every available core through :func:`~connectoml._pool.ordered_map`, the
@@ -278,13 +280,15 @@ class FoldModels:
     members: dict
     fusion: MlpParameters
 
-    def scores(self, test: LabeledCohort) -> dict:
-        """MCI probabilities of the test subjects under every strategy.
+    def scores(self, rows: np.ndarray) -> dict:
+        """MCI probabilities of the test ``rows`` under every strategy.
 
-        Keys follow :data:`STRATEGIES`; the test rows are scaled once. The
+        ``rows`` is a writable float64 ``(n, 3*d)`` array laid out as a
+        cohort's matrix, such as a fresh gather of its test rows; it is
+        scaled over itself, once. Keys follow :data:`STRATEGIES`. The
         ensemble score is the mean of the three member scores (soft voting).
         """
-        scaled = self.normalizer.transform(test.fused())
+        scaled = self.normalizer.transform_in_place(rows)
         scores = {
             measure: predict_proba(self.members[measure], block)
             for measure, block in measure_columns(scaled).items()
@@ -296,21 +300,23 @@ class FoldModels:
         return scores
 
 
-def fit_fold(train: LabeledCohort, cfg: TrainConfig) -> FoldModels:
+def fit_fold(rows: np.ndarray, labels, cfg: TrainConfig) -> FoldModels:
     """Train one classifier per measure and one on the fused features.
 
-    One normalizer, fitted on the training rows, scales them once; each
-    member trains on its measure's columns of the result. All four models
-    share the hyper-parameters and seed in ``cfg``.
+    ``rows`` is a writable float64 ``(n, 3*d)`` array laid out as a
+    cohort's matrix, such as a fresh gather of its training rows, and
+    ``labels`` holds one 0/1 label per row. One normalizer, fitted on the
+    rows, scales them over themselves; each member trains on its measure's
+    columns of the result. All four models share the hyper-parameters and
+    seed in ``cfg``.
     """
-    fused = train.fused()
-    normalizer = fit_normalizer(fused)
-    scaled = normalizer.transform(fused)
+    normalizer = fit_normalizer(rows)
+    scaled = normalizer.transform_in_place(rows)
     members = {
-        measure: train_classifier(block, train.labels, cfg)
+        measure: train_classifier(block, labels, cfg)
         for measure, block in measure_columns(scaled).items()
     }
-    fusion = train_classifier(scaled, train.labels, cfg)
+    fusion = train_classifier(scaled, labels, cfg)
     return FoldModels(normalizer=normalizer, members=members, fusion=fusion)
 
 
@@ -342,18 +348,28 @@ def _evaluate_unit(state, unit) -> list:
     :func:`run_experiment`, whose arguments ``state`` carries."""
     working, sampler, train_cfg, seed, threshold = state
     repetition, fold = unit
-    train = working.subset(fold.train_indices)
     if sampler.mode == MODE_FOLD:
         fold_seed = derive_seed(seed, repetition, fold.fold)
-        train = apply_sampler(train, sampler, fold_seed, train_cfg)
-    test = working.subset(fold.test_indices)
+        kept = apply_sampler(
+            working.subset(fold.train_indices), sampler, fold_seed, train_cfg
+        )
+        # The kept cohort's matrix is read-only: take one writable copy and
+        # let the cohort go before the fits start.
+        rows, labels = kept.fused().copy(), kept.labels
+        del kept
+    else:
+        rows = working.fused()[fold.train_indices]
+        labels = working.labels[fold.train_indices]
     fold_cfg = replace(
         train_cfg, seed=derive_seed(train_cfg.seed, repetition, fold.fold)
     )
-    scores = fit_fold(train, fold_cfg).scores(test)
+    models = fit_fold(rows, labels, fold_cfg)
+    del rows
+    scores = models.scores(working.fused()[fold.test_indices])
+    test_labels = working.labels[fold.test_indices]
     return [
         compute_fold_metrics(
-            test.labels,
+            test_labels,
             predict_label(scores[strategy], threshold),
             scores[strategy],
         )

@@ -1,9 +1,11 @@
 """End-to-end command-line tests: synth, extract, evaluate, compare."""
 
 import csv
+import hashlib
 import json
 
 import pytest
+from conftest import numpy_uses_openblas
 
 import connectoml.cli as cli
 import connectoml.sampling as sampling
@@ -859,3 +861,64 @@ class TestExitCodes:
             run_cli(["--help"])
         assert excinfo.value.code == 0
         assert "synth" in capsys.readouterr().out
+
+
+#: sha256 of the report and the fold CSV of ``evaluate --features-dir``
+#: on the weak cohort (``--folds 5 --repeats 2 --seed 0 --max-iter 15``),
+#: per extra flag set. Pinned on numpy with OpenBLAS, which evaluation runs
+#: on one thread. At 15 iterations no one-ulp perturbation of the features
+#: or of a fit's Gram moved any fold value, so these hold across BLAS
+#: kernels; a change that moves them updates them and says why.
+GOLDEN_REPORTS = {
+    "none": (
+        [],
+        "83c1b2dd39d988d14f24a9ce9ed04d7c1324a444ab70898ada238776c0ec7d53",
+        "ff3af00baa6affe110dc0ee31f13807482ff4cfa567699629b992225bdb33d65",
+    ),
+    "iht_fold": (
+        ["--sampler", "iht", "--sampler-mode", "fold"],
+        "ffcd30eb95f763fc895756db81b089ef14d8e72508fb6797973b6bd001d820e9",
+        "608eca8a3a4f8c55b585b6c63d3f9230037c4f3de38f19389002bbdac2eea868",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def weak_features(tmp_path_factory):
+    """The weak cohort's feature store (40 nodes, 30 HC, 70 MCI, effect
+    0.06): its fold values are not saturated, so a moved value shows."""
+    root = tmp_path_factory.mktemp("golden")
+    assert run_cli(
+        ["synth", "--out-dir", str(root / "cohort"), "--nodes", "40",
+         "--hc", "30", "--mci", "70", "--seed", "3", "--effect-size", "0.06"]
+    ) == 0
+    assert run_cli(
+        ["extract", "--manifest", str(root / "cohort" / "manifest.csv"),
+         "--out-dir", str(root / "features")]
+    ) == 0
+    return root / "features"
+
+
+@pytest.mark.skipif(
+    not numpy_uses_openblas(),
+    reason="golden reports are pinned on OpenBLAS at one thread; numpy's"
+    " BLAS is another vendor",
+)
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_and_folds_keep_their_bytes(
+        self, name, weak_features, tmp_path
+    ):
+        flags, report_sha, folds_sha = GOLDEN_REPORTS[name]
+        report, folds = tmp_path / "report.json", tmp_path / "folds.csv"
+        assert run_cli(
+            ["evaluate", "--features-dir", str(weak_features),
+             "--folds", "5", "--repeats", "2", "--seed", "0",
+             "--max-iter", "15", "--out", str(report),
+             "--dump-folds", str(folds), *flags]
+        ) == 0
+        digest = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (report, folds)
+        }
+        assert digest == {"report.json": report_sha, "folds.csv": folds_sha}

@@ -1,7 +1,7 @@
 """Tests for the fold path: ``fit_fold`` trains the four models of a fold,
 ``FoldModels.scores`` soft-votes the members and scores fusion, one
-normalizer per fold scales both sides, and ``predict_label`` turns scores
-into decisions."""
+normalizer per fold scales both sides over the rows handed to it, and
+``predict_label`` turns scores into decisions."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,17 @@ def distinct_measure_cohort(rng, n_hc, n_mci, dim=5):
         for i, m in enumerate(MEASURES)
     }
     return make_measure_cohort(features, labels)
+
+
+def rows_of(cohort):
+    """A fresh, writable gather of the cohort's rows, as the fold path
+    hands them to ``fit_fold`` and ``FoldModels.scores``."""
+    return cohort.fused().copy()
+
+
+def fit(train, cfg):
+    """``fit_fold`` on a fresh gather of the training cohort's rows."""
+    return fit_fold(rows_of(train), train.labels, cfg)
 
 
 def split_alternating(cohort):
@@ -101,7 +112,8 @@ class TestFitFold:
         train, test = split_alternating(build(np.random.default_rng(20)))
         cfg = TrainConfig(seed=4, max_iterations=15)
         expected = fit_fold_reference(train, test, cfg)
-        scores = fit_fold(train, cfg).scores(test)
+        fold = fit_fold(rows_of(train), train.labels, cfg)
+        scores = fold.scores(rows_of(test))
         assert tuple(scores) == STRATEGIES == tuple(expected)
         for strategy in STRATEGIES:
             assert np.array_equal(scores[strategy], expected[strategy])
@@ -118,47 +130,52 @@ class TestFitFold:
             connectoml.evaluation, "train_classifier", recording_train
         )
         train = distinct_measure_cohort(np.random.default_rng(21), 6, 6, 2)
-        fold = fit_fold(train, TrainConfig(seed=1, max_iterations=3))
+        fold = fit(train, TrainConfig(seed=1, max_iterations=3))
         assert widths == [2, 2, 2, 6]
         assert [model.input_dim for model in models_of(fold)] == widths
 
     def test_one_normalizer_scales_each_side_once(self, monkeypatch):
         fits, transforms = [], []
-        fit = connectoml.evaluation.fit_normalizer
-        transform = MinMaxNormalizer.transform
+        original_fit = connectoml.evaluation.fit_normalizer
+        original_transform = MinMaxNormalizer.transform_in_place
 
         def recording_fit(x):
             fits.append(x)
-            return fit(x)
+            return original_fit(x)
 
-        def recording_transform(self, x):
-            transforms.append(x)
-            return transform(self, x)
+        def recording_transform(self, rows):
+            transforms.append(rows)
+            return original_transform(self, rows)
 
         monkeypatch.setattr(
             connectoml.evaluation, "fit_normalizer", recording_fit
         )
-        monkeypatch.setattr(MinMaxNormalizer, "transform", recording_transform)
+        monkeypatch.setattr(
+            MinMaxNormalizer, "transform_in_place", recording_transform
+        )
         train, test = split_alternating(
             distinct_measure_cohort(np.random.default_rng(22), 8, 8, 3)
         )
-        fold = fit_fold(train, TrainConfig(seed=1, max_iterations=3))
-        fold.scores(test)
-        # One fit and one transform on the training rows' fused matrix,
-        # then one transform on the test rows'.
-        assert len(fits) == 1 and fits[0] is train.fused()
+        train_rows, test_rows = rows_of(train), rows_of(test)
+        cfg = TrainConfig(seed=1, max_iterations=3)
+        fold = fit_fold(train_rows, train.labels, cfg)
+        fold.scores(test_rows)
+        # One fit and one scaling of the training rows handed over, then one
+        # scaling of the test rows; each is written over the rows themselves.
+        assert len(fits) == 1 and fits[0] is train_rows
         assert len(transforms) == 2
-        assert transforms[0] is train.fused()
-        assert transforms[1] is test.fused()
+        assert transforms[0] is train_rows and transforms[1] is test_rows
+        normalizer = fit_normalizer(train.fused())
+        assert np.array_equal(train_rows, normalizer.transform(train.fused()))
+        assert np.array_equal(test_rows, normalizer.transform(test.fused()))
 
 
 class TestTrainEnsemble:
     def test_identical_members_vote_like_any_single_member(self):
         rng = np.random.default_rng(0)
         cohort = separable_cohort(rng)
-        scores = fit_fold(cohort, TrainConfig(seed=5, max_iterations=20)).scores(
-            cohort
-        )
+        fold = fit(cohort, TrainConfig(seed=5, max_iterations=20))
+        scores = fold.scores(rows_of(cohort))
         first = scores[MEASURES[0]]
         for measure in MEASURES:
             assert np.array_equal(scores[measure], first)
@@ -169,15 +186,15 @@ class TestTrainEnsemble:
         rng = np.random.default_rng(1)
         train = separable_cohort(rng)
         test = separable_cohort(rng)
-        fold = fit_fold(train, TrainConfig(seed=2, max_iterations=40))
-        assert auc(test.labels, fold.scores(test)["ensemble"]) >= 0.95
+        fold = fit(train, TrainConfig(seed=2, max_iterations=40))
+        assert auc(test.labels, fold.scores(rows_of(test))["ensemble"]) >= 0.95
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         cohort = distinct_measure_cohort(rng, 15, 15, dim=4)
         cfg = TrainConfig(seed=7, max_iterations=15)
-        first = fit_fold(cohort, cfg)
-        second = fit_fold(cohort, cfg)
+        first = fit(cohort, cfg)
+        second = fit(cohort, cfg)
         for a, b in zip(models_of(first), models_of(second)):
             for x, y in zip(
                 a.layer_weights + a.layer_biases,
@@ -186,7 +203,8 @@ class TestTrainEnsemble:
                 assert np.array_equal(x, y)
         for strategy in STRATEGIES:
             assert np.array_equal(
-                first.scores(cohort)[strategy], second.scores(cohort)[strategy]
+                first.scores(rows_of(cohort))[strategy],
+                second.scores(rows_of(cohort))[strategy],
             )
 
     def test_member_training_order_does_not_matter(self):
@@ -198,7 +216,7 @@ class TestTrainEnsemble:
         labels[:2] = [0, 1]  # both classes guaranteed
         cohort = make_measure_cohort(features, labels)
         cfg = TrainConfig(seed=1, max_iterations=10)
-        scores = fit_fold(cohort, cfg).scores(cohort)
+        scores = fit(cohort, cfg).scores(rows_of(cohort))
         # Train each model on its own, in reversed order; results agree.
         scaled = fit_normalizer(cohort.fused()).transform(cohort.fused())
         fusion = train_classifier(scaled, cohort.labels, cfg)
@@ -217,13 +235,13 @@ class TestSoftVote:
     def test_mean_of_member_probabilities(self):
         rng = np.random.default_rng(4)
         train, test = split_alternating(distinct_measure_cohort(rng, 12, 16))
-        fold = fit_fold(train, TrainConfig(seed=3, max_iterations=10))
+        fold = fit(train, TrainConfig(seed=3, max_iterations=10))
         blocks = measure_columns(fold.normalizer.transform(test.fused()))
         members = np.array(
             [predict_proba(fold.members[m], blocks[m]) for m in MEASURES]
         )
         assert np.array_equal(
-            fold.scores(test)["ensemble"], members.mean(axis=0)
+            fold.scores(rows_of(test))["ensemble"], members.mean(axis=0)
         )
 
     def test_hand_values_average(self):
@@ -235,7 +253,7 @@ class TestSoftVote:
             fusion=constant_model(0.7, input_dim=3),
         )
         cohort = make_cohort(np.arange(4.0)[:, None], [0, 1, 0, 1])
-        scores = fold.scores(cohort)
+        scores = fold.scores(rows_of(cohort))
         np.testing.assert_allclose(scores["ensemble"], 0.5, rtol=1e-12)
         np.testing.assert_allclose(scores["fusion"], 0.7, rtol=1e-12)
         for measure, p in zip(MEASURES, (0.2, 0.4, 0.9)):
@@ -244,8 +262,8 @@ class TestSoftVote:
     def test_vote_stays_inside_unit_interval(self):
         rng = np.random.default_rng(6)
         cohort = separable_cohort(rng, n_per_class=10)
-        fold = fit_fold(cohort, TrainConfig(seed=5, max_iterations=5))
-        votes = fold.scores(cohort)["ensemble"]
+        fold = fit(cohort, TrainConfig(seed=5, max_iterations=5))
+        votes = fold.scores(rows_of(cohort))["ensemble"]
         assert np.all(votes > 0) and np.all(votes < 1)
 
 
@@ -274,7 +292,7 @@ class TestFuseFeatures:
         cohort = make_measure_cohort(blocks, labels)
         for measure in MEASURES:
             assert np.array_equal(cohort.features[measure], blocks[measure])
-        fold = fit_fold(cohort, TrainConfig(seed=2, max_iterations=3))
+        fold = fit(cohort, TrainConfig(seed=2, max_iterations=3))
         # The fold's one normalizer covers the measures in the same order.
         assert np.array_equal(
             fold.normalizer.minimum,
