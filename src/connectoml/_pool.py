@@ -1,17 +1,18 @@
 """The ordered pool of forked workers, and the one BLAS thread.
 
-Ingest, feature writing and cross-validation
---------------------------------------------
-All three, and the feature-store reader, run their work units through one
-ordered pool, :func:`ordered_map`: the calling process runs the first unit
-while forked workers, one per core available to the process (up to one per
-remaining unit), run the others, and the results come back in unit order.
-The caller is one process more than there are cores, so no core idles while
-the first unit runs. With one core, one unit or no ``fork`` the same
-per-unit function runs in this process alone, and the results are the same.
-At most two results per worker are in flight, so the results held at once
-do not grow with the cohort. The first unit to fail, in order, raises its
-own exception.
+The pooled steps
+----------------
+Cohort ingest (the fill of :mod:`connectoml.dataio`), the matrix writer of
+``synth``, the feature writer and reader, and cross-validation run their
+work units through one ordered pool, :func:`ordered_map`: the calling
+process runs the first unit while forked workers, one per core available
+to the process (up to one per remaining unit), run the others, and the
+results come back in unit order. The caller is one process more than
+there are cores, so no core idles while the first unit runs. With one
+core, one unit or no ``fork`` the same per-unit function runs in this
+process alone, and the results are the same. At most two results per
+worker are in flight, so the results held at once do not grow with the
+cohort. The first unit to fail, in order, raises its own exception.
 
 One BLAS thread
 ---------------

@@ -23,27 +23,38 @@ numeric row is refused like any other non-ASCII character.
 
 Ingest and the feature store
 ----------------------------
-All three run their work units through the ordered pool of
-:mod:`connectoml._pool`: this process runs the first unit while forked
-workers, one per core available to the process, run the others, and the
-results come back in unit order.
+The cohort fill, the matrix writer and both feature-store functions run
+their work units through the ordered pool of :mod:`connectoml._pool`:
+this process runs the first unit while forked workers, one per core
+available to the process, run the others, and the results come back in
+unit order.
+
+A unit of the fill or of either writer is a run of consecutive subjects,
+sized by cells: ⌈4 × 7,140 / w⌉ subjects, at least one, where w is a
+subject's cells per measure (n(n-1)/2 at n nodes, 0 at one node). That is
+four subjects at 120 nodes and 37 at 40 nodes, so a unit's work outweighs
+its round trip through the pool.
+
+:func:`materialize_cohort` writes each unit's matrix files in the worker
+that runs it; the matrices reach the workers through ``fork``. Each file
+is formatted by one ``%``-template and written once. The manifest is
+written here after the last matrix file.
 
 One fill serves :func:`load_cohort` and :func:`cohort_from_matrices`. It
 reads the first subject here, which sizes one ``(subject, measure,
-feature)`` float64 buffer on an anonymous shared mapping; then each unit,
-a few subjects, reads (from a manifest: parses and validates) and extracts
-its subjects into their rows, the first unit here and the others in
-workers. The buffer's ``(subject, 3*feature)`` reshape, a view, is the
-cohort's one matrix. Of several bad subjects the first in order is
-reported. The fill runs on one OpenBLAS thread
-(:func:`~connectoml._pool.one_blas_thread`), so the features do not depend
-on the thread count.
+feature)`` float64 buffer on an anonymous shared mapping; then each unit
+reads (from a manifest: parses and validates) and extracts its subjects
+into their rows, the first unit here and the others in workers. The
+buffer's ``(subject, 3*feature)`` reshape, a view, is the cohort's one
+matrix. Of several bad subjects the first in order is reported. The fill
+runs on one OpenBLAS thread (:func:`~connectoml._pool.one_blas_thread`),
+so the features do not depend on the thread count.
 
 :func:`write_feature_csvs` quotes the row prefixes, writes the headers and
-writes every file here. Its units are (measure, chunk of a few subjects)
-pairs; a unit formats one chunk's rows and returns their UTF-8 bytes,
-which are written in (measure, subject) order, so the files do not depend
-on the number of workers. Each file is written under a temporary name in
+writes every file here. Its units are (measure, run of subjects) pairs; a
+unit formats one run's rows and returns their UTF-8 bytes, which are
+written in (measure, subject) order, so the files do not depend on the
+number of workers. Each file is written under a temporary name in
 the output directory; the three replace their targets only once the last
 is complete.
 
@@ -132,7 +143,16 @@ def load_matrix_file(path) -> np.ndarray:
 
 
 def write_matrix_file(path, weights: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(weights), fmt="%.17g", delimiter=",")
+    """Write ``weights`` as the grid :func:`load_matrix_file` reads: every
+    cell ``%.17g`` (which round-trips a float64), cells separated by ``,``
+    and rows ended by ``\\n``, the bytes of numpy's ``savetxt`` with that
+    format and delimiter. One ``%``-template formats the whole matrix, and
+    the file is written once."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n_rows, n_columns = weights.shape
+    row = ",".join(["%.17g"] * n_columns) + "\n"
+    text = (row * n_rows) % tuple(weights.ravel().tolist())
+    Path(path).write_bytes(text.encode("ascii"))
 
 
 @contextlib.contextmanager
@@ -213,10 +233,22 @@ def _feature_buffer(n_subjects: int, width: int) -> np.ndarray:
     )
 
 
-#: Subjects per unit of the ordered pool, in the cohort fill and the
-#: feature writer. A 40-node subject takes about 1 ms to extract, less than
-#: a unit's round trip through the pool (2 cores).
-_ROWS_PER_CHUNK = 4
+#: Cells per unit of the ordered pool, in the cohort fill, the feature
+#: writer and the matrix writer: four subjects at 120 nodes. A 40-node
+#: subject takes about 1 ms to extract, less than a unit's round trip
+#: through the pool (2 cores), so units of four such subjects cost as much
+#: in round trips as in work.
+_CELLS_PER_UNIT = 4 * feature_length(120)
+
+
+def _subject_units(count: int, width: int) -> list[range]:
+    """Subjects ``0, ..., count - 1`` in consecutive units of
+    ⌈:data:`_CELLS_PER_UNIT` / ``width``⌉ subjects, the last unit perhaps
+    shorter; ``width`` is one subject's cells per measure (0 at one node,
+    where a unit holds :data:`_CELLS_PER_UNIT` subjects)."""
+    rows = -(-_CELLS_PER_UNIT // max(width, 1))
+    subjects = range(count)
+    return [subjects[start : start + rows] for start in range(0, count, rows)]
 
 
 def _extract_subjects(state, indices) -> None:
@@ -243,15 +275,11 @@ def _extract_cohort(subject_ids, labels, read, count, disconnected):
     _normalize_disconnected_policy(disconnected)
     if count == 0:
         raise ValidationError("cohort lists no subjects")
-    subjects = range(count)
     with one_blas_thread():
         first = read(0)
         features = _feature_buffer(count, feature_length(first.n_nodes))
         state = (read, disconnected, first, features)
-        units = [
-            subjects[start : start + _ROWS_PER_CHUNK]
-            for start in range(0, count, _ROWS_PER_CHUNK)
-        ]
+        units = _subject_units(count, features.shape[2])
         for _ in ordered_map(_extract_subjects, state, units):
             pass
     matrix = features.reshape(count, len(MEASURES) * features.shape[2])
@@ -378,18 +406,40 @@ def generate_synthetic_cohort(
     return cohort_from_matrices(subject_ids, labels, matrices, disconnected)
 
 
+def _write_matrices(state, indices) -> None:
+    """Write the matrix files of subjects ``indices``; ``state`` is
+    ``(out_dir, subjects)``, each subject ``(subject_id, label, matrix)``."""
+    out_dir, subjects = state
+    for index in indices:
+        subject_id, _, matrix = subjects[index]
+        write_matrix_file(out_dir / f"{subject_id}.csv", matrix.weights)
+
+
 def materialize_cohort(subject_ids, labels, matrices, out_dir) -> Path:
-    """Write matrix files plus a manifest; returns the manifest path."""
+    """Write one matrix file per subject, ``<subject_id>.csv``, then the
+    manifest; returns the manifest path.
+
+    The matrix files are written on every core available to the process
+    (module docstring, Ingest and the feature store). An earlier manifest
+    in ``out_dir`` is removed first and the new one is written after the
+    last matrix file, so a failure part-way leaves no manifest.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.csv"
+    manifest_path.unlink(missing_ok=True)
+    subjects = list(zip(subject_ids, labels, matrices))
+    width = feature_length(subjects[0][2].n_nodes) if subjects else 0
+    units = _subject_units(len(subjects), width)
+    for _ in ordered_map(_write_matrices, (out_dir, subjects), units):
+        pass
     with manifest_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["subject_id", "label", "path"])
-        for subject_id, label, matrix in zip(subject_ids, labels, matrices):
-            filename = f"{subject_id}.csv"
-            write_matrix_file(out_dir / filename, matrix.weights)
-            writer.writerow([subject_id, LABEL_NAMES[int(label)], filename])
+        writer.writerows(
+            [subject_id, LABEL_NAMES[int(label)], f"{subject_id}.csv"]
+            for subject_id, label, _ in subjects
+        )
     return manifest_path
 
 
@@ -407,16 +457,16 @@ def _csv_records(rows) -> list[str]:
 
 
 def _format_rows(state, unit) -> bytes:
-    """The UTF-8 feature-file rows of one ``(measure index, first subject)``
-    unit, ``_ROWS_PER_CHUNK`` subjects or the cohort's last ones.
+    """The UTF-8 feature-file rows of one ``(measure index, subjects)``
+    unit, ``subjects`` a range from :func:`_subject_units`.
 
     ``state`` is ``(matrices, prefixes)``. Each row's numbers are formatted
     by one ``%``-template call; ``%.17g`` of a Python float is the same text
     as ``format(value, ".17g")``.
     """
     matrices, prefixes = state
-    measure_index, start = unit
-    chunk = slice(start, start + _ROWS_PER_CHUNK)
+    measure_index, subjects = unit
+    chunk = slice(subjects.start, subjects.stop)
     rows = matrices[measure_index][chunk]
     numbers = ",%.17g" * rows.shape[1] + "\r\n"
     text = "".join(
@@ -445,11 +495,11 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
             for subject_id, label in zip(cohort.subject_ids, cohort.labels)
         )
     ]
-    starts = range(0, cohort.size, _ROWS_PER_CHUNK)
+    runs = _subject_units(cohort.size, matrices[0].shape[1])
     units = [
-        (measure_index, start)
+        (measure_index, subjects)
         for measure_index in range(len(MEASURES))
-        for start in starts
+        for subjects in runs
     ]
     paths = [out_dir / f"features_{measure}.csv" for measure in MEASURES]
     temporaries = [
@@ -465,7 +515,7 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
                 ]
                 with temporary.open("wb") as handle:
                     handle.write(_csv_records([header])[0].encode("utf-8"))
-                    for _ in starts:
+                    for _ in runs:
                         handle.write(next(chunks))
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)

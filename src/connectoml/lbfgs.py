@@ -274,8 +274,11 @@ def gradient_norm(grad: np.ndarray, order: float) -> float:
     """Infinity (``order=np.inf``) or L1 (``order=1``) norm of a gradient."""
     if not grad.size:
         return 0.0
-    magnitudes = np.abs(grad)
-    return float(magnitudes.max() if order == np.inf else magnitudes.sum())
+    if order == np.inf:
+        # The larger extreme, without an |grad| copy; np.maximum keeps a
+        # NaN, and abs() turns a largest magnitude of -0.0 into 0.0.
+        return abs(float(np.maximum(grad.max(), -grad.min())))
+    return float(np.abs(grad).sum())
 
 
 def lbfgs_minimize(

@@ -30,7 +30,7 @@ from connectoml import (
     validate_matrix,
 )
 from connectoml.cohort import LabeledCohort
-from connectoml.connectome import MEASURES
+from connectoml.connectome import MEASURES, feature_length
 from connectoml.evaluation import mann_whitney_u
 from connectoml.dataio import (
     SyntheticCohortConfig,
@@ -73,6 +73,29 @@ class TestMatrixFiles:
         path = tmp_path / "m.csv"
         write_matrix_file(path, weights)
         assert np.array_equal(load_matrix_file(path), weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [[0.0, -0.0, 5e-324], [1.7976931348623157e308, 1 / 3, -2.0],
+             [30.0, 1e22, 0.1]],
+            [[1 / 3]],
+            "400_nodes",
+        ],
+        ids=["edge_values", "one_by_one", "400_nodes"],
+    )
+    def test_bytes_equal_savetxt(self, tmp_path, weights):
+        if weights == "400_nodes":
+            cfg = SyntheticCohortConfig(n_nodes=400, n_hc=1, n_mci=1, seed=3)
+            weights = generate_synthetic_matrices(cfg)[2][1].weights.copy()
+            weights[0, 1] = weights[1, 0] = 12.0  # an integral float
+        weights = np.asarray(weights, dtype=np.float64)
+        write_matrix_file(tmp_path / "new.csv", weights)
+        np.savetxt(tmp_path / "old.csv", weights, fmt="%.17g", delimiter=",")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written.count(b"\n") == weights.shape[0]
+        assert np.array_equal(load_matrix_file(tmp_path / "new.csv"), weights)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -256,10 +279,30 @@ def constant_cohort(directory, n_subjects=9, n_nodes=4):
     return manifest
 
 
+def few_cells_per_unit(monkeypatch):
+    """Pool units of 20 cells from now on (four subjects at 4 nodes), so
+    that the small cohorts here form several units and reach the forked
+    workers; returns the unit count of each ``ordered_map`` call that
+    dataio makes, for the test to check."""
+    monkeypatch.setattr(dataio, "_CELLS_PER_UNIT", 20)
+    formed = []
+    original = dataio.ordered_map
+
+    def counting(work, state, units):
+        formed.append(len(units))
+        return original(work, state, units)
+
+    monkeypatch.setattr(dataio, "ordered_map", counting)
+    return formed
+
+
 def same_failure(monkeypatch, manifest, disconnected="max_finite"):
-    """The error both ingest paths raise; they must agree on type and text."""
+    """The error both ingest paths raise; they must agree on type and text.
+    Every cohort that reaches the pool forms several units."""
+    formed = few_cells_per_unit(monkeypatch)
     serial = ingest(monkeypatch, 1, manifest, disconnected)
     pooled = ingest(monkeypatch, 2, manifest, disconnected)
+    assert all(count > 1 for count in formed), formed
     assert isinstance(serial, Exception), serial
     assert type(pooled) is type(serial)
     assert str(pooled) == str(serial)
@@ -270,11 +313,13 @@ class TestParallelIngest:
     """The serial loop and the forked workers fill the same buffer alike."""
 
     def test_pooled_cohort_equals_serial_cohort(self, tmp_path, monkeypatch):
+        formed = few_cells_per_unit(monkeypatch)
         cfg = SyntheticCohortConfig(n_nodes=12, n_hc=5, n_mci=8, seed=4)
         ids, labels, matrices = generate_synthetic_matrices(cfg)
         manifest = materialize_cohort(ids, labels, matrices, tmp_path)
         serial = ingest(monkeypatch, 1, manifest)
         pooled = ingest(monkeypatch, 2, manifest)
+        assert formed and min(formed) > 1
         assert pooled.subject_ids == serial.subject_ids == tuple(ids)
         assert pooled.labels.tolist() == serial.labels.tolist() == labels
         for measure in MEASURES:
@@ -285,6 +330,7 @@ class TestParallelIngest:
     def test_extract_bytes_do_not_depend_on_workers(
         self, tmp_path, monkeypatch
     ):
+        formed = few_cells_per_unit(monkeypatch)
         cfg = SyntheticCohortConfig(n_nodes=9, n_hc=4, n_mci=6, seed=8)
         ids, labels, matrices = generate_synthetic_matrices(cfg)
         manifest = materialize_cohort(ids, labels, matrices, tmp_path / "c")
@@ -301,6 +347,7 @@ class TestParallelIngest:
             written[workers] = [
                 (out / f"features_{m}.csv").read_bytes() for m in MEASURES
             ]
+        assert formed and min(formed) > 1
         assert written[1] == written[2]
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
@@ -309,8 +356,10 @@ class TestParallelIngest:
     ):
         # Five workers on fewer cores interleave their writes to the
         # shared buffer; a row written to the wrong place or lost shows.
+        formed = few_cells_per_unit(monkeypatch)
         manifest = constant_cohort(tmp_path, n_subjects=40)
         cohort = ingest(monkeypatch, workers, manifest)
+        assert formed == [10]
         assert cohort.subject_ids == tuple(f"s{i}" for i in range(40))
         for index in range(40):
             weight = float(index + 1)
@@ -404,6 +453,7 @@ class TestParallelIngest:
     def test_a_worker_that_dies_raises_instead_of_hanging(
         self, tmp_path, monkeypatch
     ):
+        formed = few_cells_per_unit(monkeypatch)
         manifest = constant_cohort(tmp_path)
         parent = os.getpid()
         original = dataio.extract_features
@@ -415,6 +465,75 @@ class TestParallelIngest:
 
         monkeypatch.setattr(dataio, "extract_features", die_in_worker)
         assert isinstance(ingest(monkeypatch, 2, manifest), BrokenProcessPool)
+        assert formed == [3]
+
+
+class TestUnitsOfCells:
+    """Every dataio pool unit holds ⌈4 × 7,140 / width⌉ subjects."""
+
+    @pytest.mark.parametrize(
+        "n_nodes, rows",
+        [(120, 4), (40, 37), (400, 1), (2, 28560), (1, 28560)],
+    )
+    def test_units_cover_every_subject_once_in_order(self, n_nodes, rows):
+        width = feature_length(n_nodes)
+        for count in sorted({1, rows - 1, rows, rows + 1} - {0}):
+            units = dataio._subject_units(count, width)
+            assert [index for unit in units for index in unit] == list(
+                range(count)
+            )
+            assert all(len(unit) == rows for unit in units[:-1])
+            assert 1 <= len(units[-1]) <= rows
+            assert len(units) == -(-count // rows)
+
+
+class TestMaterializeCohort:
+    def test_files_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        formed = few_cells_per_unit(monkeypatch)
+        cfg = SyntheticCohortConfig(n_nodes=9, n_hc=4, n_mci=6, seed=8)
+        ids, labels, matrices = generate_synthetic_matrices(cfg)
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pool, "available_cores", lambda: workers)
+            out = tmp_path / f"cohort{workers}"
+            with time_limit(60):
+                materialize_cohort(ids, labels, matrices, out)
+            written[workers] = {
+                path.name: path.read_bytes() for path in out.iterdir()
+            }
+        assert formed == [10, 10]
+        assert sorted(written[1]) == sorted(
+            [f"{subject_id}.csv" for subject_id in ids] + ["manifest.csv"]
+        )
+        assert written[1] == written[2]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failure_part_way_leaves_no_manifest(
+        self, tmp_path, monkeypatch, workers, earlier
+    ):
+        cfg = SyntheticCohortConfig(n_nodes=6, n_hc=3, n_mci=4, seed=1)
+        ids, labels, matrices = generate_synthetic_matrices(cfg)
+        out = tmp_path / "cohort"
+        if earlier:
+            materialize_cohort(ids, labels, matrices, out)
+        formed = few_cells_per_unit(monkeypatch)
+        original = dataio.write_matrix_file
+
+        def fail_late(path, weights):
+            # Subjects 2 and 6 are in the second and the last unit.
+            if path.stem in (ids[2], ids[6]):
+                raise RuntimeError(f"no room for {path.stem}")
+            original(path, weights)
+
+        monkeypatch.setattr(dataio, "write_matrix_file", fail_late)
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
+        with time_limit(60), pytest.raises(
+            RuntimeError, match=f"^no room for {ids[2]}$"
+        ):
+            materialize_cohort(ids, labels, matrices, out)
+        assert formed == [4]
+        assert not (out / "manifest.csv").exists()
 
 
 @needs_openblas
@@ -433,6 +552,7 @@ class TestIngestOnOneBlasThread:
             return [getter() for _, getter in openblas]
 
         before = counts()
+        formed = few_cells_per_unit(monkeypatch)
         cfg = SyntheticCohortConfig(n_nodes=6, n_hc=3, n_mci=3, seed=2)
         ids, labels, matrices = generate_synthetic_matrices(cfg)
         parent = os.getpid()
@@ -463,6 +583,7 @@ class TestIngestOnOneBlasThread:
         with time_limit(60), expected if fails else contextlib.nullcontext():
             build()
         assert seen and all(c == [1] * len(openblas) for c in seen)
+        assert formed and min(formed) > 1
         if workers == 1:
             assert len(seen) == len(ids)
         assert counts() == before
@@ -526,7 +647,9 @@ class TestOneFeatureMatrix:
         self, tmp_path, monkeypatch, workers
     ):
         buffers = recorded_buffers(monkeypatch)
+        formed = few_cells_per_unit(monkeypatch)
         cohort = ingest(monkeypatch, workers, constant_cohort(tmp_path))
+        assert formed == [3]
         assert_one_matrix(cohort)
         (buffer,) = buffers
         assert buffer.shape == (9, len(MEASURES), 6)
@@ -950,7 +1073,8 @@ def awkward_ids_cohort(tmp_path):
 
 
 def many_units_cohort(tmp_path):
-    # 3 measures x 8 chunks: more units than five workers hold in flight.
+    # 3 measures x 15 runs of 2 subjects at 20 cells per unit: more units
+    # than five workers hold in flight.
     cfg = SyntheticCohortConfig(n_nodes=6, n_hc=12, n_mci=18, seed=2)
     return generate_synthetic_cohort(cfg)
 
@@ -988,9 +1112,11 @@ class TestParallelWriter:
     ):
         cohort = build(tmp_path)
         expected = write_feature_csvs_reference(cohort, tmp_path / "old")
+        formed = few_cells_per_unit(monkeypatch)
         monkeypatch.setattr(pool, "available_cores", lambda: workers)
         with time_limit(60):
             written = write_feature_csvs(cohort, tmp_path / "new")
+        assert len(formed) == 1 and formed[0] > 1
         assert [path.name for path in written] == [
             path.name for path in expected
         ]
@@ -1001,11 +1127,12 @@ class TestParallelWriter:
         self, tmp_path, monkeypatch
     ):
         cohort = many_units_cohort(tmp_path)
+        formed = few_cells_per_unit(monkeypatch)
         parent = os.getpid()
         original = dataio._format_rows
 
         def die_in_worker(state, unit):
-            if os.getpid() != parent and unit == (1, 8):
+            if os.getpid() != parent and unit[0] == 1 and 8 in unit[1]:
                 os._exit(1)
             return original(state, unit)
 
@@ -1013,6 +1140,7 @@ class TestParallelWriter:
         monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(cohort, tmp_path)
+        assert formed == [45]
 
     def test_a_failed_write_leaves_the_earlier_store_whole(
         self, tmp_path, monkeypatch
@@ -1021,11 +1149,12 @@ class TestParallelWriter:
         store = tmp_path / "features"
         written = write_feature_csvs(earlier, store)
         before = {path.name: path.read_bytes() for path in written}
+        formed = few_cells_per_unit(monkeypatch)
         parent = os.getpid()
         original = dataio._format_rows
 
         def die_in_worker(state, unit):
-            if os.getpid() != parent and unit == (1, 8):
+            if os.getpid() != parent and unit[0] == 1 and 8 in unit[1]:
                 os._exit(1)
             return original(state, unit)
 
@@ -1033,6 +1162,7 @@ class TestParallelWriter:
         monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(many_units_cohort(tmp_path), store)
+        assert formed[-1] == 45
         after = {path.name: path.read_bytes() for path in store.iterdir()}
         assert after == before
         reloaded = load_feature_csvs(store)

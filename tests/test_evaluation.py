@@ -562,9 +562,9 @@ class TestFoldMemory:
         # 300 subjects x 3 x 1,000 features: a unit's training rows (200 x
         # 3,000, 4.8 MB) outweigh the fused first-layer weights (3,000 x
         # 32, 0.77 MB) six times. The fused fit holds about four arrays of
-        # that size (the initial weights, the lift, its c.W1_0 term and the
-        # inf-norm's absolute values), and the members' models stay alive
-        # beside it: 5.2 of them in all, measured with numpy 2.4. A unit
+        # that size (the initial weights, the lift and its c.W1_0 term among
+        # them), and the members' models stay alive beside it: 5.2 of them
+        # in all, measured with numpy 2.4. A unit
         # that scaled a copy of its training rows, or gathered its test
         # rows before fitting, read 11.2 MB above the rows.
         rng = np.random.default_rng(0)

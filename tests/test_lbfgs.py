@@ -458,3 +458,33 @@ class TestCurvatureHistory:
             size=(2 * size + 3, size)
         )
         assert_directions_match_the_oracle(size, depth, mapping)
+
+
+class TestGradientNorm:
+    @pytest.mark.parametrize(
+        "grad",
+        [
+            [3.0, -7.5, 2.0],
+            [-1e-300, 5e-324, -0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0, 0.0],
+            [np.inf, -1.0],
+            [1.0, -np.inf],
+            [1.0, np.nan, -2.0],
+            [-np.nan, 4.0],
+            [[-2.5, 1.0], [0.5, 2.25]],
+            [],
+        ],
+    )
+    def test_infinity_norm_is_the_largest_magnitude_bit_for_bit(self, grad):
+        grad = np.asarray(grad, dtype=np.float64)
+        # initial=0.0 gives the empty gradient its norm, 0.0.
+        expected = np.abs(grad).max(initial=0.0)
+        value = lbfgs.gradient_norm(grad, np.inf)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == expected.tobytes()
+
+    def test_l1_norm_is_the_sum_of_magnitudes(self):
+        grad = np.array([3.0, -7.5, -0.0, 2.0])
+        assert lbfgs.gradient_norm(grad, 1) == 12.5
+        assert lbfgs.gradient_norm(np.zeros(0), 1) == 0.0
