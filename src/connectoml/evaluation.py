@@ -345,26 +345,24 @@ def check_experiment_settings(
 def _evaluate_unit(state, unit) -> list:
     """The :func:`compute_fold_metrics` dicts of the five strategies, in
     :data:`STRATEGIES` order, on one ``(repetition, fold)`` unit of
-    :func:`run_experiment`, whose arguments ``state`` carries."""
+    :func:`run_experiment`, whose arguments ``state`` carries.
+
+    In ``fold`` mode the sampler picks the positions it keeps out of the
+    fold's training indices. In every mode the unit gathers its training
+    rows once, straight from the working cohort's matrix, and that gather
+    is freed when :func:`fit_fold` returns, before the test rows are
+    gathered.
+    """
     working, sampler, train_cfg, seed, threshold = state
     repetition, fold = unit
+    train = fold.train_indices
     if sampler.mode == MODE_FOLD:
         fold_seed = derive_seed(seed, repetition, fold.fold)
-        kept = apply_sampler(
-            working.subset(fold.train_indices), sampler, fold_seed, train_cfg
-        )
-        # The kept cohort's matrix is read-only: take one writable copy and
-        # let the cohort go before the fits start.
-        rows, labels = kept.fused().copy(), kept.labels
-        del kept
-    else:
-        rows = working.fused()[fold.train_indices]
-        labels = working.labels[fold.train_indices]
+        train = apply_sampler(working, sampler, fold_seed, train_cfg, train)
     fold_cfg = replace(
         train_cfg, seed=derive_seed(train_cfg.seed, repetition, fold.fold)
     )
-    models = fit_fold(rows, labels, fold_cfg)
-    del rows
+    models = fit_fold(working.fused()[train], working.labels[train], fold_cfg)
     scores = models.scores(working.fused()[fold.test_indices])
     test_labels = working.labels[fold.test_indices]
     return [
@@ -390,7 +388,11 @@ def run_experiment(
     """Repeated stratified k-fold evaluation of all five strategies.
 
     The sampler runs either once on the full cohort (``dataset`` mode), in
-    this process, or on each training split (``fold`` mode). The first
+    this process, or on each training split (``fold`` mode). Either way it
+    picks row positions: in ``dataset`` mode the run works on the subset it
+    keeps (the cohort itself when it keeps every subject), and in ``fold``
+    mode each unit gathers the kept training rows straight from the
+    cohort's matrix (:func:`_evaluate_unit`). The first
     (repetition, fold) unit runs in this process while forked workers, one
     per available core, run the others (module docstring). Fold assignments,
     sampler draws and model initializations all derive deterministically
@@ -405,7 +407,11 @@ def run_experiment(
     check_fold_count(cohort.labels, k)
     working = cohort
     if sampler.mode != MODE_FOLD:
-        working = apply_sampler(cohort, sampler, seed, train_cfg)
+        kept = apply_sampler(
+            cohort, sampler, seed, train_cfg, np.arange(cohort.size)
+        )
+        if kept.size < cohort.size:
+            working = cohort.subset(kept)
 
     fold_values = {
         strategy: {metric: [] for metric in METRIC_NAMES}

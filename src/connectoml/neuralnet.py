@@ -341,6 +341,11 @@ def fit_normalizer(xs) -> MinMaxNormalizer:
     return MinMaxNormalizer(minimum=x.min(axis=0), maximum=x.max(axis=0))
 
 
+#: Rows of the first-layer weights whose ``c.W1_0`` term
+#: :meth:`_KernelCoordinates.lift` forms at once (64 KiB of float64).
+_LIFT_BLOCK_ROWS = 256
+
+
 class _KernelCoordinates:
     """Parameter vectors whose first layer is ``c.W1_0 + x^T.B``.
 
@@ -360,18 +365,30 @@ class _KernelCoordinates:
         self.split = x.shape[0] * HIDDEN_UNITS
 
     def start(self, init: MlpParameters) -> np.ndarray:
-        """``init`` in these coordinates: B = 0 and c = 1."""
-        rest = flatten_parameters(init)[self.w1.size :]
-        return np.concatenate([np.zeros(self.split), rest, [1.0]])
+        """``init`` in these coordinates: B = 0 and c = 1. The tail is
+        built from the first-layer biases and layers 2 and 3, with no copy
+        of the first-layer weights."""
+        parts = [np.zeros(self.split), init.layer_biases[0]]
+        for w, b in zip(init.layer_weights[1:], init.layer_biases[1:]):
+            parts += [w.ravel(), b]
+        return np.concatenate(parts + [[1.0]])
 
     def lift(self, v: np.ndarray) -> np.ndarray:
         """``v`` as a full-space vector, laid out as
-        :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``."""
+        :func:`flatten_parameters`: first layer ``c.W1_0 + x^T.B``.
+
+        ``c.W1_0`` is formed and added :data:`_LIFT_BLOCK_ROWS` rows at a
+        time, the same products and sums with no temporary the size of
+        ``W1_0``."""
         block = v[: self.split].reshape(-1, HIDDEN_UNITS)
         out = np.empty(self.w1.size + v.size - self.split - 1)
         first = out[: self.w1.size].reshape(self.w1.shape)
         np.matmul(self.x.T, block, out=first)
-        first += v[-1] * self.w1
+        term = np.empty((min(_LIFT_BLOCK_ROWS, len(first)), HIDDEN_UNITS))
+        for i in range(0, len(first), _LIFT_BLOCK_ROWS):
+            part = self.w1[i : i + _LIFT_BLOCK_ROWS]
+            scaled = np.multiply(v[-1], part, out=term[: len(part)])
+            first[i : i + _LIFT_BLOCK_ROWS] += scaled
         out[self.w1.size :] = v[self.split : -1]
         return out
 
@@ -441,7 +458,11 @@ def train_classifier(xs, ys, cfg: TrainConfig) -> MlpParameters:
             bound = gradient_norm(rest, order)
             if bound > cfg.gradient_tolerance:
                 return bound
-        return gradient_norm(coords.lift(grad), order)
+            return gradient_norm(coords.lift(grad), order)
+        # The lifted gradient is this call's own: the L1 norm takes its
+        # absolute values over it, the sum gradient_norm forms on a copy.
+        lifted = coords.lift(grad)
+        return float(np.abs(lifted, out=lifted).sum())
 
     result = lbfgs_minimize(
         lambda theta, image: coords.loss_and_gradient(

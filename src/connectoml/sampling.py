@@ -4,8 +4,16 @@ All three strategies remove majority-class subjects until both classes have
 the original minority size; the minority class is never touched and every
 retained subject keeps its rows in all three feature matrices. Distances and
 hardness scores are computed on the min-max normalized fused feature vector
-so that all downstream classifiers see the same retained subjects; instance
-hardness scales each of its internal folds as the fold path scales a fold.
+so that all downstream classifiers see the same retained subjects.
+
+Samplers choose positions. :func:`apply_sampler` is handed a cohort and the
+positions of the subjects it may keep (a fold's training rows, or every
+row) and returns the positions it keeps; it makes no cohort. Random
+under-sampling reads the labels alone, near-miss-3 scales one fresh gather
+of the rows over itself, and instance hardness gathers each internal fold's
+rows straight from the cohort's matrix and scales them as the fold path
+scales a fold, one internal fold at a time. The public functions return
+``cohort.subset`` of the positions their sampler keeps.
 
 A :class:`SamplerConfig` names only a method and a mode. Draws follow the
 run's seed, instance hardness trains under the run's ``TrainConfig``, and
@@ -77,9 +85,9 @@ class SamplerConfig:
         )
 
 
-def _split_by_class(cohort: LabeledCohort):
-    """(minority_indices, majority_indices), or None when already balanced."""
-    labels = cohort.labels
+def _split_by_class(labels: np.ndarray):
+    """(minority, majority) positions in ``labels``, or None when already
+    balanced."""
     zeros = np.flatnonzero(labels == 0)
     ones = np.flatnonzero(labels == 1)
     if zeros.size == 0 or ones.size == 0:
@@ -91,19 +99,26 @@ def _split_by_class(cohort: LabeledCohort):
     return ones, zeros
 
 
-def _retain(cohort: LabeledCohort, keep_indices) -> LabeledCohort:
-    return cohort.subset(np.sort(np.asarray(keep_indices, dtype=np.int64)))
+def _kept(rows: np.ndarray, minority, kept_majority) -> np.ndarray:
+    """The entries of ``rows`` at the given positions of both classes, in
+    the order of ``rows``."""
+    return rows[np.sort(np.concatenate([minority, kept_majority]))]
+
+
+def _random_positions(cohort: LabeledCohort, rows, seed: int) -> np.ndarray:
+    split = _split_by_class(cohort.labels[rows])
+    if split is None:
+        return rows
+    minority, majority = split
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(majority, size=minority.size, replace=False)
+    return _kept(rows, minority, chosen)
 
 
 def random_undersample(cohort: LabeledCohort, seed: int) -> LabeledCohort:
     """Uniformly drop majority subjects until the classes are balanced."""
-    split = _split_by_class(cohort)
-    if split is None:
-        return cohort
-    minority, majority = split
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(majority, size=minority.size, replace=False)
-    return _retain(cohort, np.concatenate([minority, chosen]))
+    every_row = np.arange(cohort.size)
+    return cohort.subset(_random_positions(cohort, every_row, seed))
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,6 +129,32 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         - 2.0 * (a @ b.T)
     )
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _near_miss_3_positions(
+    cohort: LabeledCohort, rows, k: int
+) -> np.ndarray:
+    if k < 1:
+        raise ValidationError("k must be at least 1")
+    split = _split_by_class(cohort.labels[rows])
+    if split is None:
+        return rows
+    minority, majority = split
+    # One fresh gather, majority subjects first, scaled over itself: the
+    # normalizer's minimum and maximum do not depend on the row order, and
+    # each class is a view of the result.
+    features = cohort.fused()[rows[np.concatenate([majority, minority])]]
+    fit_normalizer(features).transform_in_place(features)
+    distances = _pairwise_distances(
+        features[: majority.size], features[majority.size :]
+    )
+
+    nearest_majority = np.argsort(distances, axis=0, kind="stable")
+    shortlisted = np.zeros(majority.size, dtype=bool)
+    shortlisted[nearest_majority[: min(k, majority.size)]] = True
+    nearest = np.sort(distances, axis=1)[:, : min(k, minority.size)]
+    order = np.lexsort((majority, -nearest.mean(axis=1), ~shortlisted))
+    return _kept(rows, minority, majority[order[: minority.size]])
 
 
 def near_miss_3(
@@ -136,23 +177,62 @@ def near_miss_3(
 
     k is clamped to the available class sizes.
     """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    split = _split_by_class(cohort)
-    if split is None:
-        return cohort
-    minority, majority = split
-    fused = cohort.fused()
-    features = fit_normalizer(fused).transform(fused)
-    distances = _pairwise_distances(features[majority], features[minority])
+    every_row = np.arange(cohort.size)
+    return cohort.subset(_near_miss_3_positions(cohort, every_row, k))
 
-    nearest_majority = np.argsort(distances, axis=0, kind="stable")
-    shortlisted = np.zeros(majority.size, dtype=bool)
-    shortlisted[nearest_majority[: min(k, majority.size)]] = True
-    nearest = np.sort(distances, axis=1)[:, : min(k, minority.size)]
-    order = np.lexsort((majority, -nearest.mean(axis=1), ~shortlisted))
-    kept = majority[order[: minority.size]]
-    return _retain(cohort, np.concatenate([minority, kept]))
+
+def _held_out_scores(
+    cohort: LabeledCohort, train, train_labels, test, cfg: TrainConfig
+) -> np.ndarray:
+    """MCI probabilities of the cohort's ``test`` rows under a model fitted
+    on its ``train`` rows.
+
+    Each gather is a fresh copy, scaled over itself, and is freed when this
+    returns, before the next internal fold gathers its rows.
+    """
+    rows = cohort.fused()[train]
+    normalizer = fit_normalizer(rows)
+    model = train_classifier(
+        normalizer.transform_in_place(rows), train_labels, cfg
+    )
+    return predict_proba(
+        model, normalizer.transform_in_place(cohort.fused()[test])
+    )
+
+
+def _instance_hardness_positions(
+    cohort: LabeledCohort, rows, seed: int, train_cfg: TrainConfig
+) -> np.ndarray:
+    labels = cohort.labels[rows]
+    split = _split_by_class(labels)
+    if split is None:
+        return rows
+    minority, majority = split
+    counts = np.bincount(labels)
+    if counts.min() < IHT_INTERNAL_FOLDS:
+        raise ValidationError(
+            f"each class needs at least {IHT_INTERNAL_FOLDS} subjects for"
+            f" {IHT_INTERNAL_FOLDS}-fold hardness estimation"
+            f" (class counts: {counts.tolist()})"
+        )
+
+    out_of_fold = np.empty(rows.size)
+    split_seed = derive_seed(seed, _IHT_SPLIT_STREAM)
+    for fold in stratified_kfold(labels, IHT_INTERNAL_FOLDS, split_seed):
+        member_cfg = replace(
+            train_cfg, seed=derive_seed(train_cfg.seed, fold.fold)
+        )
+        out_of_fold[fold.test_indices] = _held_out_scores(
+            cohort,
+            rows[fold.train_indices],
+            labels[fold.train_indices],
+            rows[fold.test_indices],
+            member_cfg,
+        )
+
+    correct_class = np.where(labels == 1, out_of_fold, 1.0 - out_of_fold)
+    order = np.lexsort((majority, -correct_class[majority]))
+    return _kept(rows, minority, majority[order[: minority.size]])
 
 
 def instance_hardness_threshold(
@@ -167,42 +247,10 @@ def instance_hardness_threshold(
     subjects with the lowest correct-class probability are removed until the
     classes are balanced; probability ties are broken by ascending index.
     """
-    split = _split_by_class(cohort)
-    if split is None:
-        return cohort
-    minority, majority = split
-    counts = np.bincount(cohort.labels)
-    if counts.min() < IHT_INTERNAL_FOLDS:
-        raise ValidationError(
-            f"each class needs at least {IHT_INTERNAL_FOLDS} subjects for"
-            f" {IHT_INTERNAL_FOLDS}-fold hardness estimation"
-            f" (class counts: {counts.tolist()})"
-        )
-
-    fused = cohort.fused()
-    labels = cohort.labels
-    out_of_fold = np.empty(cohort.size)
-    split_seed = derive_seed(seed, _IHT_SPLIT_STREAM)
-    for fold in stratified_kfold(labels, IHT_INTERNAL_FOLDS, split_seed):
-        member_cfg = replace(
-            train_cfg, seed=derive_seed(train_cfg.seed, fold.fold)
-        )
-        # Each gather is a fresh copy, scaled over itself.
-        rows = fused[fold.train_indices]
-        normalizer = fit_normalizer(rows)
-        model = train_classifier(
-            normalizer.transform_in_place(rows),
-            labels[fold.train_indices],
-            member_cfg,
-        )
-        out_of_fold[fold.test_indices] = predict_proba(
-            model, normalizer.transform_in_place(fused[fold.test_indices])
-        )
-
-    correct_class = np.where(labels == 1, out_of_fold, 1.0 - out_of_fold)
-    order = np.lexsort((majority, -correct_class[majority]))
-    kept = majority[order[: minority.size]]
-    return _retain(cohort, np.concatenate([minority, kept]))
+    every_row = np.arange(cohort.size)
+    return cohort.subset(
+        _instance_hardness_positions(cohort, every_row, seed, train_cfg)
+    )
 
 
 def apply_sampler(
@@ -210,13 +258,22 @@ def apply_sampler(
     sampler: SamplerConfig,
     seed: int,
     train_cfg: TrainConfig,
-) -> LabeledCohort:
-    """Dispatch on ``sampler.method``; ``none`` returns the cohort unchanged.
-    Draws follow ``seed``; instance hardness trains under ``train_cfg``."""
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Positions in ``cohort`` of the subjects of ``rows`` that
+    ``sampler.method`` keeps.
+
+    ``rows`` holds ascending positions in ``cohort``, such as a
+    fold's training indices; the sampler sees only those subjects. The
+    result is the ascending subset of ``rows`` it keeps, and ``rows``
+    itself when it drops none: always for ``none``, and for rows that are
+    already balanced. Draws follow ``seed``; instance hardness trains under
+    ``train_cfg``.
+    """
     if sampler.method == METHOD_NONE:
-        return cohort
+        return rows
     if sampler.method == METHOD_RANDOM:
-        return random_undersample(cohort, seed)
+        return _random_positions(cohort, rows, seed)
     if sampler.method == METHOD_NEAR_MISS_3:
-        return near_miss_3(cohort)
-    return instance_hardness_threshold(cohort, seed, train_cfg)
+        return _near_miss_3_positions(cohort, rows, NEAR_MISS_NEIGHBORS)
+    return _instance_hardness_positions(cohort, rows, seed, train_cfg)

@@ -495,9 +495,9 @@ class TestRunExperiment:
         calls = []
         original = connectoml.evaluation.apply_sampler
 
-        def recording_sampler(cohort, sampler, seed, train_cfg):
+        def recording_sampler(cohort, sampler, seed, train_cfg, rows):
             calls.append((seed, train_cfg))
-            return original(cohort, sampler, seed, train_cfg)
+            return original(cohort, sampler, seed, train_cfg, rows)
 
         monkeypatch.setattr(
             connectoml.evaluation, "apply_sampler", recording_sampler
@@ -557,33 +557,64 @@ class TestRunExperiment:
             )
 
 
+def unit_peak(cohort, sampler, fold):
+    """tracemalloc peak, in bytes, of one :func:`_evaluate_unit` call on
+    ``fold`` of ``cohort`` (3 L-BFGS iterations per fit)."""
+    state = (cohort, sampler, TrainConfig(max_iterations=3), 0, 0.5)
+    tracemalloc.start()
+    try:
+        connectoml.evaluation._evaluate_unit(state, (0, fold))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_cohort(n_hc, n_mci, width=1000):
+    """HC then MCI subjects with ``3 * width`` random features each."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat([0, 1], [n_hc, n_mci])
+    matrix = rng.random((labels.size, 3 * width)) + 0.1 * labels[:, None]
+    return LabeledCohort(
+        [f"s{i}" for i in range(labels.size)], labels, matrix
+    )
+
+
 class TestFoldMemory:
     def test_a_unit_holds_one_copy_of_its_training_rows(self):
         # 300 subjects x 3 x 1,000 features: a unit's training rows (200 x
         # 3,000, 4.8 MB) outweigh the fused first-layer weights (3,000 x
-        # 32, 0.77 MB) six times. The fused fit holds about four arrays of
-        # that size (the initial weights, the lift and its c.W1_0 term among
-        # them), and the members' models stay alive beside it: 5.2 of them
-        # in all, measured with numpy 2.4. A unit
+        # 32, 0.77 MB) six times. The fused fit holds about three arrays of
+        # that size (the initial weights, the lift and its c.W1_0 term in
+        # blocks of rows), and the members' models stay alive beside it:
+        # 4.6 of them in all, measured with numpy 2.4. A unit
         # that scaled a copy of its training rows, or gathered its test
         # rows before fitting, read 11.2 MB above the rows.
-        rng = np.random.default_rng(0)
-        n, width = 300, 1000
-        labels = np.repeat([0, 1], n // 2)
-        matrix = rng.random((n, 3 * width)) + 0.1 * labels[:, None]
-        cohort = LabeledCohort([f"s{i}" for i in range(n)], labels, matrix)
-        fold = stratified_kfold(labels, 3, 0)[0]
-        state = (
-            cohort, SamplerConfig(), TrainConfig(max_iterations=3), 0, 0.5
-        )
-        train_bytes = fold.train_indices.size * 3 * width * 8
-        weight_bytes = 3 * width * HIDDEN_UNITS * 8
-        tracemalloc.start()
-        try:
-            connectoml.evaluation._evaluate_unit(state, (0, fold))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cohort = wide_cohort(150, 150)
+        fold = stratified_kfold(cohort.labels, 3, 0)[0]
+        train_bytes = fold.train_indices.size * 3 * 1000 * 8
+        weight_bytes = 3 * 1000 * HIDDEN_UNITS * 8
+        peak = unit_peak(cohort, SamplerConfig(), fold)
+        assert peak < train_bytes + 6 * weight_bytes
+
+    @pytest.mark.parametrize(
+        "method", ["none", "random", "near_miss_3", "instance_hardness"]
+    )
+    def test_a_fold_mode_sampler_adds_no_copy_of_the_training_split(
+        self, method
+    ):
+        # The same bound on a fold-mode unit of 180 HC and 210 MCI
+        # subjects: 260 training rows (6.2 MB). The sampler picks positions
+        # and the unit gathers what it keeps once, so its peak is that of
+        # the fits, as without a sampler: 10.5 MB for none and 9.7 MB for
+        # the others against a bound of 10.85 MB, numpy 2.4. A unit that
+        # handed the sampler a subset cohort and copied the rows of the
+        # cohort it kept read 12.0 MB (random) to 22.1 MB (near-miss-3).
+        cohort = wide_cohort(180, 210)
+        fold = stratified_kfold(cohort.labels, 3, 0)[0]
+        train_bytes = fold.train_indices.size * 3 * 1000 * 8
+        weight_bytes = 3 * 1000 * HIDDEN_UNITS * 8
+        sampler = SamplerConfig(method=method, mode="fold")
+        peak = unit_peak(cohort, sampler, fold)
         assert peak < train_bytes + 6 * weight_bytes
 
 

@@ -6,6 +6,7 @@ from conftest import make_cohort
 
 from connectoml import SamplerConfig, TrainConfig, ValidationError
 from connectoml.connectome import MEASURES
+from connectoml.folds import stratified_kfold
 from connectoml.sampling import (
     apply_sampler,
     instance_hardness_threshold,
@@ -233,32 +234,85 @@ class TestInstanceHardness:
             instance_hardness_threshold(cohort, 0, IHT_TRAIN)
 
 
-class TestSamplerContracts:
-    @pytest.mark.parametrize("method", ["random", "near_miss_3"])
-    def test_output_is_subset_with_aligned_rows(self, method):
-        rng = np.random.default_rng(12)
-        cohort = unbalanced_cohort(rng, n_minority=6, n_majority=15)
-        out = apply_sampler(
-            cohort, SamplerConfig(method=method), 5, TrainConfig()
-        )
-        assert set(out.subject_ids) <= set(cohort.subject_ids)
-        for subject in out.subject_ids:
-            i_out = out.subject_ids.index(subject)
-            i_in = cohort.subject_ids.index(subject)
-            assert out.labels[i_out] == cohort.labels[i_in]
-            for measure in MEASURES:
-                assert np.array_equal(
-                    out.features[measure][i_out],
-                    cohort.features[measure][i_in],
-                )
+SAMPLED = {
+    "random": lambda cohort: random_undersample(cohort, 5),
+    "near_miss_3": near_miss_3,
+    "instance_hardness": lambda cohort: instance_hardness_threshold(
+        cohort, 5, IHT_TRAIN
+    ),
+}
 
-    def test_none_method_passthrough(self):
-        rng = np.random.default_rng(13)
-        cohort = unbalanced_cohort(rng)
-        out = apply_sampler(
-            cohort, SamplerConfig(method="none"), 0, TrainConfig()
+
+class TestSamplerContracts:
+    def fold_rows(self, seed):
+        """An unbalanced cohort and the training rows of one of its folds,
+        which leave subjects of both classes out."""
+        rng = np.random.default_rng(seed)
+        cohort = unbalanced_cohort(rng, n_minority=12, n_majority=30)
+        fold = stratified_kfold(cohort.labels, 3, seed)[1]
+        return cohort, fold.train_indices
+
+    @pytest.mark.parametrize("method", sorted(SAMPLED))
+    def test_kept_positions_are_a_balanced_subset_of_rows(self, method):
+        cohort, rows = self.fold_rows(12)
+        kept = apply_sampler(
+            cohort, SamplerConfig(method=method), 5, IHT_TRAIN, rows
         )
-        assert out is cohort
+        assert kept.dtype == np.int64
+        assert np.all(np.diff(kept) > 0)
+        assert set(kept.tolist()) <= set(rows.tolist())
+        labels = cohort.labels[rows]
+        minority = int(np.argmin(np.bincount(labels)))
+        assert set(rows[labels == minority].tolist()) <= set(kept.tolist())
+        counts = np.bincount(cohort.labels[kept])
+        assert counts[0] == counts[1] == np.sum(labels == minority)
+
+    @pytest.mark.parametrize("method", sorted(SAMPLED))
+    def test_positions_keep_what_the_sampler_keeps_of_the_subset(
+        self, method
+    ):
+        # The fold path hands the sampler the cohort and a fold's training
+        # rows; it keeps the subjects the sampler keeps of those rows alone.
+        cohort, rows = self.fold_rows(13)
+        kept = apply_sampler(
+            cohort, SamplerConfig(method=method), 5, IHT_TRAIN, rows
+        )
+        expected = SAMPLED[method](cohort.subset(rows))
+        assert expected.subject_ids == tuple(
+            cohort.subject_ids[i] for i in kept
+        )
+
+    @pytest.mark.parametrize("method", sorted(SAMPLED))
+    def test_public_function_subsets_the_kept_positions(self, method):
+        cohort, _ = self.fold_rows(14)
+        every_row = np.arange(cohort.size)
+        kept = apply_sampler(
+            cohort, SamplerConfig(method=method), 5, IHT_TRAIN, every_row
+        )
+        out = SAMPLED[method](cohort)
+        expected = cohort.subset(kept)
+        assert out.subject_ids == expected.subject_ids
+        assert np.array_equal(out.labels, expected.labels)
+        assert np.array_equal(out.fused(), expected.fused())
+
+    @pytest.mark.parametrize("method", ["none"] + sorted(SAMPLED))
+    def test_rows_come_back_as_they_are_when_none_is_dropped(self, method):
+        # Sampler none keeps every row; so does any sampler handed rows
+        # that are already balanced.
+        rng = np.random.default_rng(13)
+        cohort = unbalanced_cohort(rng, n_minority=10, n_majority=20)
+        labels = cohort.labels
+        rows = np.sort(
+            np.concatenate(
+                [np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)[:10]]
+            )
+        )
+        if method == "none":
+            rows = np.arange(cohort.size)
+        out = apply_sampler(
+            cohort, SamplerConfig(method=method), 0, IHT_TRAIN, rows
+        )
+        assert out is rows
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError, match="unknown sampler"):
