@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampler", choices=sorted(_SAMPLER_FLAGS), default="none"
     )
     evaluate.add_argument(
-        "--sampler-mode", choices=["dataset", "fold"], default="dataset"
+        "--sampler-mode", choices=["fold"], default="fold"
     )
     evaluate.add_argument("--folds", type=int, default=10)
     evaluate.add_argument("--repeats", type=int, default=10)
@@ -161,9 +161,7 @@ def _cmd_evaluate(args) -> int:
         if path:
             dataio.refuse_to_overwrite(path, args.overwrite)
     train_cfg = TrainConfig(l2_alpha=args.alpha, max_iterations=args.max_iter)
-    sampler = SamplerConfig(
-        method=_SAMPLER_FLAGS[args.sampler], mode=args.sampler_mode
-    )
+    sampler = SamplerConfig(method=_SAMPLER_FLAGS[args.sampler])
     check_experiment_settings(
         args.folds, args.repeats, args.seed, args.threshold
     )

@@ -3,16 +3,18 @@
 One experiment evaluates five classification strategies on the same folds:
 the three single-measure classifiers, a classifier on the fused feature
 vector, and the soft-voting ensemble (which reuses the three single-measure
-models trained in the same fold). :func:`fit_fold` scales the training rows
-by one min-max normalizer and trains the four models of one fold, and
-:meth:`FoldModels.scores` scales the test rows by it and scores them under
-all five strategies; :func:`run_experiment` trains and scores through these
-alone. Both take a fresh gather of the cohort's rows and scale it over
-itself, so a unit holds one copy of its training rows while it fits and
-gathers its test rows only after the four fits return. Metrics are computed
-per test fold with MCI as the positive class and aggregated as mean and
-standard error over all repetitions * folds values; strategies are compared
-pairwise with the Mann-Whitney U test on those per-fold samples.
+models trained in the same fold). The sampler balances each fold's
+training rows alone, so no test subject shapes what a fold trains on.
+:func:`fit_fold` scales the training rows by one min-max normalizer and
+trains the four models of one fold, and :meth:`FoldModels.scores` scales
+the test rows by it and scores them under all five strategies;
+:func:`run_experiment` trains and scores through these alone. Both take a
+fresh gather of the cohort's rows and scale it over itself, so a unit holds
+one copy of its training rows while it fits and gathers its test rows only
+after the four fits return. Metrics are computed per test fold with MCI as
+the positive class and aggregated as mean and standard error over all
+repetitions * folds values; strategies are compared pairwise with the
+Mann-Whitney U test on those per-fold samples.
 
 Each (repetition, fold) unit is independent of the others: they run on
 every available core through :func:`~connectoml._pool.ordered_map`, the
@@ -42,7 +44,7 @@ from .folds import (
 )
 from .neuralnet import MinMaxNormalizer, MlpParameters, TrainConfig
 from .neuralnet import fit_normalizer, predict_proba, train_classifier
-from .sampling import MODE_FOLD, SamplerConfig, apply_sampler
+from .sampling import SamplerConfig, apply_sampler, check_training_splits
 
 STRATEGY_FUSION = "fusion"
 STRATEGY_ENSEMBLE = "ensemble"
@@ -347,24 +349,23 @@ def _evaluate_unit(state, unit) -> list:
     :data:`STRATEGIES` order, on one ``(repetition, fold)`` unit of
     :func:`run_experiment`, whose arguments ``state`` carries.
 
-    In ``fold`` mode the sampler picks the positions it keeps out of the
-    fold's training indices. In every mode the unit gathers its training
-    rows once, straight from the working cohort's matrix, and that gather
-    is freed when :func:`fit_fold` returns, before the test rows are
-    gathered.
+    The sampler picks the positions it keeps out of the fold's training
+    indices. The unit gathers those rows once, straight from the cohort's
+    matrix, and that gather is freed when :func:`fit_fold` returns, before
+    the test rows are gathered.
     """
-    working, sampler, train_cfg, seed, threshold = state
+    cohort, sampler, train_cfg, seed, threshold = state
     repetition, fold = unit
-    train = fold.train_indices
-    if sampler.mode == MODE_FOLD:
-        fold_seed = derive_seed(seed, repetition, fold.fold)
-        train = apply_sampler(working, sampler, fold_seed, train_cfg, train)
+    fold_seed = derive_seed(seed, repetition, fold.fold)
+    train = apply_sampler(
+        cohort, sampler, fold_seed, train_cfg, fold.train_indices
+    )
     fold_cfg = replace(
         train_cfg, seed=derive_seed(train_cfg.seed, repetition, fold.fold)
     )
-    models = fit_fold(working.fused()[train], working.labels[train], fold_cfg)
-    scores = models.scores(working.fused()[fold.test_indices])
-    test_labels = working.labels[fold.test_indices]
+    models = fit_fold(cohort.fused()[train], cohort.labels[train], fold_cfg)
+    scores = models.scores(cohort.fused()[fold.test_indices])
+    test_labels = cohort.labels[fold.test_indices]
     return [
         compute_fold_metrics(
             test_labels,
@@ -387,12 +388,11 @@ def run_experiment(
 ) -> EvaluationReport:
     """Repeated stratified k-fold evaluation of all five strategies.
 
-    The sampler runs either once on the full cohort (``dataset`` mode), in
-    this process, or on each training split (``fold`` mode). Either way it
-    picks row positions: in ``dataset`` mode the run works on the subset it
-    keeps (the cohort itself when it keeps every subject), and in ``fold``
-    mode each unit gathers the kept training rows straight from the
-    cohort's matrix (:func:`_evaluate_unit`). The first
+    The sampler runs on each training split and picks row positions; each
+    unit gathers the kept training rows straight from the cohort's matrix
+    (:func:`_evaluate_unit`). To sample the whole cohort before
+    cross-validation instead, hand this the cohort a public sampler of
+    :mod:`connectoml.sampling` returns, with method ``none``. The first
     (repetition, fold) unit runs in this process while forked workers, one
     per available core, run the others (module docstring). Fold assignments,
     sampler draws and model initializations all derive deterministically
@@ -402,27 +402,20 @@ def run_experiment(
     several failing units, the first in order raises its own exception.
     """
     check_experiment_settings(k, repetitions, seed, threshold)
-    # Every sampler keeps the minority class whole, so the folds can be
-    # checked before a dataset-mode sampler spends any work.
+    # Both depend on the labels alone: no unit spends any work first.
     check_fold_count(cohort.labels, k)
-    working = cohort
-    if sampler.mode != MODE_FOLD:
-        kept = apply_sampler(
-            cohort, sampler, seed, train_cfg, np.arange(cohort.size)
-        )
-        if kept.size < cohort.size:
-            working = cohort.subset(kept)
+    check_training_splits(sampler, cohort.labels, k)
 
     fold_values = {
         strategy: {metric: [] for metric in METRIC_NAMES}
         for strategy in STRATEGIES
     }
-    state = (working, sampler, train_cfg, seed, threshold)
+    state = (cohort, sampler, train_cfg, seed, threshold)
     units = [
         (repetition, fold)
         for repetition in range(repetitions)
         for fold in stratified_kfold(
-            working.labels, k, derive_seed(seed, repetition)
+            cohort.labels, k, derive_seed(seed, repetition)
         )
     ]
     for unit_metrics in ordered_map(_evaluate_unit, state, units):
@@ -455,17 +448,15 @@ def run_experiment(
 
     sampler_config = {
         "method": sampler.method,
-        "mode": sampler.mode,
+        "mode": "fold",
         "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
         "seed": seed,
         "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
         "distance_space": "minmax_fused",
     }
-    if sampler.leaks:
-        sampler_config["leakage"] = True
     config = {
-        "n_subjects": working.size,
-        "class_counts": working.class_counts(),
+        "n_subjects": cohort.size,
+        "class_counts": cohort.class_counts(),
         "folds": k,
         "repetitions": repetitions,
         "seed": seed,

@@ -7,17 +7,19 @@ hardness scores are computed on the min-max normalized fused feature vector
 so that all downstream classifiers see the same retained subjects.
 
 Samplers choose positions. :func:`apply_sampler` is handed a cohort and the
-positions of the subjects it may keep (a fold's training rows, or every
-row) and returns the positions it keeps; it makes no cohort. Random
+positions of the subjects it may keep (evaluation hands it a fold's training
+rows) and returns the positions it keeps; it makes no cohort. Random
 under-sampling reads the labels alone, near-miss-3 scales one fresh gather
 of the rows over itself, and instance hardness gathers each internal fold's
 rows straight from the cohort's matrix and scales them as the fold path
 scales a fold, one internal fold at a time. The public functions return
-``cohort.subset`` of the positions their sampler keeps.
+``cohort.subset`` of the positions their sampler keeps; evaluating that
+subset with method ``none`` balances the cohort before cross-validation,
+so the kept subjects depend on the future test subjects.
 
-A :class:`SamplerConfig` names only a method and a mode. Draws follow the
-run's seed, instance hardness trains under the run's ``TrainConfig``, and
-the two counts are :data:`NEAR_MISS_NEIGHBORS` and :data:`IHT_INTERNAL_FOLDS`.
+A :class:`SamplerConfig` names only a method. Draws follow the run's seed,
+instance hardness trains under the run's ``TrainConfig``, and the two counts
+are :data:`NEAR_MISS_NEIGHBORS` and :data:`IHT_INTERNAL_FOLDS`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ SAMPLER_METHODS = (
     METHOD_INSTANCE_HARDNESS,
 )
 
-MODE_DATASET = "dataset"
-MODE_FOLD = "fold"
-
 #: Neighbors near-miss-3 short-lists and scores by.
 NEAR_MISS_NEIGHBORS = 3
 
@@ -58,31 +57,13 @@ _IHT_SPLIT_STREAM = 101
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Which strategy to apply, and where.
-
-    ``mode`` controls where the sampler runs during evaluation: once on the
-    full cohort before cross-validation (``dataset``, the default) or inside
-    each training fold only (``fold``), which avoids test-set leakage.
-    """
+    """Which strategy balances each training fold."""
 
     method: str = METHOD_NONE
-    mode: str = MODE_DATASET
 
     def __post_init__(self):
         if self.method not in SAMPLER_METHODS:
             raise ValidationError(f"unknown sampler method {self.method!r}")
-        if self.mode not in (MODE_DATASET, MODE_FOLD):
-            raise ValidationError(f"unknown sampler mode {self.mode!r}")
-
-    @property
-    def leaks(self) -> bool:
-        """Whether the kept subjects depend on the future test subjects: a
-        data-dependent method (near-miss-3, instance hardness) run on the
-        full cohort (``dataset`` mode)."""
-        return self.mode == MODE_DATASET and self.method in (
-            METHOD_NEAR_MISS_3,
-            METHOD_INSTANCE_HARDNESS,
-        )
 
 
 def _split_by_class(labels: np.ndarray):
@@ -181,6 +162,35 @@ def near_miss_3(
     return cohort.subset(_near_miss_3_positions(cohort, every_row, k))
 
 
+def _check_hardness_counts(counts: np.ndarray) -> None:
+    """``ValidationError`` unless every class count of the rows instance
+    hardness samples fills its internal folds."""
+    if counts.min() < IHT_INTERNAL_FOLDS:
+        raise ValidationError(
+            f"each class needs at least {IHT_INTERNAL_FOLDS} subjects for"
+            f" {IHT_INTERNAL_FOLDS}-fold hardness estimation"
+            f" (class counts: {counts.tolist()})"
+        )
+
+
+def check_training_splits(sampler: SamplerConfig, labels, k: int) -> None:
+    """``ValidationError``, with the message its unit would raise, if
+    ``sampler`` cannot balance a training split of a k-fold
+    :func:`~connectoml.folds.stratified_kfold` of ``labels``.
+
+    Fold f tests entries f, f + k, ... of each class's permutation, so the
+    split's class counts follow from the label counts. Only instance
+    hardness has a minimum, and a balanced split samples nothing.
+    """
+    if sampler.method != METHOD_INSTANCE_HARDNESS:
+        return
+    _, class_sizes = np.unique(np.asarray(labels), return_counts=True)
+    for fold in range(k):
+        counts = np.array([n - len(range(fold, n, k)) for n in class_sizes])
+        if counts.min() != counts.max():
+            _check_hardness_counts(counts)
+
+
 def _held_out_scores(
     cohort: LabeledCohort, train, train_labels, test, cfg: TrainConfig
 ) -> np.ndarray:
@@ -208,13 +218,7 @@ def _instance_hardness_positions(
     if split is None:
         return rows
     minority, majority = split
-    counts = np.bincount(labels)
-    if counts.min() < IHT_INTERNAL_FOLDS:
-        raise ValidationError(
-            f"each class needs at least {IHT_INTERNAL_FOLDS} subjects for"
-            f" {IHT_INTERNAL_FOLDS}-fold hardness estimation"
-            f" (class counts: {counts.tolist()})"
-        )
+    _check_hardness_counts(np.bincount(labels))
 
     out_of_fold = np.empty(rows.size)
     split_seed = derive_seed(seed, _IHT_SPLIT_STREAM)

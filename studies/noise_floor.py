@@ -12,7 +12,8 @@ Runs: 5 folds x 2 repetitions, seed 0, default ``TrainConfig``, on
 
 - ``weak_none``: the weak cohort (``synth --nodes 40 --hc 30 --mci 70
   --seed 3 --effect-size 0.06``), no sampler;
-- ``weak_iht_fold``: the same cohort, instance hardness in fold mode;
+- ``weak_iht_fold``: the same cohort, instance hardness on each training
+  fold;
 - ``paper_none``: the paper cohort (``synth --hc 49 --mci 108 --nodes 120
   --seed 101 --effect-size 1.5``), no sampler.
 
@@ -64,11 +65,11 @@ COHORTS = {
     ],
 }
 
-#: Configuration name: (cohort, sampler method, sampler mode).
+#: Configuration name: (cohort, sampler method).
 CONFIGS = {
-    "weak_none": ("weak", "none", "dataset"),
-    "weak_iht_fold": ("weak", "instance_hardness", "fold"),
-    "paper_none": ("paper", "none", "dataset"),
+    "weak_none": ("weak", "none"),
+    "weak_iht_fold": ("weak", "instance_hardness"),
+    "paper_none": ("paper", "none"),
 }
 
 
@@ -134,8 +135,8 @@ def study(seeds: int, work: Path) -> dict:
     cohorts = load_cohorts(work)
     train = TrainConfig()
     configs = {}
-    for name, (cohort_name, method, mode) in CONFIGS.items():
-        sampler = SamplerConfig(method=method, mode=mode)
+    for name, (cohort_name, method) in CONFIGS.items():
+        sampler = SamplerConfig(method=method)
 
         def run(cohort):
             return run_experiment(
@@ -157,7 +158,7 @@ def study(seeds: int, work: Path) -> dict:
             )
         configs[name] = {
             "cohort": f"synth {' '.join(COHORTS[cohort_name])}",
-            "sampler": {"method": method, "mode": mode},
+            "sampler": {"method": method},
             "n_fold_values": sum(
                 len(values)
                 for metrics in base.fold_values.values()

@@ -118,9 +118,16 @@ class TestEvaluate:
         assert code == 0
         assert folds_csv.exists()
 
-    def test_both_loaders_give_the_same_report(self, cohort_dir, tmp_path):
+    def test_both_loaders_give_the_same_report(self, tmp_path):
         # The feature store holds every value to 17 significant digits, so
-        # the cohort it rebuilds is the manifest's, bit for bit.
+        # the cohort it rebuilds is the manifest's, bit for bit. At 3 folds
+        # 8 HC and 12 MCI train at least 5 of each class, as instance
+        # hardness needs.
+        cohort_dir = tmp_path / "cohort"
+        assert run_cli(
+            SYNTH_ARGS
+            + ["--hc", "8", "--mci", "12", "--out-dir", str(cohort_dir)]
+        ) == 0
         features = tmp_path / "features"
         manifest = str(cohort_dir / "manifest.csv")
         assert run_cli(
@@ -145,6 +152,27 @@ class TestEvaluate:
             assert code == 0
             outputs[source] = (out.read_bytes(), folds_csv.read_bytes())
         assert outputs["--manifest"] == outputs["--features-dir"]
+
+    def test_sampler_mode_fold_is_the_default(self, cohort_dir, tmp_path):
+        outputs = {}
+        for name, flags in (
+            ("default", []), ("fold", ["--sampler-mode", "fold"])
+        ):
+            out = tmp_path / f"report_{name}.json"
+            folds_csv = tmp_path / f"folds_{name}.csv"
+            assert run_cli(
+                [
+                    "evaluate",
+                    "--manifest", str(cohort_dir / "manifest.csv"),
+                    "--sampler", "random",
+                    "--out", str(out),
+                    "--dump-folds", str(folds_csv),
+                ]
+                + EVAL_SPEED
+                + flags
+            ) == 0
+            outputs[name] = (out.read_bytes(), folds_csv.read_bytes())
+        assert outputs["fold"] == outputs["default"]
 
     def test_existing_output_without_overwrite_is_data_error(
         self, cohort_dir, tmp_path
@@ -394,6 +422,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["evaluate", "--nonsense"])
         assert excinfo.value.code == 1
+
+    def test_sampler_mode_dataset_is_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                ["evaluate", "--manifest", str(tmp_path / "manifest.csv"),
+                 "--out", str(tmp_path / "r.json"),
+                 "--sampler-mode", "dataset"]
+            )
+        assert excinfo.value.code == 1
+        assert (
+            "error: argument --sampler-mode: invalid choice: 'dataset'"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_command_is_one(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -703,7 +745,7 @@ class TestExitCodes:
         ],
         ids=["one_fold", "more_folds_than_hc"],
     )
-    def test_bad_folds_exit_before_the_dataset_sampler_trains(
+    def test_bad_folds_exit_before_the_sampler_trains(
         self, cohort_dir, tmp_path, capsys, monkeypatch, folds, message
     ):
         # The IHT sampler trains its models through this module global; a
@@ -872,11 +914,11 @@ class TestExitCodes:
 GOLDEN_REPORTS = {
     "none": (
         [],
-        "83c1b2dd39d988d14f24a9ce9ed04d7c1324a444ab70898ada238776c0ec7d53",
+        "f9e37d4c4974b8a9fd679b7a04418ba35ee00c6e5035c233043943d2af445073",
         "ff3af00baa6affe110dc0ee31f13807482ff4cfa567699629b992225bdb33d65",
     ),
     "iht_fold": (
-        ["--sampler", "iht", "--sampler-mode", "fold"],
+        ["--sampler", "iht"],
         "ffcd30eb95f763fc895756db81b089ef14d8e72508fb6797973b6bd001d820e9",
         "608eca8a3a4f8c55b585b6c63d3f9230037c4f3de38f19389002bbdac2eea868",
     ),

@@ -48,6 +48,7 @@ from connectoml.evaluation import (
 from connectoml.cohort import LabeledCohort
 from connectoml.folds import derive_seed, stratified_kfold
 from connectoml.neuralnet import HIDDEN_UNITS
+from connectoml.sampling import instance_hardness_threshold
 import connectoml
 import connectoml._pool as pool
 import connectoml.cli as cli
@@ -474,7 +475,7 @@ class TestRunExperiment:
         k, reps = 3, 1
         run_experiment(
             cohort,
-            SamplerConfig(method="random", mode="fold"),
+            SamplerConfig(method="random"),
             FAST_TRAIN,
             k=k,
             repetitions=reps,
@@ -488,10 +489,7 @@ class TestRunExperiment:
             assert seen <= set(fold.train_indices.tolist())
             assert seen & set(fold.test_indices.tolist()) == set()
 
-    @pytest.mark.parametrize("mode", ["dataset", "fold"])
-    def test_sampler_takes_the_run_seed_and_train_config(
-        self, monkeypatch, mode
-    ):
+    def test_sampler_takes_the_run_seed_and_train_config(self, monkeypatch):
         calls = []
         original = connectoml.evaluation.apply_sampler
 
@@ -508,47 +506,80 @@ class TestRunExperiment:
         train_cfg = TrainConfig(max_iterations=5, seed=4)
         k, reps, seed = 3, 2, 9
         run_experiment(
-            cohort, SamplerConfig(method="random", mode=mode), train_cfg,
+            cohort, SamplerConfig(method="random"), train_cfg,
             k=k, repetitions=reps, seed=seed,
         )
-        if mode == "dataset":
-            expected = [seed]
-        else:
-            expected = [
-                derive_seed(seed, repetition, fold)
-                for repetition in range(reps)
-                for fold in range(k)
-            ]
-        assert [call_seed for call_seed, _ in calls] == expected
+        assert [call_seed for call_seed, _ in calls] == [
+            derive_seed(seed, repetition, fold)
+            for repetition in range(reps)
+            for fold in range(k)
+        ]
         # The run's config object itself, not a per-fold copy.
         assert all(cfg is train_cfg for _, cfg in calls)
 
     @pytest.mark.parametrize("method", ["random", "near_miss_3",
                                         "instance_hardness"])
-    @pytest.mark.parametrize("mode", ["dataset", "fold"])
-    def test_every_sampler_runs_in_both_modes(self, method, mode):
+    def test_every_sampler_runs_on_each_training_fold(self, method):
         rng = np.random.default_rng(11)
         cohort = quick_cohort(rng, n_hc=14, n_mci=22)
-        sampler = SamplerConfig(method=method, mode=mode)
         report = run_experiment(
-            cohort, sampler, TrainConfig(max_iterations=5),
-            k=2, repetitions=1, seed=8,
+            cohort, SamplerConfig(method=method),
+            TrainConfig(max_iterations=5), k=2, repetitions=1, seed=8,
         )
-        leakage = [("leakage", True)] if (
-            mode == "dataset" and method != "random"
-        ) else []
+        # "mode" is a constant that keeps the report's schema.
         assert list(report.config["sampler"].items()) == [
             ("method", method),
-            ("mode", mode),
+            ("mode", "fold"),
             ("k_neighbors", 3),
             ("seed", 8),
             ("iht_internal_folds", 5),
             ("distance_space", "minmax_fused"),
-        ] + leakage
-        expected_subjects = 36 if mode == "fold" else 28
-        assert report.config["n_subjects"] == expected_subjects
+        ]
+        assert report.config["n_subjects"] == 36
         for strategy in STRATEGIES:
             assert report.strategies[strategy]["auc"]["n_folds"] == 2
+
+    def test_too_few_subjects_for_hardness_fail_before_any_fit(
+        self, monkeypatch
+    ):
+        # 6 HC and 9 MCI at k=3: every training split holds 4 HC and 6 MCI,
+        # too few HC for 5 internal folds.
+        fits = []
+
+        def counting(name, original):
+            def wrapped(*args):
+                fits.append(name)
+                return original(*args)
+            return wrapped
+
+        for module, name in (
+            (connectoml.evaluation, "fit_fold"),
+            (connectoml.sampling, "train_classifier"),
+        ):
+            monkeypatch.setattr(
+                module, name, counting(name, getattr(module, name))
+            )
+        cohort = quick_cohort(np.random.default_rng(13), n_hc=6, n_mci=9)
+        with pytest.raises(ValidationError) as excinfo:
+            run_experiment(
+                cohort, SamplerConfig(method="instance_hardness"), FAST_TRAIN,
+                k=3, repetitions=1,
+            )
+        assert str(excinfo.value) == (
+            "each class needs at least 5 subjects for 5-fold hardness"
+            " estimation (class counts: [4, 6])"
+        )
+        assert fits == []
+
+    def test_balanced_small_cohort_runs_under_hardness(self):
+        # 6 HC and 6 MCI at k=3: 4 of each class train in every fold, too
+        # few for 5 internal folds, but a balanced split samples nothing.
+        cohort = quick_cohort(np.random.default_rng(14), n_hc=6, n_mci=6)
+        report = run_experiment(
+            cohort, SamplerConfig(method="instance_hardness"), FAST_TRAIN,
+            k=3, repetitions=1,
+        )
+        assert report.strategies["ensemble"]["auc"]["n_folds"] == 3
 
     def test_missing_strategy_rejected_by_report(self):
         with pytest.raises(ValidationError, match="missing strategies"):
@@ -602,7 +633,7 @@ class TestFoldMemory:
     def test_a_fold_mode_sampler_adds_no_copy_of_the_training_split(
         self, method
     ):
-        # The same bound on a fold-mode unit of 180 HC and 210 MCI
+        # The same bound on a sampled unit of 180 HC and 210 MCI
         # subjects: 260 training rows (6.2 MB). The sampler picks positions
         # and the unit gathers what it keeps once, so its peak is that of
         # the fits, as without a sampler: 10.5 MB for none and 9.7 MB for
@@ -613,8 +644,7 @@ class TestFoldMemory:
         fold = stratified_kfold(cohort.labels, 3, 0)[0]
         train_bytes = fold.train_indices.size * 3 * 1000 * 8
         weight_bytes = 3 * 1000 * HIDDEN_UNITS * 8
-        sampler = SamplerConfig(method=method, mode="fold")
-        peak = unit_peak(cohort, sampler, fold)
+        peak = unit_peak(cohort, SamplerConfig(method=method), fold)
         assert peak < train_bytes + 6 * weight_bytes
 
 
@@ -716,7 +746,7 @@ class TestParallelFolds:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--sampler", "none"), ("--sampler", "iht", "--sampler-mode", "fold")],
+        [("--sampler", "none"), ("--sampler", "iht")],
         ids=["none", "iht_fold"],
     )
     def test_report_bytes_do_not_depend_on_workers(
@@ -786,13 +816,13 @@ class TestParallelFolds:
             )
 
 
-class TestDatasetModeLeakage:
-    """Dataset-mode IHT scores hardness with the future test subjects
-    included, so on a null cohort it reports a signal that fold mode does
-    not see, and only its report records the leakage."""
+class TestResamplingBeforeCrossValidation:
+    """Instance hardness run on the whole cohort, before the folds, scores
+    hardness with the future test subjects included, so on a null cohort it
+    reports a signal that the sampler on each training fold does not see."""
 
     @pytest.fixture(scope="class")
-    def null_store(self, tmp_path_factory):
+    def null_cohort(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("null")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(
@@ -804,28 +834,25 @@ class TestDatasetModeLeakage:
                 ["extract", "--manifest", str(root / "cohort/manifest.csv"),
                  "--out-dir", str(root / "features")]
             ) == 0
-        return root
+        return load_feature_csvs(root / "features")
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_iht_in_dataset_mode_inflates_the_null_auc(self, null_store, seed):
-        features = str(null_store / "features")
-        reports = {}
-        for mode in ("dataset", "fold"):
-            out = null_store / f"report_{mode}_{seed}.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(
-                    ["evaluate", "--features-dir", features,
-                     "--sampler", "iht", "--sampler-mode", mode,
-                     "--max-iter", "15", "--folds", "5", "--repeats", "2",
-                     "--seed", str(seed), "--out", str(out)]
-                ) == 0
-            reports[mode] = json.loads(out.read_text(encoding="utf-8"))
+    def test_iht_before_the_folds_inflates_the_null_auc(
+        self, null_cohort, seed
+    ):
+        kwargs = dict(k=5, repetitions=2, seed=seed)
+        sampled = instance_hardness_threshold(null_cohort, seed, FAST_TRAIN)
+        before = run_experiment(
+            sampled, SamplerConfig(method="none"), FAST_TRAIN, **kwargs
+        )
+        per_fold = run_experiment(
+            null_cohort, SamplerConfig(method="instance_hardness"),
+            FAST_TRAIN, **kwargs
+        )
 
-        def ensemble_auc(mode):
-            return reports[mode]["strategies"]["ensemble"]["auc"]["mean"]
+        def ensemble_auc(report):
+            return report.strategies["ensemble"]["auc"]["mean"]
 
         # Measured (2 cores, OpenBLAS 0.3.31): 0.728 / 0.496 at seed 1 and
         # 0.711 / 0.479 at seed 2.
-        assert ensemble_auc("dataset") > ensemble_auc("fold") + 0.1
-        assert reports["dataset"]["config"]["sampler"].get("leakage") is True
-        assert "leakage" not in reports["fold"]["config"]["sampler"]
+        assert ensemble_auc(before) > ensemble_auc(per_fold) + 0.1
