@@ -120,11 +120,6 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     return ConnectivityMatrix(subject_id=subject_id, weights=weights)
 
 
-def node_strengths(matrix: ConnectivityMatrix) -> np.ndarray:
-    """Per-node strength: the sum of each node's edge weights (row sums)."""
-    return matrix.weights.sum(axis=1)
-
-
 @lru_cache(maxsize=None)
 def _upper_triangle(n_nodes: int) -> tuple:
     """``np.triu_indices(n_nodes, k=1)`` as read-only arrays, built once per
@@ -290,10 +285,11 @@ def matrix_exponential_symmetric(a) -> np.ndarray:
 def normalized_adjacency(matrix: ConnectivityMatrix) -> np.ndarray:
     """Strength-normalized adjacency ``D^{-1/2} W D^{-1/2}``.
 
+    D holds each node's strength, the sum of its edge weights (row sums).
     Rows and columns of isolated nodes (strength zero) are set to zero,
     the continuous limit of the normalization.
     """
-    strengths = node_strengths(matrix)
+    strengths = matrix.weights.sum(axis=1)
     inv_sqrt = np.zeros_like(strengths)
     positive = strengths > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(strengths[positive])

@@ -12,9 +12,13 @@ the test rows by it and scores them under all five strategies;
 fresh gather of the cohort's rows and scale it over itself, so a unit holds
 one copy of its training rows while it fits and gathers its test rows only
 after the four fits return. Metrics are computed per test fold with MCI as
-the positive class and aggregated as mean and standard error over all
-repetitions * folds values; strategies are compared pairwise with the
-Mann-Whitney U test on those per-fold samples.
+the positive class.
+
+:func:`run_experiment` deals the (repetition, fold) units and checks each
+training split against the sampler before any unit runs, runs the units,
+and returns :func:`summarize` of their per-fold values: each metric's mean
+and standard error over all repetitions * folds values, and pairwise
+Mann-Whitney U tests of the strategies on those per-fold samples.
 
 Each (repetition, fold) unit is independent of the others: they run on
 every available core through :func:`~connectoml._pool.ordered_map`, the
@@ -36,15 +40,10 @@ from ._pool import one_blas_thread, ordered_map
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort, measure_columns
 from .connectome import MEASURES
 from .errors import ValidationError
-from .folds import (
-    check_fold_count,
-    check_fold_minimum,
-    derive_seed,
-    stratified_kfold,
-)
+from .folds import check_fold_minimum, derive_seed, stratified_kfold
 from .neuralnet import MinMaxNormalizer, MlpParameters, TrainConfig
 from .neuralnet import fit_normalizer, predict_proba, train_classifier
-from .sampling import SamplerConfig, apply_sampler, check_training_splits
+from .sampling import SamplerConfig, apply_sampler, check_split
 
 STRATEGY_FUSION = "fusion"
 STRATEGY_ENSEMBLE = "ensemble"
@@ -376,60 +375,24 @@ def _evaluate_unit(state, unit) -> list:
     ]
 
 
-@one_blas_thread()
-def run_experiment(
-    cohort: LabeledCohort,
-    sampler: SamplerConfig,
-    train_cfg: TrainConfig,
-    k: int = 10,
-    repetitions: int = 10,
-    seed: int = 0,
-    threshold: float = 0.5,
-) -> EvaluationReport:
-    """Repeated stratified k-fold evaluation of all five strategies.
+def summarize(fold_values: dict, config: dict) -> EvaluationReport:
+    """The report of per-fold metric values, with ``config`` as its echo.
 
-    The sampler runs on each training split and picks row positions; each
-    unit gathers the kept training rows straight from the cohort's matrix
-    (:func:`_evaluate_unit`). To sample the whole cohort before
-    cross-validation instead, hand this the cohort a public sampler of
-    :mod:`connectoml.sampling` returns, with method ``none``. The first
-    (repetition, fold) unit runs in this process while forked workers, one
-    per available core, run the others (module docstring). Fold assignments,
-    sampler draws and model initializations all derive deterministically
-    from ``seed`` and ``train_cfg.seed``, and every unit runs OpenBLAS on
-    one thread (:mod:`connectoml._pool`), so identical inputs reproduce
-    the report bit for bit whatever the core or BLAS thread count. Of
-    several failing units, the first in order raises its own exception.
+    ``fold_values[strategy][metric]`` lists one value per (repetition,
+    fold) unit, in unit order, for every strategy of :data:`STRATEGIES`
+    and metric of :data:`METRIC_NAMES`. Each strategy's metric summary is
+    its mean, standard error (:func:`aggregate_metrics`) and count, and
+    every pair of strategies is compared per metric by
+    :func:`mann_whitney_u`. Neither argument is modified, so a stored
+    report's ``fold_values`` and ``config`` rebuild it.
     """
-    check_experiment_settings(k, repetitions, seed, threshold)
-    # Both depend on the labels alone: no unit spends any work first.
-    check_fold_count(cohort.labels, k)
-    check_training_splits(sampler, cohort.labels, k)
-
-    fold_values = {
-        strategy: {metric: [] for metric in METRIC_NAMES}
-        for strategy in STRATEGIES
-    }
-    state = (cohort, sampler, train_cfg, seed, threshold)
-    units = [
-        (repetition, fold)
-        for repetition in range(repetitions)
-        for fold in stratified_kfold(
-            cohort.labels, k, derive_seed(seed, repetition)
-        )
-    ]
-    for unit_metrics in ordered_map(_evaluate_unit, state, units):
-        for strategy, metrics in zip(STRATEGIES, unit_metrics):
-            for metric, value in metrics.items():
-                fold_values[strategy][metric].append(value)
-
-    strategies_summary = {}
+    strategies = {}
     for strategy in STRATEGIES:
-        strategies_summary[strategy] = {}
+        strategies[strategy] = {}
         for metric in METRIC_NAMES:
             values = fold_values[strategy][metric]
             mean, se = aggregate_metrics(values)
-            strategies_summary[strategy][metric] = {
+            strategies[strategy][metric] = {
                 "mean": mean,
                 "se": se,
                 "n_folds": len(values),
@@ -445,15 +408,60 @@ def run_experiment(
                 )
                 rows.append({"a": first, "b": second, "u": u, "p": p})
         tests[metric] = rows
+    return EvaluationReport(
+        config=config, strategies=strategies, tests=tests,
+        fold_values=fold_values,
+    )
 
-    sampler_config = {
-        "method": sampler.method,
-        "mode": "fold",
-        "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
-        "seed": seed,
-        "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
-        "distance_space": "minmax_fused",
+
+@one_blas_thread()
+def run_experiment(
+    cohort: LabeledCohort,
+    sampler: SamplerConfig,
+    train_cfg: TrainConfig,
+    k: int = 10,
+    repetitions: int = 10,
+    seed: int = 0,
+    threshold: float = 0.5,
+) -> EvaluationReport:
+    """Repeated stratified k-fold evaluation of all five strategies.
+
+    It deals the (repetition, fold) units and checks every training split
+    with :func:`~connectoml.sampling.check_split`, so a split the sampler
+    cannot balance fails before any unit spends work. It then runs the
+    units (:func:`_evaluate_unit`) and returns :func:`summarize` of their
+    fold values. To sample the whole cohort before cross-validation
+    instead, hand this the cohort a public sampler of
+    :mod:`connectoml.sampling` returns, with method ``none``. The first
+    unit runs in this process while forked workers, one per available core,
+    run the others (module docstring). Fold assignments, sampler draws and
+    model initializations all derive deterministically from ``seed`` and
+    ``train_cfg.seed``, and every unit runs OpenBLAS on one thread
+    (:mod:`connectoml._pool`), so identical inputs reproduce the report bit
+    for bit whatever the core or BLAS thread count. Of several failing
+    units, the first in order raises its own exception.
+    """
+    check_experiment_settings(k, repetitions, seed, threshold)
+    units = [
+        (repetition, fold)
+        for repetition in range(repetitions)
+        for fold in stratified_kfold(
+            cohort.labels, k, derive_seed(seed, repetition)
+        )
+    ]
+    for _, fold in units:
+        check_split(sampler, cohort.labels[fold.train_indices])
+
+    fold_values = {
+        strategy: {metric: [] for metric in METRIC_NAMES}
+        for strategy in STRATEGIES
     }
+    state = (cohort, sampler, train_cfg, seed, threshold)
+    for unit_metrics in ordered_map(_evaluate_unit, state, units):
+        for strategy, metrics in zip(STRATEGIES, unit_metrics):
+            for metric, value in metrics.items():
+                fold_values[strategy][metric].append(value)
+
     config = {
         "n_subjects": cohort.size,
         "class_counts": cohort.class_counts(),
@@ -461,14 +469,16 @@ def run_experiment(
         "repetitions": repetitions,
         "seed": seed,
         "threshold": threshold,
-        "sampler": sampler_config,
+        "sampler": {
+            "method": sampler.method,
+            "mode": "fold",
+            "k_neighbors": sampling.NEAR_MISS_NEIGHBORS,
+            "seed": seed,
+            "iht_internal_folds": sampling.IHT_INTERNAL_FOLDS,
+            "distance_space": "minmax_fused",
+        },
         "train": asdict(train_cfg),
         "auc_mode": "per_fold",
         "significance_sample_unit": "fold",
     }
-    return EvaluationReport(
-        config=config,
-        strategies=strategies_summary,
-        tests=tests,
-        fold_values=fold_values,
-    )
+    return summarize(fold_values, config)

@@ -124,33 +124,24 @@ class MinMaxNormalizer:
     Transformed values are clipped to [0, 1]; features with a degenerate
     training range map to 0. A range is degenerate when its span is at most
     four ulps of the column's magnitude: such a span is rounding, which
-    scaling would stretch to the whole interval. :meth:`transform` never writes
-    into its input (a cohort's feature matrix is read-only): it allocates
-    its one output and scales that in place. :meth:`transform_in_place`
+    scaling would stretch to the whole interval. :meth:`transform_in_place`
     scales rows the caller owns, such as a fresh gather of a cohort's rows,
-    over themselves, with the same operations and the same result.
+    over themselves; a cohort's own matrix is read-only.
     """
 
     minimum: np.ndarray
     maximum: np.ndarray
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return self._scale(x, np.empty(np.shape(x)))
-
     def transform_in_place(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`transform` of a writable float64 array, written over it."""
-        return self._scale(rows, rows)
-
-    def _scale(self, x, out: np.ndarray) -> np.ndarray:
-        """The scaled ``x`` in the float64 array ``out``, which may be
-        ``x`` itself."""
+        """The scaled ``rows``, written over the writable float64 array
+        ``rows``."""
         span = self.maximum - self.minimum
         magnitude = np.maximum(np.abs(self.minimum), np.abs(self.maximum))
         degenerate = ~(span > 4.0 * np.spacing(magnitude))
-        np.subtract(x, self.minimum, out=out)
-        out /= np.where(degenerate, 1.0, span)
-        out[..., degenerate] = 0.0
-        return np.clip(out, 0.0, 1.0, out=out)
+        rows -= self.minimum
+        rows /= np.where(degenerate, 1.0, span)
+        rows[..., degenerate] = 0.0
+        return np.clip(rows, 0.0, 1.0, out=rows)
 
 
 def _layer_shapes(input_dim: int):

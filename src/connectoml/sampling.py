@@ -17,6 +17,8 @@ scales a fold, one internal fold at a time. The public functions return
 subset with method ``none`` balances the cohort before cross-validation,
 so the kept subjects depend on the future test subjects.
 
+Evaluation checks every training split with :func:`check_split` before the
+first fit, which raises the error the sampler would raise on the split.
 A :class:`SamplerConfig` names only a method. Draws follow the run's seed,
 instance hardness trains under the run's ``TrainConfig``, and the two counts
 are :data:`NEAR_MISS_NEIGHBORS` and :data:`IHT_INTERNAL_FOLDS`.
@@ -173,22 +175,17 @@ def _check_hardness_counts(counts: np.ndarray) -> None:
         )
 
 
-def check_training_splits(sampler: SamplerConfig, labels, k: int) -> None:
-    """``ValidationError``, with the message its unit would raise, if
-    ``sampler`` cannot balance a training split of a k-fold
-    :func:`~connectoml.folds.stratified_kfold` of ``labels``.
+def check_split(sampler: SamplerConfig, labels) -> None:
+    """``ValidationError``, with the message :func:`apply_sampler` would
+    raise, if ``sampler`` cannot balance rows with these 0/1 ``labels``.
 
-    Fold f tests entries f, f + k, ... of each class's permutation, so the
-    split's class counts follow from the label counts. Only instance
-    hardness has a minimum, and a balanced split samples nothing.
+    Only instance hardness has a minimum, and balanced rows sample nothing.
     """
     if sampler.method != METHOD_INSTANCE_HARDNESS:
         return
-    _, class_sizes = np.unique(np.asarray(labels), return_counts=True)
-    for fold in range(k):
-        counts = np.array([n - len(range(fold, n, k)) for n in class_sizes])
-        if counts.min() != counts.max():
-            _check_hardness_counts(counts)
+    counts = np.bincount(labels, minlength=2)
+    if counts.min() != counts.max():
+        _check_hardness_counts(counts)
 
 
 def _held_out_scores(

@@ -25,7 +25,9 @@ two standard errors. Usage, from the root of a source checkout::
     PYTHONPATH=src python studies/noise_floor.py --compare BASE.json NEW.json
 
 ``--compare`` prints the same two figures for two saved reports, so that a
-change can set its own moves next to the floor.
+change can set its own moves next to the floor. It pairs the reports' fold
+values in unit order, so it refuses (exit status 2) two reports whose
+``folds``, ``repetitions``, ``n_subjects`` or ``class_counts`` differ.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ def machine() -> dict:
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         },
     }
+
+
+#: Config keys two reports must share for their fold values to pair up.
+PAIRED_KEYS = ("folds", "repetitions", "n_subjects", "class_counts")
 
 
 def moves(base, other) -> tuple[int, float]:
@@ -191,7 +197,17 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
-        moved, largest = moves(*(load_report(p) for p in args.compare))
+        base, new = (load_report(p) for p in args.compare)
+        for key in PAIRED_KEYS:
+            if base.config.get(key) != new.config.get(key):
+                print(
+                    f"reports differ in {key}: {base.config.get(key)!r} vs"
+                    f" {new.config.get(key)!r}; their fold values do not"
+                    " pair up",
+                    file=sys.stderr,
+                )
+                return 2
+        moved, largest = moves(base, new)
         print(f"{moved} fold values moved, largest mean move {largest:.3f} SE")
         return 0
     if args.seeds < 1:

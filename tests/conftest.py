@@ -315,9 +315,9 @@ def train_classifier_reference(xs, ys, cfg):
 
 
 def minmax_reference(normalizer, x):
-    """``normalizer.transform(x)`` through a zeroed output, a masked divide
-    and a clip into a new array. A span of at most four ulps of the larger
-    bound's magnitude is degenerate."""
+    """``normalizer.transform_in_place`` of a copy of ``x``, through a
+    zeroed output, a masked divide and a clip into a new array. A span of
+    at most four ulps of the larger bound's magnitude is degenerate."""
     x = np.asarray(x, dtype=np.float64)
     low, high = normalizer.minimum, normalizer.maximum
     span = high - low
@@ -357,8 +357,12 @@ def write_feature_csvs_reference(cohort, out_dir):
 def _fit_scaled(train_rows, labels, test_rows, cfg):
     """One model with its own normalizer, fitted on its training rows."""
     normalizer = fit_normalizer(train_rows)
-    model = train_classifier(normalizer.transform(train_rows), labels, cfg)
-    return predict_proba(model, normalizer.transform(test_rows))
+    model = train_classifier(
+        normalizer.transform_in_place(train_rows.copy()), labels, cfg
+    )
+    return predict_proba(
+        model, normalizer.transform_in_place(test_rows.copy())
+    )
 
 
 def fit_fold_reference(train, test, cfg):

@@ -19,7 +19,6 @@ from connectoml.connectome import (
     feature_length,
     flatten_upper_triangle,
     matrix_exponential_symmetric,
-    node_strengths,
     normalized_adjacency,
     shortest_path_lengths,
     shortest_path_matrix,
@@ -66,20 +65,31 @@ class TestValidateMatrix:
         assert m.weights[0, 1] == 1.0
 
 
-class TestNodeStrengths:
+class TestNormalizedAdjacency:
     def test_single_edge(self):
         m = validate_matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(node_strengths(m), [1.0, 1.0])
+        assert np.array_equal(
+            normalized_adjacency(m), [[0.0, 1.0], [1.0, 0.0]]
+        )
 
     def test_zero_matrix(self):
         m = validate_matrix(np.zeros((4, 4)))
-        assert np.array_equal(node_strengths(m), np.zeros(4))
+        assert np.array_equal(normalized_adjacency(m), np.zeros((4, 4)))
 
     def test_matches_row_sum_oracle(self):
         rng = np.random.default_rng(11)
         m = random_connectome(rng, 6)
-        expected = [sum(m.weights[i][j] for j in range(6)) for i in range(6)]
-        np.testing.assert_allclose(node_strengths(m), expected, rtol=1e-15)
+        strengths = [sum(m.weights[i][j] for j in range(6)) for i in range(6)]
+        expected = [
+            [
+                m.weights[i][j] / (strengths[i] ** 0.5 * strengths[j] ** 0.5)
+                for j in range(6)
+            ]
+            for i in range(6)
+        ]
+        np.testing.assert_allclose(
+            normalized_adjacency(m), expected, rtol=1e-14
+        )
 
 
 class TestFlatten:

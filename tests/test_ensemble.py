@@ -166,8 +166,12 @@ class TestFitFold:
         assert len(transforms) == 2
         assert transforms[0] is train_rows and transforms[1] is test_rows
         normalizer = fit_normalizer(train.fused())
-        assert np.array_equal(train_rows, normalizer.transform(train.fused()))
-        assert np.array_equal(test_rows, normalizer.transform(test.fused()))
+        assert np.array_equal(
+            train_rows, normalizer.transform_in_place(rows_of(train))
+        )
+        assert np.array_equal(
+            test_rows, normalizer.transform_in_place(rows_of(test))
+        )
 
 
 class TestTrainEnsemble:
@@ -218,7 +222,9 @@ class TestTrainEnsemble:
         cfg = TrainConfig(seed=1, max_iterations=10)
         scores = fit(cohort, cfg).scores(rows_of(cohort))
         # Train each model on its own, in reversed order; results agree.
-        scaled = fit_normalizer(cohort.fused()).transform(cohort.fused())
+        scaled = fit_normalizer(cohort.fused()).transform_in_place(
+            rows_of(cohort)
+        )
         fusion = train_classifier(scaled, cohort.labels, cfg)
         np.testing.assert_array_equal(
             predict_proba(fusion, scaled), scores["fusion"]
@@ -236,7 +242,9 @@ class TestSoftVote:
         rng = np.random.default_rng(4)
         train, test = split_alternating(distinct_measure_cohort(rng, 12, 16))
         fold = fit(train, TrainConfig(seed=3, max_iterations=10))
-        blocks = measure_columns(fold.normalizer.transform(test.fused()))
+        blocks = measure_columns(
+            fold.normalizer.transform_in_place(rows_of(test))
+        )
         members = np.array(
             [predict_proba(fold.members[m], blocks[m]) for m in MEASURES]
         )

@@ -32,8 +32,10 @@ from connectoml import (
 )
 from connectoml.dataio import (
     SyntheticCohortConfig,
+    export_report,
     generate_synthetic_cohort,
     load_feature_csvs,
+    load_report,
     write_feature_csvs,
 )
 from connectoml.evaluation import (
@@ -44,6 +46,7 @@ from connectoml.evaluation import (
     auc,
     compute_fold_metrics,
     mann_whitney_u,
+    summarize,
 )
 from connectoml.cohort import LabeledCohort
 from connectoml.folds import derive_seed, stratified_kfold
@@ -571,6 +574,20 @@ class TestRunExperiment:
         )
         assert fits == []
 
+    def test_every_split_is_checked_before_the_units_run(self, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(
+            connectoml.evaluation, "ordered_map",
+            lambda *args: mapped.append(args),
+        )
+        cohort = quick_cohort(np.random.default_rng(13), n_hc=6, n_mci=9)
+        with pytest.raises(ValidationError, match="hardness estimation"):
+            run_experiment(
+                cohort, SamplerConfig(method="instance_hardness"), FAST_TRAIN,
+                k=3, repetitions=2,
+            )
+        assert mapped == []
+
     def test_balanced_small_cohort_runs_under_hardness(self):
         # 6 HC and 6 MCI at k=3: 4 of each class train in every fold, too
         # few for 5 internal folds, but a balanced split samples nothing.
@@ -580,6 +597,25 @@ class TestRunExperiment:
             k=3, repetitions=1,
         )
         assert report.strategies["ensemble"]["auc"]["n_folds"] == 3
+
+    def test_summarize_rebuilds_the_report_from_its_fold_values(
+        self, tmp_path
+    ):
+        cohort = quick_cohort(np.random.default_rng(15), n_hc=12, n_mci=18)
+        report = run_experiment(
+            cohort, SamplerConfig(method="instance_hardness"),
+            TrainConfig(max_iterations=5), k=2, repetitions=2, seed=4,
+        )
+        written = json.dumps(report.to_dict())
+        rebuilt = summarize(report.fold_values, report.config)
+        assert rebuilt.to_dict() == report.to_dict()
+        # Pure: the fold values and config it read are left as they were.
+        assert json.dumps(report.to_dict()) == written
+        # The JSON round trip keeps every value a rebuild needs.
+        loaded = load_report(export_report(report, tmp_path / "r.json"))
+        assert summarize(
+            loaded.fold_values, loaded.config
+        ).to_dict() == loaded.to_dict()
 
     def test_missing_strategy_rejected_by_report(self):
         with pytest.raises(ValidationError, match="missing strategies"):

@@ -9,6 +9,7 @@ from connectoml.connectome import MEASURES
 from connectoml.folds import stratified_kfold
 from connectoml.sampling import (
     apply_sampler,
+    check_split,
     instance_hardness_threshold,
     near_miss_3,
     random_undersample,
@@ -232,6 +233,21 @@ class TestInstanceHardness:
         cohort = unbalanced_cohort(rng, n_minority=3, n_majority=9)
         with pytest.raises(ValidationError, match="fold"):
             instance_hardness_threshold(cohort, 0, IHT_TRAIN)
+
+    def test_check_split_raises_what_the_sampler_raises(self):
+        cohort = unbalanced_cohort(
+            np.random.default_rng(11), n_minority=3, n_majority=9
+        )
+        iht = SamplerConfig(method="instance_hardness")
+        with pytest.raises(ValidationError) as raised:
+            apply_sampler(cohort, iht, 0, IHT_TRAIN, np.arange(cohort.size))
+        with pytest.raises(ValidationError) as checked:
+            check_split(iht, cohort.labels)
+        assert str(checked.value) == str(raised.value)
+        # Only instance hardness has a minimum, and balanced rows sample
+        # nothing.
+        check_split(SamplerConfig(method="random"), cohort.labels)
+        check_split(iht, np.array([0, 0, 1, 1]))
 
 
 SAMPLED = {
