@@ -84,8 +84,9 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     Raises
     ------
     ValidationError
-        If the input is not square, contains non-finite entries, contains
-        negative off-diagonal weights, or is asymmetric beyond tolerance.
+        If the input is not square, has no nodes, contains non-finite
+        entries, contains negative off-diagonal weights, or is asymmetric
+        beyond tolerance.
     """
     weights = np.array(raw, dtype=np.float64)
     tag = f" for subject {subject_id!r}" if subject_id else ""
@@ -93,6 +94,8 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
         raise ValidationError(
             f"connectivity matrix{tag} is not square: shape {weights.shape}"
         )
+    if weights.size == 0:
+        raise ValidationError(f"connectivity matrix{tag} has no nodes")
     if not np.all(np.isfinite(weights)):
         i, j = np.argwhere(~np.isfinite(weights))[0]
         raise ValidationError(
@@ -211,6 +214,8 @@ def shortest_path_matrix(
         before any path is computed), under the ``"error"`` policy if any
         pair is disconnected, or under ``"max_finite"`` if every pair is
         disconnected so no finite maximum exists.
+    NumericalError
+        If the search produced a NaN, which no policy may fill.
     """
     policy, constant = _normalize_disconnected_policy(disconnected)
     weights = matrix.weights
@@ -219,9 +224,28 @@ def shortest_path_matrix(
         dist = np.where(weights > 0, 1.0 / weights, np.inf)
     np.fill_diagonal(dist, 0.0)
     # Floyd-Warshall. The input is symmetric and addition commutes, so
-    # ``dist`` stays exactly symmetric after every k.
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    # ``dist`` stays exactly symmetric after every k, and column k is row k.
+    # Pivot k's sums ``d_ik + d_kj`` come from one rank-2 product
+    # ``[d_k | 1] @ [1 ; d_k]``: each of its products is ``x * 1``, which is
+    # exact, so each entry is the one rounded addition ``d_ik + d_kj``, with
+    # or without FMA, and with two terms no thread split can reorder it. Any
+    # IEEE BLAS gives the bytes of the broadcast sum, which is slower.
+    # OpenBLAS tail kernels raise the invalid flag from padded lanes when a
+    # row holds ``inf``, though every stored entry is right; the flag is
+    # masked, and a NaN that did reach ``dist`` is refused after the loop.
+    left = np.ones((n, 2))
+    right = np.ones((2, n))
+    sums = np.empty_like(dist)
+    with np.errstate(invalid="ignore"):
+        for k in range(n):
+            left[:, 0] = right[1] = dist[k]
+            np.matmul(left, right, out=sums)
+            np.minimum(dist, sums, out=dist)
+    if np.isnan(dist).any():
+        raise NumericalError(
+            "shortest-path search produced NaN"
+            f" for subject {matrix.subject_id!r}"
+        )
 
     off_diagonal = ~np.eye(n, dtype=bool)
     missing = ~np.isfinite(dist) & off_diagonal

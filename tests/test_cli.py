@@ -964,3 +964,58 @@ class TestGoldenReports:
             for path in (report, folds)
         }
         assert digest == {"report.json": report_sha, "folds.csv": folds_sha}
+
+
+#: sha256 of the three feature files that ``extract`` writes, per synthetic
+#: cohort (its ``synth`` flags). Pinned on numpy with OpenBLAS before the
+#: shortest-path pivots became rank-2 products, which kept them; the sparse
+#: 90-node subjects have isolated nodes and disconnected pairs, filled by
+#: the ``max_finite`` policy.
+GOLDEN_EXTRACTS = {
+    "dense_120": (
+        ["--nodes", "120", "--hc", "3", "--mci", "3", "--seed", "11"],
+        {
+            "weights":
+                "e241e2481869558c891fa45c09f79848901a7c66ee2ffb9226adda460c7e4c00",
+            "shortest_path":
+                "234beb27af3c840bc436b15a08d1967a24736717c277767524a8bb43d8ffb089",
+            "communicability":
+                "325e3b30883d5ee3eba1b963fb1ba950a010162c46dd54799a8fba0c9762d372",
+        },
+    ),
+    "sparse_90": (
+        ["--nodes", "90", "--hc", "3", "--mci", "3", "--seed", "9",
+         "--edge-density", "0.03"],
+        {
+            "weights":
+                "bf276be6d27495e331f82f5fe84575b0cae13ae8ed0a3c2136be602c23507852",
+            "shortest_path":
+                "1583d2a1e438de2c3d2db6ea8d8b08f7cceebe4c7ef27cd1f544f76c12e3482a",
+            "communicability":
+                "2c0bd83d48dd63c528489aa3955808596da636774afb2e1992314248ebad9a07",
+        },
+    ),
+}
+
+
+@pytest.mark.skipif(
+    not numpy_uses_openblas(),
+    reason="communicability comes from LAPACK's eigh, pinned on OpenBLAS;"
+    " numpy's BLAS is another vendor",
+)
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXTRACTS))
+def test_extract_keeps_its_bytes(name, tmp_path):
+    flags, expected = GOLDEN_EXTRACTS[name]
+    cohort, features = tmp_path / "cohort", tmp_path / "features"
+    assert run_cli(["synth", "--out-dir", str(cohort), *flags]) == 0
+    assert run_cli(
+        ["extract", "--manifest", str(cohort / "manifest.csv"),
+         "--out-dir", str(features)]
+    ) == 0
+    digest = {
+        measure: hashlib.sha256(
+            (features / f"features_{measure}.csv").read_bytes()
+        ).hexdigest()
+        for measure in expected
+    }
+    assert digest == expected

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 from conftest import (
     dijkstra_all_sources_reference,
+    floyd_warshall,
+    needs_openblas,
     random_connectome,
     shortest_path_oracle,
     taylor_expm,
 )
 
-from connectoml import ValidationError, extract_features, validate_matrix
+from connectoml import (
+    NumericalError,
+    ValidationError,
+    extract_features,
+    validate_matrix,
+)
+from connectoml.cli import EXIT_NUMERICAL, main as run_cli
 from connectoml.connectome import (
     MEASURES,
     communicability,
@@ -57,6 +65,13 @@ class TestValidateMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="not square"):
             validate_matrix(np.zeros((2, 3)))
+
+    def test_zero_nodes_rejected_naming_the_subject(self):
+        message = "connectivity matrix for subject 's7' has no nodes"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_matrix(np.zeros((0, 0)), subject_id="s7")
+        with pytest.raises(ValidationError, match="^connectivity matrix has"):
+            validate_matrix(np.empty((0, 0)))
 
     def test_diagonal_forced_to_zero(self):
         raw = np.array([[5.0, 1.0], [1.0, 7.0]])
@@ -280,6 +295,115 @@ class TestShortestPaths:
         np.testing.assert_allclose(
             shortest_path_matrix(scaled), base / 3.0, rtol=1e-12
         )
+
+
+#: The three disconnected-pair policies, one of each kind.
+POLICIES = ("max_finite", ("constant", 5.0), "error")
+
+
+def broadcast_shortest_paths(weights, policy):
+    """``shortest_path_matrix`` through the broadcast Floyd-Warshall of
+    ``conftest.floyd_warshall``, with the policy applied; the
+    ``ValidationError`` class where the policy refuses the subject."""
+    with np.errstate(divide="ignore"):
+        lengths = np.where(weights > 0, 1.0 / weights, np.inf)
+    with np.errstate(over="ignore"):
+        dist = floyd_warshall(lengths)
+    off_diagonal = ~np.eye(len(dist), dtype=bool)
+    missing = ~np.isfinite(dist) & off_diagonal
+    if missing.any():
+        finite = dist[off_diagonal & np.isfinite(dist)]
+        if policy == "error" or (policy == "max_finite" and not finite.size):
+            return ValidationError
+        dist[missing] = finite.max() if policy == "max_finite" else policy[1]
+    return dist
+
+
+def assert_matches_broadcast(matrix):
+    """Every policy gives the broadcast reference's bytes, or refuses the
+    subject where the reference does."""
+    for policy in POLICIES:
+        expected = broadcast_shortest_paths(matrix.weights, policy)
+        if expected is ValidationError:
+            with pytest.raises(ValidationError):
+                shortest_path_matrix(matrix, policy)
+            continue
+        # Path sums of lengths near 1e308 overflow to inf, a missing pair,
+        # in the product as in the broadcast sum.
+        with np.errstate(over="ignore"):
+            dist = shortest_path_matrix(matrix, policy)
+        assert dist.tobytes() == expected.tobytes(), (matrix.n_nodes, policy)
+
+
+def random_weights(rng, n, density, low, high):
+    """Symmetric weights, log-uniform in ``[low, high]`` on a random
+    ``density`` of the node pairs, zero elsewhere."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    exponents = rng.uniform(np.log10(low), np.log10(high), (n, n))
+    weights = np.where(upper, 10.0**exponents, 0.0)
+    return weights + weights.T
+
+
+class TestShortestPathsMatchBroadcast:
+    """The rank-2 product of each pivot adds exactly what the broadcast
+    sum adds, so the path lengths keep their bytes."""
+
+    def test_every_size_from_1_to_130_nodes(self):
+        rng = np.random.default_rng(33)
+        for n in range(1, 131):
+            density = float(rng.uniform(0.05, 0.9))
+            assert_matches_broadcast(random_connectome(rng, n, density))
+
+    @pytest.mark.parametrize(
+        "low, high", [(1e-300, 1e300), (1e-308, 1e-300), (1e200, 1e300)]
+    )
+    def test_extreme_weights(self, low, high):
+        # Weights of 1e-308 give lengths of 1e308, whose sums overflow.
+        rng = np.random.default_rng(34)
+        for n in (3, 17, 64, 97):
+            for density in (0.1, 0.6):
+                weights = random_weights(rng, n, density, low, high)
+                assert_matches_broadcast(validate_matrix(weights))
+
+    def test_isolated_nodes_and_fully_disconnected_graphs(self):
+        rng = np.random.default_rng(35)
+        for n in (2, 3, 5, 16, 33, 120):
+            weights = random_connectome(rng, n, 0.5).weights.copy()
+            isolated = rng.random(n) < 0.3
+            weights[isolated] = weights[:, isolated] = 0.0
+            assert_matches_broadcast(validate_matrix(weights))
+            assert_matches_broadcast(validate_matrix(np.zeros((n, n))))
+
+    @needs_openblas
+    def test_two_openblas_threads_give_the_same_bytes(self, openblas):
+        # At 400 nodes each product holds 320,000 multiply-adds, enough for
+        # OpenBLAS to split it over both threads.
+        rng = np.random.default_rng(36)
+        weights = random_connectome(rng, 400, 0.1).weights.copy()
+        weights[:, :7] = weights[:7] = 0.0
+        assert_matches_broadcast(validate_matrix(weights))
+
+    def test_nan_from_the_product_is_a_numerical_error(
+        self, monkeypatch, tmp_path
+    ):
+        assert run_cli(
+            ["synth", "--out-dir", str(tmp_path / "cohort"), "--nodes", "6",
+             "--hc", "2", "--mci", "2", "--seed", "1"]
+        ) == 0
+
+        def nan_product(a, b, out):
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "matmul", nan_product)
+        matrix = random_connectome(np.random.default_rng(37), 5, 0.8)
+        for policy in POLICIES:
+            with pytest.raises(NumericalError, match="NaN"):
+                shortest_path_matrix(matrix, policy)
+        assert run_cli(
+            ["extract", "--manifest", str(tmp_path / "cohort" / "manifest.csv"),
+             "--out-dir", str(tmp_path / "features")]
+        ) == EXIT_NUMERICAL
 
 
 class TestMatrixExponential:
