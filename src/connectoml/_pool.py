@@ -16,12 +16,12 @@ cohort. The first unit to fail, in order, raises its own exception.
 
 One BLAS thread
 ---------------
-:func:`one_blas_thread` runs every loaded OpenBLAS on one thread inside its
-block and restores the previous counts after it. Sums split over threads
-round differently, so :func:`~connectoml.evaluation.run_experiment` and the
-cohort fill of :mod:`connectoml.dataio` run inside it. The pool's workers
-fork inside it and keep one thread each, so a unit gives the same bytes in
-a worker as in the calling process. One worker per core with several BLAS
+:func:`ordered_map` holds :func:`one_blas_thread`, which runs every loaded
+OpenBLAS on one thread, for its whole run on either path: every unit, in
+this process or in a worker (forked inside the pin), and the caller's code
+between two results run on one thread, and the caller gets its previous
+counts back when the map ends or raises. Sums split over threads round
+differently; no other module pins. One worker per core with several BLAS
 threads each also made the ingest 4-10x slower (2 cores, OpenBLAS 0.3.31).
 Other BLAS builds are not pinned.
 """
@@ -111,43 +111,43 @@ def _work_in_worker(unit):
 
 
 def ordered_map(work, state, units):
-    """Yield ``work(state, unit)`` for each of ``units``, in their order:
-    the first from this process, the others from ``min(cores,
-    len(units) - 1)`` forked workers (module docstring)."""
-    cores = available_cores()
-    if (
-        cores <= 1
-        or len(units) <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        for unit in units:
-            yield work(state, unit)
-        return
-    workers = min(cores, len(units) - 1)
-    # Fork, not spawn: under fork the initializer's ``state`` (the shared
-    # feature buffer among it) is inherited, not pickled; only units,
-    # results and a failing unit's exception cross processes. Unlike
-    # ``multiprocessing.Pool``, the executor raises if a worker dies
-    # instead of waiting for it forever. The workers fork at the first
-    # submit, inside the pin, and keep one BLAS thread each.
-    with one_blas_thread(), ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(work, state),
-    ) as pool:
-        remaining = itertools.islice(units, 1, None)
-        in_flight = collections.deque(
-            pool.submit(_work_in_worker, unit)
-            for unit in itertools.islice(remaining, 2 * workers)
-        )
-        try:
-            yield work(state, units[0])
-            while in_flight:
-                result = in_flight.popleft().result()
-                for unit in itertools.islice(remaining, 1):
-                    in_flight.append(pool.submit(_work_in_worker, unit))
-                yield result
-        finally:
-            for future in in_flight:
-                future.cancel()
+    """Yield ``work(state, unit)`` for each of ``units``, in their order,
+    each on one BLAS thread: the first from this process, the others from
+    ``min(cores, len(units) - 1)`` forked workers (module docstring)."""
+    with one_blas_thread():
+        cores = available_cores()
+        if (
+            cores <= 1
+            or len(units) <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            for unit in units:
+                yield work(state, unit)
+            return
+        workers = min(cores, len(units) - 1)
+        # Fork, not spawn: under fork the initializer's ``state`` (the
+        # shared feature buffer among it) is inherited, not pickled; only
+        # units, results and a failing unit's exception cross processes.
+        # Unlike ``multiprocessing.Pool``, the executor raises if a worker
+        # dies instead of waiting for it forever.
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(work, state),
+        ) as pool:
+            remaining = itertools.islice(units, 1, None)
+            in_flight = collections.deque(
+                pool.submit(_work_in_worker, unit)
+                for unit in itertools.islice(remaining, 2 * workers)
+            )
+            try:
+                yield work(state, units[0])
+                while in_flight:
+                    result = in_flight.popleft().result()
+                    for unit in itertools.islice(remaining, 1):
+                        in_flight.append(pool.submit(_work_in_worker, unit))
+                    yield result
+            finally:
+                for future in in_flight:
+                    future.cancel()

@@ -85,8 +85,10 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     ------
     ValidationError
         If the input is not square, has no nodes, contains non-finite
-        entries, contains negative off-diagonal weights, or is asymmetric
-        beyond tolerance.
+        entries, contains negative off-diagonal weights, is asymmetric
+        beyond tolerance, or holds a positive weight below ``2 * n /
+        np.finfo(np.float64).max`` at n nodes, whose length ``1/w`` or
+        path sums would overflow.
     """
     weights = np.array(raw, dtype=np.float64)
     tag = f" for subject {subject_id!r}" if subject_id else ""
@@ -119,6 +121,16 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
         )
     weights = (weights + weights.T) / 2.0
     np.fill_diagonal(weights, 0.0)
+    # A path has at most n - 1 edges, each no longer than max / (2n), so a
+    # path and each pivot's sum of two paths stay finite.
+    floor = 2 * weights.shape[0] / np.finfo(np.float64).max
+    tiny = (weights > 0) & (weights < floor)
+    if tiny.any():
+        i, j = np.argwhere(tiny)[0]
+        raise ValidationError(
+            f"weight {weights[i, j]} at ({i}, {j}) is below {floor:g},"
+            f" so its path lengths overflow, in connectivity matrix{tag}"
+        )
     weights.flags.writeable = False
     return ConnectivityMatrix(subject_id=subject_id, weights=weights)
 

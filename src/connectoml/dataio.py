@@ -26,8 +26,8 @@ Ingest and the feature store
 The cohort fill, the matrix writer and both feature-store functions run
 their work units through the ordered pool of :mod:`connectoml._pool`:
 this process runs the first unit while forked workers, one per core
-available to the process, run the others, and the results come back in
-unit order.
+available to the process, run the others, every unit on one OpenBLAS
+thread, and the results come back in unit order.
 
 A unit of the fill or of either writer is a run of consecutive subjects,
 sized by cells: ⌈4 × 7,140 / w⌉ subjects, at least one, where w is a
@@ -46,9 +46,9 @@ feature)`` float64 buffer on an anonymous shared mapping; then each unit
 reads (from a manifest: parses and validates) and extracts its subjects
 into their rows, the first unit here and the others in workers. The
 buffer's ``(subject, 3*feature)`` reshape, a view, is the cohort's one
-matrix. Of several bad subjects the first in order is reported. The fill
-runs on one OpenBLAS thread (:func:`~connectoml._pool.one_blas_thread`),
-so the features do not depend on the thread count.
+matrix. Of several bad subjects the first in order is reported. Every
+extraction runs in a unit, so the features do not depend on the thread
+count; reading the first subject here calls no BLAS.
 
 :func:`write_feature_csvs` quotes the row prefixes, writes the headers and
 writes every file here. Its units are (measure, run of subjects) pairs; a
@@ -85,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._pool import one_blas_thread, ordered_map
+from ._pool import ordered_map
 from .cohort import LABEL_CODES, LABEL_NAMES, LabeledCohort
 from .connectome import (
     MEASURES,
@@ -275,13 +275,12 @@ def _extract_cohort(subject_ids, labels, read, count, disconnected):
     _normalize_disconnected_policy(disconnected)
     if count == 0:
         raise ValidationError("cohort lists no subjects")
-    with one_blas_thread():
-        first = read(0)
-        features = _feature_buffer(count, feature_length(first.n_nodes))
-        state = (read, disconnected, first, features)
-        units = _subject_units(count, features.shape[2])
-        for _ in ordered_map(_extract_subjects, state, units):
-            pass
+    first = read(0)
+    features = _feature_buffer(count, feature_length(first.n_nodes))
+    state = (read, disconnected, first, features)
+    units = _subject_units(count, features.shape[2])
+    for _ in ordered_map(_extract_subjects, state, units):
+        pass
     matrix = features.reshape(count, len(MEASURES) * features.shape[2])
     return LabeledCohort(subject_ids, labels, matrix)
 

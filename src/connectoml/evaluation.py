@@ -23,9 +23,9 @@ Mann-Whitney U tests of the strategies on those per-fold samples.
 Each (repetition, fold) unit is independent of the others: they run on
 every available core through :func:`~connectoml._pool.ordered_map`, the
 first in this process beside the workers, and their metrics come back in
-unit order. Every random draw of a unit is keyed by
-:func:`~connectoml.folds.derive_seed`, so reports do not depend on the
-number of cores.
+unit order, every unit on one OpenBLAS thread. Every random draw of a
+unit is keyed by :func:`~connectoml.folds.derive_seed`, so reports do not
+depend on the number of cores or of BLAS threads.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sampling
-from ._pool import one_blas_thread, ordered_map
+from ._pool import ordered_map
 from .cohort import LABEL_HC, LABEL_MCI, LabeledCohort, measure_columns
 from .connectome import MEASURES
 from .errors import ValidationError
@@ -414,7 +414,6 @@ def summarize(fold_values: dict, config: dict) -> EvaluationReport:
     )
 
 
-@one_blas_thread()
 def run_experiment(
     cohort: LabeledCohort,
     sampler: SamplerConfig,
@@ -436,10 +435,11 @@ def run_experiment(
     unit runs in this process while forked workers, one per available core,
     run the others (module docstring). Fold assignments, sampler draws and
     model initializations all derive deterministically from ``seed`` and
-    ``train_cfg.seed``, and every unit runs OpenBLAS on one thread
-    (:mod:`connectoml._pool`), so identical inputs reproduce the report bit
-    for bit whatever the core or BLAS thread count. Of several failing
-    units, the first in order raises its own exception.
+    ``train_cfg.seed``, and the pool runs every unit on one OpenBLAS
+    thread (:mod:`connectoml._pool`); dealing, checking and
+    :func:`summarize` call no BLAS. So identical inputs reproduce the
+    report bit for bit whatever the core or BLAS thread count. Of several
+    failing units, the first in order raises its own exception.
     """
     check_experiment_settings(k, repetitions, seed, threshold)
     units = [

@@ -226,11 +226,6 @@ def _upper_forward(params: MlpParameters, z1: np.ndarray):
     return a1, z2, a2, prob
 
 
-def _forward_pass(params: MlpParameters, x: np.ndarray):
-    z1 = x @ params.layer_weights[0] + params.layer_biases[0]
-    return (z1,) + _upper_forward(params, z1)
-
-
 def forward(params: MlpParameters, x):
     """Predicted probability of the positive class for a batch of rows.
 
@@ -244,7 +239,8 @@ def forward(params: MlpParameters, x):
             f"input must be an (n_samples, {params.input_dim}) batch of"
             f" features, got shape {batch.shape}"
         )
-    prob = _forward_pass(params, batch)[4]
+    z1 = batch @ params.layer_weights[0] + params.layer_biases[0]
+    prob = _upper_forward(params, z1)[3]
     return np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
 
 

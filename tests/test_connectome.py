@@ -19,7 +19,7 @@ from connectoml import (
     extract_features,
     validate_matrix,
 )
-from connectoml.cli import EXIT_NUMERICAL, main as run_cli
+from connectoml.cli import EXIT_DATA, EXIT_NUMERICAL, main as run_cli
 from connectoml.connectome import (
     MEASURES,
     communicability,
@@ -33,6 +33,7 @@ from connectoml.connectome import (
     unflatten_upper_triangle,
     weight_features,
 )
+from connectoml.dataio import write_matrix_file
 
 
 class TestValidateMatrix:
@@ -72,6 +73,34 @@ class TestValidateMatrix:
             validate_matrix(np.zeros((0, 0)), subject_id="s7")
         with pytest.raises(ValidationError, match="^connectivity matrix has"):
             validate_matrix(np.empty((0, 0)))
+
+    @pytest.mark.parametrize("weight", [1e-309, 1e-308])
+    def test_weight_whose_lengths_overflow_rejected(self, weight, tmp_path):
+        # At 3 nodes the smallest weight accepted is 6 / max, 3.3e-308.
+        chain = np.diag([weight, 1.0], 1)
+        message = (
+            f"weight {weight} at (0, 1) is below 3.33761e-308, so its path"
+            " lengths overflow, in connectivity matrix for subject 's3'"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_matrix(chain + chain.T, subject_id="s3")
+        write_matrix_file(tmp_path / "s3.csv", chain + chain.T)
+        (tmp_path / "manifest.csv").write_text(
+            "subject_id,label,path\ns3,HC,s3.csv\n", encoding="utf-8"
+        )
+        assert run_cli(
+            ["extract", "--manifest", str(tmp_path / "manifest.csv"),
+             "--out-dir", str(tmp_path / "features")]
+        ) == EXIT_DATA
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 120])
+    def test_weights_at_the_bound_give_finite_lengths(self, n):
+        # pytest turns numpy's overflow warning into an error.
+        bound = 2 * n / np.finfo(np.float64).max
+        chain = np.diag(np.full(n - 1, bound), 1)
+        for weights in (chain + chain.T, np.full((n, n), bound)):
+            dist = shortest_path_matrix(validate_matrix(weights), "error")
+            assert np.isfinite(dist).all()
 
     def test_diagonal_forced_to_zero(self):
         raw = np.array([[5.0, 1.0], [1.0, 7.0]])
@@ -307,8 +336,7 @@ def broadcast_shortest_paths(weights, policy):
     ``ValidationError`` class where the policy refuses the subject."""
     with np.errstate(divide="ignore"):
         lengths = np.where(weights > 0, 1.0 / weights, np.inf)
-    with np.errstate(over="ignore"):
-        dist = floyd_warshall(lengths)
+    dist = floyd_warshall(lengths)
     off_diagonal = ~np.eye(len(dist), dtype=bool)
     missing = ~np.isfinite(dist) & off_diagonal
     if missing.any():
@@ -328,10 +356,8 @@ def assert_matches_broadcast(matrix):
             with pytest.raises(ValidationError):
                 shortest_path_matrix(matrix, policy)
             continue
-        # Path sums of lengths near 1e308 overflow to inf, a missing pair,
-        # in the product as in the broadcast sum.
-        with np.errstate(over="ignore"):
-            dist = shortest_path_matrix(matrix, policy)
+        # No accepted weight's path sums overflow, so neither side warns.
+        dist = shortest_path_matrix(matrix, policy)
         assert dist.tobytes() == expected.tobytes(), (matrix.n_nodes, policy)
 
 
@@ -355,14 +381,18 @@ class TestShortestPathsMatchBroadcast:
             assert_matches_broadcast(random_connectome(rng, n, density))
 
     @pytest.mark.parametrize(
-        "low, high", [(1e-300, 1e300), (1e-308, 1e-300), (1e200, 1e300)]
+        "low, high", [(1e-300, 1e300), ("bound", 1e-300), (1e200, 1e300)]
     )
     def test_extreme_weights(self, low, high):
-        # Weights of 1e-308 give lengths of 1e308, whose sums overflow.
+        # Weights from the smallest validate_matrix accepts, 2n / max, give
+        # lengths up to max / 2n, whose path sums come closest to overflow.
         rng = np.random.default_rng(34)
         for n in (3, 17, 64, 97):
+            floor = 2 * n / np.finfo(np.float64).max if low == "bound" else low
             for density in (0.1, 0.6):
-                weights = random_weights(rng, n, density, low, high)
+                weights = random_weights(rng, n, density, floor, high)
+                # 10**log10(floor) may round one ulp below the floor.
+                weights[weights > 0] = np.maximum(weights[weights > 0], floor)
                 assert_matches_broadcast(validate_matrix(weights))
 
     def test_isolated_nodes_and_fully_disconnected_graphs(self):

@@ -1207,3 +1207,29 @@ class TestParallelWriter:
                 assert result == 100 + consumed - 1
                 # Unit 0 runs in this process and is never submitted.
                 assert len(submitted) == min(consumed - 1 + 2 * 2, 19)
+
+
+@needs_openblas
+class TestPoolPinsOneBlasThread:
+    """On the one-process path too, every unit of ``ordered_map`` runs the
+    loaded OpenBLAS on one thread, and the caller gets its count back."""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_every_unit_runs_on_one_thread(self, monkeypatch, openblas, fails):
+        def counts():
+            return [getter() for _, getter in openblas]
+
+        def work(state, unit):
+            state.append(counts())
+            if fails and unit == 2:
+                raise RuntimeError(f"unit {unit} failed")
+            return unit
+
+        before = counts()
+        seen = []
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
+        expected = pytest.raises(RuntimeError, match="^unit 2 failed$")
+        with expected if fails else contextlib.nullcontext():
+            assert list(pool.ordered_map(work, seen, range(4))) == [0, 1, 2, 3]
+        assert seen == [[1] * len(openblas)] * (3 if fails else 4)
+        assert counts() == before

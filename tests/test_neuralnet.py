@@ -11,7 +11,7 @@ import connectoml.neuralnet as neuralnet
 from connectoml.neuralnet import (
     HIDDEN_UNITS,
     MlpParameters,
-    _forward_pass,
+    _upper_forward,
     fit_normalizer,
     flatten_parameters,
     forward,
@@ -28,7 +28,8 @@ def concatenated_gradient(params, xs, ys, l2_alpha):
     by np.concatenate."""
     n = xs.shape[0]
     w1, w2, w3 = params.layer_weights
-    z1, a1, z2, a2, prob = _forward_pass(params, xs)
+    z1 = xs @ w1 + params.layer_biases[0]
+    a1, z2, a2, prob = _upper_forward(params, z1)
     dz3 = ((prob - ys) / n)[:, None]
     grad_w3 = a2.T @ dz3 + 2.0 * l2_alpha * w3
     grad_b3 = dz3.sum(axis=0)
