@@ -74,10 +74,10 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     Parameters
     ----------
     raw : array_like
-        Square matrix of edge weights. Small asymmetries (parser rounding
-        noise, up to :data:`DEFAULT_SYMMETRY_TOLERANCE` relative to the
-        largest weight) are tolerated and averaged away; the diagonal is
-        forced to zero regardless of its input values.
+        Square matrix of edge weights. The diagonal is forced to zero
+        regardless of its input values, first. Small asymmetries (parser
+        rounding noise, up to :data:`DEFAULT_SYMMETRY_TOLERANCE` relative to
+        the largest off-diagonal weight) are tolerated and averaged away.
     subject_id : str
         Identifier carried along for error messages and bookkeeping.
 
@@ -85,10 +85,11 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     ------
     ValidationError
         If the input is not square, has no nodes, contains non-finite
-        entries, contains negative off-diagonal weights, is asymmetric
-        beyond tolerance, or holds a positive weight below ``2 * n /
-        np.finfo(np.float64).max`` at n nodes, whose length ``1/w`` or
-        path sums would overflow.
+        entries, contains negative off-diagonal weights, holds a weight
+        above ``np.finfo(np.float64).max / (2 * n)`` at n nodes, whose node
+        strengths would overflow, is asymmetric beyond tolerance, or holds a
+        positive weight below ``2 * n / np.finfo(np.float64).max``, whose
+        length ``1/w`` or path sums would overflow.
     """
     weights = np.array(raw, dtype=np.float64)
     tag = f" for subject {subject_id!r}" if subject_id else ""
@@ -111,7 +112,18 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
             f"negative weight {weights[i, j]} at ({i}, {j})"
             f" in connectivity matrix{tag}"
         )
-    scale = np.abs(weights).max()
+    np.fill_diagonal(weights, 0.0)
+    # Under max / (2n) no pair sum overflows, nor a node strength, which is
+    # at most (n - 1) / (2n) of max.
+    ceiling = np.finfo(np.float64).max / (2 * weights.shape[0])
+    huge = weights > ceiling
+    if huge.any():
+        i, j = np.argwhere(huge)[0]
+        raise ValidationError(
+            f"weight {weights[i, j]} at ({i}, {j}) is above {ceiling:g},"
+            f" so its node strengths overflow, in connectivity matrix{tag}"
+        )
+    scale = weights.max()
     asymmetry = np.abs(weights - weights.T).max()
     if asymmetry > DEFAULT_SYMMETRY_TOLERANCE * scale:
         raise ValidationError(
@@ -120,7 +132,6 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
             f" in connectivity matrix{tag}"
         )
     weights = (weights + weights.T) / 2.0
-    np.fill_diagonal(weights, 0.0)
     # A path has at most n - 1 edges, each no longer than max / (2n), so a
     # path and each pivot's sum of two paths stay finite.
     floor = 2 * weights.shape[0] / np.finfo(np.float64).max

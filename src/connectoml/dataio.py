@@ -58,15 +58,15 @@ number of workers. Each file is written under a temporary name in
 the output directory; the three replace their targets only once the last
 is complete.
 
-:func:`load_feature_csvs` fills the same kind of shared buffer: the
-weights file, read here, sizes it, and the other two files are one unit
-each, parsed into their measure's slot; only their subject ids, labels and
-widths come back, and they are checked here in file order. It refuses a
-value that does not parse or is not finite, naming the file and the
-physical line; it converts cells as :func:`load_matrix_file` does, by one
-row parser, which accepts plain ASCII numerals only (no ``1_0``, no
-non-ASCII digits or spaces). A record that :mod:`csv` itself refuses (a
-field over its size limit) is refused the same way, in manifests too.
+:func:`load_feature_csvs` fills the same kind of shared buffer, sized
+here from the weights file without converting a value: a row per line
+break (a quoted id may span lines), the header's fields less two per
+measure. Every file is one unit, parsed row by row into its measure's
+slot; its ids, labels and width come back and are checked here in file
+order, and the cohort keeps the first row per subject. A cell must be a
+finite plain ASCII numeral, parsed as :func:`load_matrix_file` parses it;
+an error names the file and the physical line. So does a record that
+:mod:`csv` refuses (a field over its size limit), in manifests too.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def load_matrix_file(path) -> np.ndarray:
     number, and the first bad line in the file is reported."""
     path = Path(path)
     rows = []
-    with path.open("r", encoding="utf-8-sig") as handle:
+    with _read_errors(path), path.open("r", encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             # ASCII whitespace only, so a no-break space reaches the check.
             line = line.strip(string.whitespace)
@@ -156,12 +156,24 @@ def write_matrix_file(path, weights: np.ndarray) -> None:
 
 
 @contextlib.contextmanager
-def _csv_errors(path, reader):
-    """``reader`` inside the block; a ``csv.Error`` it raises (a field over
-    csv's size limit, a NUL byte on Python 3.10) is refused as a
-    ``ValidationError`` naming ``path`` and the physical line."""
+def _read_errors(path, reader=None):
+    """``reader`` inside the block. Text that is not UTF-8, and a
+    ``csv.Error`` the reader raises (a field over csv's size limit, a NUL
+    byte on Python 3.10), are refused as a ``ValidationError`` naming
+    ``path`` and the physical line."""
     try:
         yield reader
+    except UnicodeDecodeError as exc:
+        # Latin-1 keeps every byte, split into lines as the readers split
+        # them; the first line that is not UTF-8 is named.
+        with open(path, encoding="latin-1", newline="") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                try:
+                    line.encode("latin-1").decode("utf-8")
+                except UnicodeDecodeError as error:
+                    message = f"{path}: line {line_number}: {error}"
+                    raise ValidationError(message) from exc
+        raise ValidationError(f"{path}: {exc}") from exc
     except csv.Error as exc:
         # A DictReader's own line_num stops at the last record it returned.
         line_number = getattr(reader, "reader", reader).line_num
@@ -178,7 +190,7 @@ def read_manifest(manifest_path):
     seen = set()
     with manifest_path.open(
         "r", encoding="utf-8-sig", newline=""
-    ) as handle, _csv_errors(manifest_path, csv.DictReader(handle)) as reader:
+    ) as handle, _read_errors(manifest_path, csv.DictReader(handle)) as reader:
         required = {"subject_id", "label", "path"}
         if reader.fieldnames is None or not required.issubset(
             reader.fieldnames
@@ -524,25 +536,45 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     return paths
 
 
-def _read_feature_file(path):
-    """``(subject_ids, labels, width, rows)`` of one feature file; each row
-    is a finite float64 array."""
+def _feature_file_size(path) -> tuple:
+    """Line breaks (in 64 KiB blocks) and header fields less two of the
+    feature file at ``path``, or ``(0, 0)`` if unreadable; never raises."""
+    try:
+        rows = 0
+        with path.open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 16), b""):
+                # A \r\n split by two blocks counts twice: a looser bound.
+                crlf = block.count(b"\r\n")
+                rows += block.count(b"\n") + block.count(b"\r") - crlf
+        # Latin-1 decodes every byte, and csv splits on ASCII bytes only.
+        with path.open("r", encoding="latin-1", newline="") as handle:
+            header = next(csv.reader(handle), [])
+    except (OSError, csv.Error):
+        return 0, 0
+    return rows, max(len(header) - 2, 0)
+
+
+def _load_feature_file(state, measure_index):
+    """``(subject_ids, labels, width)`` of one feature file, each row parsed
+    into its measure's slot of ``features`` while the widths agree and rows
+    remain; ``state`` is ``(paths, features)``."""
+    paths, features = state
+    path = paths[measure_index]
     if not path.exists():
         raise FileNotFoundError(f"feature file not found: {path}")
-    ids, labels, rows = [], [], []
-    seen = set()
+    ids, labels, seen = [], [], set()
     with path.open(
         "r", encoding="utf-8-sig", newline=""
-    ) as handle, _csv_errors(path, csv.reader(handle)) as reader:
+    ) as handle, _read_errors(path, csv.reader(handle)) as reader:
         header = next(reader, None)
         if not header or header[:2] != ["subject_id", "label"]:
             raise ValidationError(
                 f"{path}: expected header subject_id,label,f0,..."
             )
+        width = len(header) - 2
+        slot = features[:, measure_index] if width == features.shape[2] else ()
         for row in reader:
-            # The physical line the record ends on: a quoted id may span
-            # several lines.
-            line_number = reader.line_num
+            line_number = reader.line_num  # its last: an id may span lines
             if len(row) != len(header):
                 raise ValidationError(
                     f"{path}: line {line_number}: expected"
@@ -558,8 +590,6 @@ def _read_feature_file(path):
                     f" subject id {row[0]!r}"
                 )
             seen.add(row[0])
-            ids.append(row[0])
-            labels.append(LABEL_CODES[row[1]])
             cells = row[2:]
             values = _parse_cells(",".join(cells), cells, path, line_number)
             if not np.isfinite(values).all():
@@ -568,62 +598,44 @@ def _read_feature_file(path):
                     f"{path}: line {line_number}: feature"
                     f" {header[column]} is not finite: {row[column]!r}"
                 )
-            rows.append(values)
-    return ids, labels, len(header) - 2, rows
-
-
-def _load_feature_file(state, measure_index):
-    """``(subject_ids, labels, width)`` of one measure's feature file, whose
-    rows go into that measure's slot of ``features`` when their count and
-    width fit it; ``state`` is ``(paths, features)``."""
-    paths, features = state
-    ids, labels, width, rows = _read_feature_file(paths[measure_index])
-    if len(rows) == features.shape[0] and width == features.shape[2]:
-        for target, values in zip(features[:, measure_index], rows):
-            target[:] = values
+            if len(ids) < len(slot):
+                slot[len(ids)] = values
+            ids.append(row[0])
+            labels.append(LABEL_CODES[row[1]])
     return ids, labels, width
 
 
 def load_feature_csvs(directory) -> LabeledCohort:
-    """Rebuild a cohort from the files written by :func:`write_feature_csvs`.
-
-    The weights file, the smallest, is read here and sizes one shared
-    ``(subject, measure, feature)`` buffer, as the cohort fill does; the
-    other two files are read on every core available to the process, each
-    into its measure's slot (module docstring, Ingest and the feature
-    store). Their subjects and widths are checked here in file order, so of
-    several bad files the first in
-    :data:`~connectoml.connectome.MEASURES` order is reported.
-    """
-    directory = Path(directory)
-    paths = [directory / f"features_{measure}.csv" for measure in MEASURES]
-    subject_ids, labels, width, rows = _read_feature_file(paths[0])
-    if not subject_ids:
-        raise ValidationError(f"{paths[0]}: feature file lists no subjects")
-    features = _feature_buffer(len(subject_ids), width)
-    for target, values in zip(features[:, 0], rows):
-        target[:] = values
-    del rows  # before the other files' rows are read, not after
-    widths = {MEASURES[0]: width}
-    others = range(1, len(MEASURES))
+    """Rebuild a cohort from the files written by :func:`write_feature_csvs`,
+    every file read on every core available to the process (module
+    docstring, Ingest and the feature store). Of several bad files the
+    first in :data:`~connectoml.connectome.MEASURES` order is reported."""
+    paths = [Path(directory) / f"features_{m}.csv" for m in MEASURES]
+    features = _feature_buffer(*_feature_file_size(paths[0]))
     with contextlib.closing(
-        ordered_map(_load_feature_file, (paths, features), others)
+        ordered_map(_load_feature_file, (paths, features), range(len(paths)))
     ) as results:
-        for index, (ids, measure_labels, measure_width) in zip(
-            others, results
+        subject_ids, labels, width = next(results)
+        if not subject_ids:
+            raise ValidationError(
+                f"{paths[0]}: feature file lists no subjects"
+            )
+        widths = {MEASURES[0]: width}
+        for path, measure, (ids, measure_labels, measure_width) in zip(
+            paths[1:], MEASURES[1:], results
         ):
             if ids != subject_ids or measure_labels != labels:
                 raise ValidationError(
-                    f"{paths[index]}: subjects disagree with the other"
-                    " feature files"
+                    f"{path}: subjects disagree with the other feature files"
                 )
-            widths[MEASURES[index]] = measure_width
+            widths[measure] = measure_width
             if measure_width != width:
                 raise ValidationError(
-                    f"{paths[index]}: feature matrices must have the same"
+                    f"{path}: feature matrices must have the same"
                     f" number of columns for every measure (got {widths})"
                 )
-    matrix = features.reshape(len(subject_ids), len(MEASURES) * width)
+    count = len(subject_ids)
+    matrix = features[:count].reshape(count, len(MEASURES) * width)
     return LabeledCohort(subject_ids, labels, matrix)
 
 
@@ -654,7 +666,8 @@ def load_report(path) -> EvaluationReport:
     if not path.exists():
         raise FileNotFoundError(f"report not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        with _read_errors(path):
+            payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

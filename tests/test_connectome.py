@@ -102,6 +102,67 @@ class TestValidateMatrix:
             dist = shortest_path_matrix(validate_matrix(weights), "error")
             assert np.isfinite(dist).all()
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # A pair sum overflows.
+            (
+                [[0.0, 1e308, 0.0], [1e308, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                "weight 1e+308 at (0, 1) is above 2.99616e+307",
+            ),
+            # Each pair sum is finite; node 0's strength overflows.
+            (
+                [[0.0, 7e307, 7e307, 7e307], [7e307, 0.0, 0.0, 0.0],
+                 [7e307, 0.0, 0.0, 0.0], [7e307, 0.0, 0.0, 0.0]],
+                "weight 7e+307 at (0, 1) is above 2.24712e+307",
+            ),
+        ],
+        ids=["pair_sum", "strength"],
+    )
+    def test_weight_whose_strengths_overflow_rejected(
+        self, weights, message, tmp_path
+    ):
+        message += (
+            ", so its node strengths overflow, in connectivity matrix for"
+            " subject 's3'"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_matrix(weights, subject_id="s3")
+        write_matrix_file(tmp_path / "s3.csv", np.array(weights))
+        (tmp_path / "manifest.csv").write_text(
+            "subject_id,label,path\ns3,HC,s3.csv\n", encoding="utf-8"
+        )
+        assert run_cli(
+            ["extract", "--manifest", str(tmp_path / "manifest.csv"),
+             "--out-dir", str(tmp_path / "features")]
+        ) == EXIT_DATA
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3, 17, 120])
+    def test_weights_at_the_upper_bound_give_finite_features(self, n):
+        bound = np.finfo(np.float64).max / (2 * n)
+        chain = np.diag(np.full(n - 1, bound), 1)
+        for weights in (chain + chain.T, np.full((n, n), bound)):
+            features = extract_features(validate_matrix(weights))
+            for measure in MEASURES:
+                assert np.isfinite(features[measure].values).all()
+
+    def test_the_diagonal_does_not_widen_the_tolerance(self):
+        message = (
+            "asymmetry 3 exceeds tolerance 1e-09 * 5 in connectivity matrix"
+        )
+        for diagonal in (1e12, 0.0):
+            raw = [[diagonal, 1.0, 5.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+            with pytest.raises(
+                ValidationError, match=f"^{re.escape(message)}$"
+            ):
+                validate_matrix(raw)
+
+    def test_a_large_diagonal_is_zeroed_before_the_sums(self):
+        weights = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        raw = weights + np.diag([1.7976931348623157e308, 1e308, 0.0])
+        assert validate_matrix(raw).weights.tobytes() == weights.tobytes()
+
     def test_diagonal_forced_to_zero(self):
         raw = np.array([[5.0, 1.0], [1.0, 7.0]])
         m = validate_matrix(raw)

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import re
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -700,6 +701,25 @@ class TestSyntheticCohort:
             assert np.all(a.weights >= 0)
             assert np.all(np.diag(a.weights) == 0)
 
+    def test_draw_order_keeps_the_subjects_drawn_before(self):
+        # Each subject's noise is drawn in turn, every HC subject before
+        # the first MCI one: more MCI subjects keep every earlier subject,
+        # and more HC subjects keep the HC subjects drawn before.
+        def weights(n_hc, n_mci):
+            cfg = SyntheticCohortConfig(
+                n_nodes=9, n_hc=n_hc, n_mci=n_mci, seed=4
+            )
+            ids, _, matrices = generate_synthetic_matrices(cfg)
+            return {i: m.weights.tobytes() for i, m in zip(ids, matrices)}
+
+        base = weights(3, 4)
+        more_mci = weights(3, 7)
+        assert all(more_mci[i] == base[i] for i in base)
+        more_hc = weights(6, 4)
+        hc = [i for i in base if i.startswith("HC")]
+        assert len(hc) == 3
+        assert all(more_hc[i] == base[i] for i in hc)
+
     def test_null_effect_gives_null_edgewise_statistics(self):
         cfg = SyntheticCohortConfig(
             n_nodes=60, n_hc=30, n_mci=30, effect_size=0.0, seed=3
@@ -1012,8 +1032,8 @@ def put_bad_cell(path):
 
 
 class TestParallelFeatureStore:
-    """The weights file is read here; the other two files are read by the
-    pool into the same shared buffer, whatever the number of workers."""
+    """Every file is one unit of the pool, read into the same shared buffer,
+    whatever the number of workers."""
 
     def test_cohort_does_not_depend_on_workers(self, tmp_path, monkeypatch):
         cohort = awkward_ids_cohort(tmp_path)
@@ -1057,6 +1077,66 @@ class TestParallelFeatureStore:
             error = load_on_workers(monkeypatch, workers, tmp_path)
             assert type(error) is ValidationError
             assert str(error) == expected
+
+    def test_awkward_ids_fill_the_first_rows_of_the_buffer(
+        self, tmp_path, monkeypatch
+    ):
+        cohort = awkward_ids_cohort(tmp_path)
+        write_feature_csvs(cohort, tmp_path)
+        buffers = recorded_buffers(monkeypatch)
+        for workers in (1, 2, 5):
+            loaded = load_on_workers(monkeypatch, workers, tmp_path)
+            assert_one_matrix(loaded)
+            # The header and nine records end in 10 line breaks, and one
+            # id holds one more: the buffer has 11 rows, the cohort 9.
+            assert buffers[-1].shape == (11, len(MEASURES), 5)
+            assert np.shares_memory(loaded.fused(), buffers[-1])
+        assert len(buffers) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_node_store_round_trips(self, tmp_path, monkeypatch, workers):
+        cohort = one_node_cohort(tmp_path)
+        write_feature_csvs(cohort, tmp_path)
+        loaded = load_on_workers(monkeypatch, workers, tmp_path)
+        assert loaded.subject_ids == cohort.subject_ids
+        assert loaded.labels.tolist() == cohort.labels.tolist()
+        assert loaded.fused().shape == (6, 0)
+        assert not loaded.fused().flags.writeable
+
+    def test_a_missing_weights_file_is_reported_first(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = SyntheticCohortConfig(n_nodes=7, n_hc=4, n_mci=5, seed=9)
+        write_feature_csvs(generate_synthetic_cohort(cfg), tmp_path)
+        put_bad_cell(tmp_path / "features_shortest_path.csv")
+        weights = tmp_path / "features_weights.csv"
+        weights.unlink()
+        for workers in (1, 2, 5):
+            error = load_on_workers(monkeypatch, workers, tmp_path)
+            assert type(error) is FileNotFoundError
+            assert str(error) == f"feature file not found: {weights}"
+
+    def test_no_list_of_rows_is_held(self, tmp_path, monkeypatch):
+        # On one core every file is parsed in this process, where
+        # tracemalloc sees it; the shared buffer is a mapping it does not
+        # trace. A list of one file's rows would outweigh a measure's
+        # matrix.
+        rng = np.random.default_rng(5)
+        width = feature_length(40)
+        cohort = make_measure_cohort(
+            {m: rng.normal(size=(400, width)) for m in MEASURES},
+            [index % 2 for index in range(400)],
+        )
+        write_feature_csvs(cohort, tmp_path)
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
+        tracemalloc.start()
+        try:
+            loaded = load_feature_csvs(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.fused(), cohort.fused())
+        assert peak < cohort.features[MEASURES[0]].nbytes / 4
 
 
 def awkward_ids_cohort(tmp_path):
@@ -1233,3 +1313,71 @@ class TestPoolPinsOneBlasThread:
             assert list(pool.ordered_map(work, seen, range(4))) == [0, 1, 2, 3]
         assert seen == [[1] * len(openblas)] * (3 if fails else 4)
         assert counts() == before
+
+
+def not_utf8(path, line, position, byte):
+    """The message for ``byte`` at ``position`` of physical ``line``."""
+    reason = "invalid start" if byte == 0xFF else "invalid continuation"
+    return (
+        f"{path}: line {line}: 'utf-8' codec can't decode byte {byte:#x} in"
+        f" position {position}: {reason} byte"
+    )
+
+
+class TestNotUtf8:
+    """Every reader refuses a file that is not UTF-8: its command exits
+    with EXIT_DATA, naming the file and the line of the first bad byte."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matrix_file(self, tmp_path, monkeypatch, capsys, workers):
+        manifest = constant_cohort(tmp_path)
+        few_cells_per_unit(monkeypatch)
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
+        # Subjects 1 and 5 are in the first and second unit: the first in
+        # manifest order is reported.
+        for index in (5, 1):
+            path = tmp_path / f"m{index}.csv"
+            lines = path.read_bytes().split(b"\n")
+            lines[2] = b"\xe9" + lines[2]
+            path.write_bytes(b"\n".join(lines))
+        with time_limit(60):
+            code = cli.main(["extract", "--manifest", str(manifest),
+                             "--out-dir", str(tmp_path / "features")])
+        assert code == cli.EXIT_DATA
+        message = not_utf8(tmp_path / "m1.csv", 3, 0, 0xE9)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = constant_cohort(tmp_path)
+        manifest.write_bytes(
+            manifest.read_bytes().replace(b"s1,", b"s1\xff,")
+        )
+        code = cli.main(["extract", "--manifest", str(manifest),
+                         "--out-dir", str(tmp_path / "features")])
+        assert code == cli.EXIT_DATA
+        message = not_utf8(manifest, 3, 2, 0xFF)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_feature_file(self, tmp_path, monkeypatch, capsys, workers):
+        cfg = SyntheticCohortConfig(n_nodes=6, n_hc=4, n_mci=5, seed=2)
+        write_feature_csvs(generate_synthetic_cohort(cfg), tmp_path)
+        path = tmp_path / "features_communicability.csv"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
+        with time_limit(60):
+            code = cli.main(["evaluate", "--features-dir", str(tmp_path),
+                             "--folds", "2", "--repeats", "1",
+                             "--out", str(tmp_path / "report.json")])
+        assert code == cli.EXIT_DATA
+        # The header, nine records, then the byte on a line of its own.
+        message = not_utf8(path, 11, 0, 0xFF)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\xff")
+        code = cli.main(["compare", str(path), str(path)])
+        assert code == cli.EXIT_DATA
+        message = not_utf8(path, 1, 0, 0xFF)
+        assert capsys.readouterr().err == f"error: {message}\n"
