@@ -37,7 +37,7 @@ its round trip through the pool.
 
 :func:`materialize_cohort` writes each unit's matrix files in the worker
 that runs it; the matrices reach the workers through ``fork``. Each file
-is formatted by one ``%``-template and written once. The manifest is
+is formatted as the next section says and written once. The manifest is
 written here after the last matrix file.
 
 One fill serves :func:`load_cohort` and :func:`cohort_from_matrices`. It
@@ -67,6 +67,28 @@ order, and the cohort keeps the first row per subject. A cell must be a
 finite plain ASCII numeral, parsed as :func:`load_matrix_file` parses it;
 an error names the file and the physical line. So does a record that
 :mod:`csv` refuses (a field over its size limit), in manifests too.
+
+Writers
+-------
+:func:`write_matrix_file` and the feature-file units format their cells
+with :func:`_cell_rows`, whole rows of at most 4,096 cells at a time (a
+longer row in pieces), into exactly CPython's ``"%.17g" % x`` bytes. A
+zero is ``0`` or ``-0``, by a mask. A nonzero cell with 1e-4 <= |x| < 1e16
+has a decimal exponent X from -4 to 15, where ``%.17g`` writes fixed
+notation, and its 17 digits come from exact arithmetic: with p = 16 - X,
+10**p is exact in float64, and Dekker's TwoProduct (Numer. Math. 18,
+1971; a Veltkamp split, then the partial products, each its own ufunc
+call, so none fuses into an FMA) gives |x| * 10**p = h + l exactly, h a
+float in [2**53, 2**57), so an even integer, and |l| <= 8. So D = h +
+rint(l) is the product rounded to an integer, half to even as CPython's
+dtoa rounds (Gay, 1990), and X from ``floor(log10|x|)`` is corrected
+once where D falls outside [10**16, 10**17). The text is D's first X + 1
+digits, a point and the rest for X >= 0, or ``0.``, -X - 1 zeros and the
+digits for X < 0, less trailing zeros (and the point if none remain),
+after a ``-`` if the sign bit is set; numpy gathers it from a table of
+four-digit words by one byte template per exponent. Every other cell
+(|x| < 1e-4, |x| >= 1e16, inf, nan) is CPython's own ``%.17g``, sign
+included, so ``-nan`` is ``nan``.
 """
 
 from __future__ import annotations
@@ -142,17 +164,186 @@ def load_matrix_file(path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+#: ``10.0 ** p`` for p = 0, ..., 22, each exact in float64.
+_POWERS_OF_TEN = 10.0 ** np.arange(23)
+
+
+def _veltkamp_split(x):
+    """``(high, low)``, ``high + low == x`` exactly, each of at most 26
+    significant bits (Veltkamp's split by 2**27 + 1)."""
+    scaled = x * 134217729.0
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+_POWER_HIGH, _POWER_LOW = _veltkamp_split(_POWERS_OF_TEN)
+
+
+def _seventeen_digits(magnitudes, exponents) -> np.ndarray:
+    """``round(magnitude * 10**(16 - exponent))``, half to even, exactly,
+    as int64: the 17 significant digits of a magnitude whose decimal
+    exponent is ``exponent`` (module docstring, Writers)."""
+    power = 16 - exponents
+    high, low = _veltkamp_split(magnitudes)
+    power_high = _POWER_HIGH.take(power)
+    power_low = _POWER_LOW.take(power)
+    product = magnitudes * _POWERS_OF_TEN.take(power)
+    # Dekker's TwoProduct, one ufunc call per operation, so nothing fuses
+    # them into an FMA: magnitude * 10**p == product + error exactly.
+    error = (
+        (high * power_high - product) + high * power_low + low * power_high
+    ) + low * power_low
+    return product.astype(np.int64) + np.rint(error).astype(np.int64)
+
+
+#: Stands in the text for a cell CPython formats.
+_MARK = b"\x01"
+
+#: Word g < 10**4 holds the four ASCII digits of g, zero-padded; the last
+#: word holds ``,``, ``-``, ``.`` and the mark. A cell's six words are its
+#: first digit's word, four more digit words and the last: its bytes 3-19
+#: are the 17 digits, byte 0 a ``0`` and bytes 20-23 those four.
+_WORDS = np.frombuffer(
+    "".join(map("{:04d}".format, range(10**4))).encode("ascii")
+    + b",-."
+    + _MARK,
+    dtype=np.uint32,
+)
+
+#: Trailing zeros of each digit word (four for ``0000``).
+_TRAILING_ZEROS = np.array(
+    [len(w) - len(w.rstrip("0")) for w in map("{:04d}".format, range(10**4))],
+    dtype=np.uint8,
+)
+
+#: Template codes: 0-19 decimal exponents -4 to 15, then zero and CPython.
+_ZERO_CODE, _CPYTHON_CODE = 20, 21
+
+
+def _template(code, negative) -> list:
+    """The byte, in the cell's 24 word bytes, of each of its 24 output
+    bytes: ``,``, a ``-`` if ``negative``, then the text of ``code``."""
+    digits = list(range(3, 20))
+    if code == _ZERO_CODE:
+        text = [0]
+    elif code == _CPYTHON_CODE:
+        text = [23]
+    elif code >= 4:  # 1.2345: the first exponent + 1 digits, a point
+        text = digits[: code - 3] + [22] + digits[code - 3 :]
+    else:  # 0.0012345: 0, a point, -exponent - 1 zeros, the digits
+        text = [0, 22] + [0] * (3 - code) + digits
+    cell = [20] + [21] * negative + text
+    return cell + [0] * (24 - len(cell))
+
+
+#: Row ``2 * code + negative`` is :func:`_template` of that cell.
+_TEMPLATES = np.array(
+    [_template(code, negative) for code in range(22) for negative in (0, 1)],
+    dtype=np.intp,
+)
+#: Row k marks the first k of a cell's 24 output bytes.
+_PREFIXES = np.arange(24) < np.arange(25)[:, None]
+
+#: Cells formatted at once: about 1.2 MB of scratch, a gather index of
+#: 192 bytes per cell the most of it.
+_BLOCK_CELLS = 4096
+
+
+def _format_block(block) -> list[bytes]:
+    """Each row of the 2-D float64 ``block`` as ``,`` and a cell's
+    ``%.17g`` text, for each of its cells (module docstring, Writers)."""
+    values = block.ravel()
+    nonzero = np.flatnonzero(values)
+    count = nonzero.size
+    magnitudes = np.abs(values[nonzero])
+    other = ~((magnitudes >= 1e-4) & (magnitudes < 1e16))  # nan too
+    magnitudes[other] = 1.0  # digits that are not used
+    exponents = np.floor(np.log10(magnitudes)).astype(np.intp)
+    digits = _seventeen_digits(magnitudes, exponents)
+    off = (digits < 10**16) | (digits >= 10**17)
+    if off.any():  # log10 next to a power of ten, or rounded up to 10**17
+        exponents[off] += np.where(digits[off] < 10**16, -1, 1)
+        digits[off] = _seventeen_digits(magnitudes[off], exponents[off])
+
+    # Digit words: the first digit, then four of four digits; row
+    # ``count`` serves the zero cells.
+    words = np.empty((count + 1, 6), dtype=np.int32)
+    words[count, :5] = 0
+    words[:, 5] = 10**4
+    groups = words[:count]
+    high = digits // 10**8
+    low = digits - high * 10**8
+    groups[:, 0] = high // 10**8
+    high -= groups[:, 0] * 10**8
+    for column, part in ((1, high), (3, low)):
+        groups[:, column] = part // 10**4
+        groups[:, column + 1] = part - groups[:, column] * 10**4
+    zeros = _TRAILING_ZEROS.take(groups[:, 4])
+    for column in (3, 2, 1):
+        more = zeros == 4 * (4 - column)  # the words right of it are 0000
+        zeros[more] += _TRAILING_ZEROS.take(groups[:, column][more])
+    significant = 17 - zeros.astype(np.intp)
+    text_bytes = np.where(
+        exponents < 0,
+        1 - exponents + significant,
+        np.where(significant > exponents + 1, significant + 1, exponents + 1),
+    )
+
+    negative = np.signbit(values)
+    negative[nonzero[other]] = False  # CPython writes their sign
+    template = np.full(values.size, 2 * _ZERO_CODE, dtype=np.intp)
+    template[nonzero] = 2 * np.where(other, _CPYTHON_CODE, exponents + 4)
+    template += negative
+    lengths = np.full(values.size, 2, dtype=np.uint8)
+    lengths[nonzero] = 1 + np.where(other, 1, text_bytes)
+    lengths += negative
+    start = np.full(values.size, 24 * count, dtype=np.intp)
+    start[nonzero] = np.arange(0, 24 * count, 24)
+    index = _TEMPLATES.take(template, axis=0)
+    index += start[:, None]
+    cells = _WORDS.take(words).view(np.uint8).ravel().take(index)
+    text = cells[_PREFIXES.take(lengths, axis=0)].tobytes()
+
+    row_bytes = lengths.reshape(block.shape).sum(axis=1, dtype=np.intp)
+    rows = [
+        text[end - size : end]
+        for end, size in zip(np.cumsum(row_bytes).tolist(), row_bytes.tolist())
+    ]
+    if other.any():
+        texts = iter([b"%.17g" % x for x in values[nonzero[other]].tolist()])
+        for position, row in enumerate(rows):
+            if _MARK in row:
+                first, *rest = row.split(_MARK)
+                rows[position] = first + b"".join(
+                    next(texts) + part for part in rest
+                )
+    return rows
+
+
+def _cell_rows(values):
+    """Yield each row of the 2-D float64 ``values`` as ``,`` and a cell's
+    ``%.17g`` text, for each of its cells: whole rows of at most
+    :data:`_BLOCK_CELLS` cells at once, and a longer row in pieces."""
+    n_rows, n_columns = values.shape
+    step = max(1, _BLOCK_CELLS // max(n_columns, 1))
+    for start in range(0, n_rows, step):
+        rows = values[start : start + step]
+        pieces = [
+            _format_block(rows[:, column : column + _BLOCK_CELLS])
+            for column in range(0, max(n_columns, 1), _BLOCK_CELLS)
+        ]
+        yield from map(b"".join, zip(*pieces))
+
+
 def write_matrix_file(path, weights: np.ndarray) -> None:
     """Write ``weights`` as the grid :func:`load_matrix_file` reads: every
     cell ``%.17g`` (which round-trips a float64), cells separated by ``,``
     and rows ended by ``\\n``, the bytes of numpy's ``savetxt`` with that
-    format and delimiter. One ``%``-template formats the whole matrix, and
-    the file is written once."""
+    format and delimiter. The cells are formatted by :func:`_cell_rows`
+    (module docstring, Writers), and the file is written once."""
     weights = np.asarray(weights, dtype=np.float64)
-    n_rows, n_columns = weights.shape
-    row = ",".join(["%.17g"] * n_columns) + "\n"
-    text = (row * n_rows) % tuple(weights.ravel().tolist())
-    Path(path).write_bytes(text.encode("ascii"))
+    text = b"".join(row[1:] + b"\n" for row in _cell_rows(weights))
+    Path(path).write_bytes(text)
 
 
 @contextlib.contextmanager
@@ -471,20 +662,19 @@ def _format_rows(state, unit) -> bytes:
     """The UTF-8 feature-file rows of one ``(measure index, subjects)``
     unit, ``subjects`` a range from :func:`_subject_units`.
 
-    ``state`` is ``(matrices, prefixes)``. Each row's numbers are formatted
-    by one ``%``-template call; ``%.17g`` of a Python float is the same text
-    as ``format(value, ".17g")``.
+    ``state`` is ``(matrices, prefixes)``, the prefixes UTF-8. A row is its
+    prefix, then ``,`` and the ``%.17g`` text of each cell, formatted by
+    :func:`_cell_rows`, then ``\r\n``.
     """
     matrices, prefixes = state
     measure_index, subjects = unit
     chunk = slice(subjects.start, subjects.stop)
-    rows = matrices[measure_index][chunk]
-    numbers = ",%.17g" * rows.shape[1] + "\r\n"
-    text = "".join(
-        prefix + numbers % tuple(row.tolist())
-        for prefix, row in zip(prefixes[chunk], rows)
+    return b"".join(
+        prefix + cells + b"\r\n"
+        for prefix, cells in zip(
+            prefixes[chunk], _cell_rows(matrices[measure_index][chunk])
+        )
     )
-    return text.encode("utf-8")
 
 
 def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
@@ -500,7 +690,7 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     matrices = [cohort.features[measure] for measure in MEASURES]
     prefixes = [
-        record[: -len("\r\n")]
+        record[: -len("\r\n")].encode("utf-8")
         for record in _csv_records(
             [subject_id, LABEL_NAMES[int(label)]]
             for subject_id, label in zip(cohort.subject_ids, cohort.labels)
@@ -609,8 +799,15 @@ def load_feature_csvs(directory) -> LabeledCohort:
     """Rebuild a cohort from the files written by :func:`write_feature_csvs`,
     every file read on every core available to the process (module
     docstring, Ingest and the feature store). Of several bad files the
-    first in :data:`~connectoml.connectome.MEASURES` order is reported."""
+    first in :data:`~connectoml.connectome.MEASURES` order is reported.
+
+    A missing weights file is reported before any file is read. A weights
+    file that exists but is malformed is reported once the units already
+    running in workers, the other two files, have finished.
+    """
     paths = [Path(directory) / f"features_{m}.csv" for m in MEASURES]
+    if not paths[0].exists():
+        raise FileNotFoundError(f"feature file not found: {paths[0]}")
     features = _feature_buffer(*_feature_file_size(paths[0]))
     with contextlib.closing(
         ordered_map(_load_feature_file, (paths, features), range(len(paths)))

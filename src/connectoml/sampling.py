@@ -104,11 +104,26 @@ def random_undersample(cohort: LabeledCohort, seed: int) -> LabeledCohort:
     return cohort.subset(_random_positions(cohort, every_row, seed))
 
 
+#: Cells squared at once by :func:`_squared_norms`.
+_SQUARED_CELLS = 1 << 15
+
+
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a * a, axis=1)``, bit for bit, squaring a block of whole
+    rows at a time, so no temporary of a's size is made."""
+    norms = np.empty(a.shape[0])
+    step = max(1, _SQUARED_CELLS // max(a.shape[1], 1))
+    for start in range(0, a.shape[0], step):
+        block = a[start : start + step]
+        norms[start : start + step] = np.sum(block * block, axis=1)
+    return norms
+
+
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a and the rows of b."""
     sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
+        _squared_norms(a)[:, None]
+        + _squared_norms(b)[None, :]
         - 2.0 * (a @ b.T)
     )
     return np.sqrt(np.maximum(sq, 0.0))

@@ -1,6 +1,7 @@
 """Tests for manifest loading, the synthetic generator, and report files."""
 
 import contextlib
+import fractions
 import functools
 import io
 import json
@@ -162,6 +163,168 @@ class TestMatrixFiles:
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
+
+
+def percent_template_rows(values):
+    """Each row of ``values`` as ``,`` and ``%.17g`` of each cell, by one
+    ``%``-template per row: the text the writers keep."""
+    template = ",%.17g" * values.shape[1]
+    return [(template % tuple(row)).encode("ascii") for row in values.tolist()]
+
+
+def assert_cpython_text(values):
+    """``_cell_rows`` of the 2-D ``values`` is CPython's text, cell by
+    cell; a failure names the first cell that differs."""
+    values = np.asarray(values, dtype=np.float64)
+    written = list(dataio._cell_rows(values))
+    expected = percent_template_rows(values)
+    assert len(written) == len(expected)
+    for row, (got, want) in enumerate(zip(written, expected)):
+        if got != want:
+            cells = zip(got.split(b",")[1:], want.split(b",")[1:])
+            column, (cell, cpython) = next(
+                (column, pair) for column, pair in enumerate(cells)
+                if pair[0] != pair[1]
+            )
+            raise AssertionError(
+                f"cell ({row}, {column}) = {values[row, column]!r}:"
+                f" {cell!r} != CPython's {cpython!r}"
+            )
+
+
+def neighbours(values, steps=1):
+    """``values`` and the floats ``1..steps`` ulps either side of each."""
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        step = values
+        for _ in range(steps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def mixed_cells(rng, size):
+    """Fast-path cells (both signs, seven decades) with zeros, subnormals,
+    huge and tiny magnitudes, infinities and nans among them."""
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4, 3, size)
+    special = np.array([0.0, -0.0, 5e-324, -1e-5, 3e20, np.inf, -np.inf,
+                        np.nan, -np.nan, 1e16, 9.999999999999999e-5])
+    where = rng.random(size) < 0.3
+    values[where] = rng.choice(special, int(where.sum()))
+    return values
+
+
+#: Cells the formatter formats at once: whole rows, or a longer row's
+#: pieces.
+BLOCK = dataio._BLOCK_CELLS
+
+
+class TestCellText:
+    """The writers' one formatter gives CPython's ``%.17g`` text for every
+    float64: its exact 17-digit arithmetic where it applies, CPython's own
+    formatting elsewhere."""
+
+    def test_random_bit_patterns(self):
+        # Uniform 64-bit patterns: every exponent field, the subnormals'
+        # included, is drawn about a hundred times.
+        bits = np.random.default_rng(20).integers(
+            0, 2**64, size=200_000, dtype=np.uint64, endpoint=False
+        )
+        assert np.unique(bits >> np.uint64(52) & np.uint64(0x7FF)).size == 2048
+        assert_cpython_text(bits.view(np.float64).reshape(200, 1000))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = neighbours(np.concatenate([powers, -powers]))
+        assert_cpython_text(values.reshape(-1, 6))
+
+    def test_edges_of_the_exact_range(self):
+        # 1e-4 <= |x| < 1e16 is formatted by the arithmetic, the rest by
+        # CPython; 1e-5 and 1e17 sit one decade beyond.
+        values = neighbours([1e-5, 1e-4, 1e16, 1e17], steps=8)
+        assert_cpython_text(np.concatenate([values, -values])[None, :])
+
+    def test_exact_ties_round_half_to_even(self):
+        # x = j / 2**(p + 1), j odd, with decimal exponent 16 - p: then
+        # x * 10**p = j * 5**p / 2 lies halfway between two integers.
+        rng = np.random.default_rng(21)
+        ties = []
+        for p in range(1, 21):
+            low = -(-(2 ** (p + 1) * 10**16) // 10**p)
+            high = min(2 ** (p + 1) * 10**17 // 10**p, 2**53)
+            ties += [int(j) | 1 for j in rng.integers(low, high, 50)]
+            ties[-1] = int(low) | 1
+            for j in ties[-50:]:
+                x = fractions.Fraction(j, 2 ** (p + 1))
+                assert (x * 10**p).denominator == 2
+        values = np.array(
+            [j / 2 ** (p + 1) for p in range(1, 21)
+             for j in ties[50 * (p - 1) : 50 * p]]
+        )
+        assert np.isin(np.floor(np.log10(values)), np.arange(-4, 16)).all()
+        assert_cpython_text(values.reshape(20, 50))
+        assert b",1000000000000000.2" in next(
+            dataio._cell_rows(np.array([[1000000000000000.25]]))
+        )
+
+    def test_zeros_infinities_and_nans(self):
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan)
+        values = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, negative_nan]])
+        assert_cpython_text(values)
+        assert next(dataio._cell_rows(values)) == b",0,-0,inf,-inf,nan,nan"
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 0), (5, 1), (2, BLOCK - 1), (3, BLOCK), (2, BLOCK + 1),
+         (1, 2 * BLOCK + 5), (91, 91), (400, 21), (65, BLOCK // 64)],
+    )
+    def test_rows_mixing_fast_and_cpython_cells(self, shape):
+        # Rows across the blocks' edges: whole rows of at most BLOCK cells
+        # at once, and a longer row in pieces of that many.
+        rng = np.random.default_rng(sum(shape))
+        values = mixed_cells(rng, shape[0] * shape[1]).reshape(shape)
+        if shape[1] > BLOCK:
+            edges = [0, BLOCK - 1, BLOCK, -1]
+            values[:, edges] = [np.nan, -3e-300, 1e300, -0.0]
+        assert_cpython_text(values)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (4, 1), (2, 0), (91, 91), (1, 2 * BLOCK + 5), (3, BLOCK)],
+    )
+    def test_matrix_files_equal_savetxt(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        weights = mixed_cells(rng, shape[0] * shape[1]).reshape(shape)
+        write_matrix_file(tmp_path / "new.csv", weights)
+        np.savetxt(tmp_path / "old.csv", weights, fmt="%.17g", delimiter=",")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        assert written == b"".join(
+            row[1:] + b"\n" for row in percent_template_rows(weights)
+        )
+
+    @pytest.mark.parametrize("width", [0, 1, BLOCK - 1, BLOCK + 1])
+    def test_feature_rows_equal_the_percent_template(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        cohort = make_measure_cohort(
+            {m: mixed_cells(rng, 7 * width).reshape(7, width)
+             for m in MEASURES},
+            [0, 1, 1, 0, 1, 1, 0],
+        )
+        paths = write_feature_csvs(cohort, tmp_path)
+        for path, measure in zip(paths, MEASURES):
+            records = path.read_bytes().split(b"\r\n")
+            assert records[-1] == b""
+            assert records[1:-1] == [
+                f"s{i:03d},{label},".encode() + row[1:] if width else
+                f"s{i:03d},{label}".encode()
+                for i, (label, row) in enumerate(zip(
+                    ["HC", "MCI", "MCI", "HC", "MCI", "MCI", "HC"],
+                    percent_template_rows(cohort.features[measure]),
+                ))
+            ]
 
 
 class TestLoadCohort:
@@ -1115,6 +1278,23 @@ class TestParallelFeatureStore:
             error = load_on_workers(monkeypatch, workers, tmp_path)
             assert type(error) is FileNotFoundError
             assert str(error) == f"feature file not found: {weights}"
+
+    def test_a_missing_weights_file_is_reported_before_any_unit(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = SyntheticCohortConfig(n_nodes=7, n_hc=4, n_mci=5, seed=9)
+        write_feature_csvs(generate_synthetic_cohort(cfg), tmp_path)
+        weights = tmp_path / "features_weights.csv"
+        weights.unlink()
+
+        def no_pool(*args):
+            raise AssertionError("the pool ran")
+
+        monkeypatch.setattr(pool, "ordered_map", no_pool)
+        monkeypatch.setattr(dataio, "ordered_map", no_pool)
+        with pytest.raises(FileNotFoundError) as error:
+            load_feature_csvs(tmp_path)
+        assert str(error.value) == f"feature file not found: {weights}"
 
     def test_no_list_of_rows_is_held(self, tmp_path, monkeypatch):
         # On one core every file is parsed in this process, where
