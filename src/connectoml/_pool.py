@@ -10,9 +10,9 @@ to the process (up to one per remaining unit), run the others, and the
 results come back in unit order. The caller is one process more than
 there are cores, so no core idles while the first unit runs. With one
 core, one unit or no ``fork`` the same per-unit function runs in this
-process alone, and the results are the same. At most two results per
-worker are in flight, so the results held at once do not grow with the
-cohort. The first unit to fail, in order, raises its own exception.
+process alone, and the results are the same. Every unit is submitted at
+once, and a failure cancels those not yet started. The first unit to
+fail, in order, raises its own exception.
 
 One BLAS thread
 ---------------
@@ -28,10 +28,8 @@ Other BLAS builds are not pinned.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
-import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -136,18 +134,13 @@ def ordered_map(work, state, units):
             initializer=_start_worker,
             initargs=(work, state),
         ) as pool:
-            remaining = itertools.islice(units, 1, None)
-            in_flight = collections.deque(
-                pool.submit(_work_in_worker, unit)
-                for unit in itertools.islice(remaining, 2 * workers)
-            )
+            futures = [
+                pool.submit(_work_in_worker, unit) for unit in units[1:]
+            ]
             try:
                 yield work(state, units[0])
-                while in_flight:
-                    result = in_flight.popleft().result()
-                    for unit in itertools.islice(remaining, 1):
-                        in_flight.append(pool.submit(_work_in_worker, unit))
-                    yield result
+                for future in futures:
+                    yield future.result()
             finally:
-                for future in in_flight:
+                for future in futures:
                     future.cancel()

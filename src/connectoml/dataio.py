@@ -29,11 +29,11 @@ this process runs the first unit while forked workers, one per core
 available to the process, run the others, every unit on one OpenBLAS
 thread, and the results come back in unit order.
 
-A unit of the fill or of either writer is a run of consecutive subjects,
-sized by cells: ⌈4 × 7,140 / w⌉ subjects, at least one, where w is a
-subject's cells per measure (n(n-1)/2 at n nodes, 0 at one node). That is
-four subjects at 120 nodes and 37 at 40 nodes, so a unit's work outweighs
-its round trip through the pool.
+A unit of the fill or of the matrix writer is a run of consecutive
+subjects, sized by cells: ⌈4 × 7,140 / w⌉ subjects, at least one, where w
+is a subject's cells per measure (n(n-1)/2 at n nodes, 0 at one node).
+That is four subjects at 120 nodes and 37 at 40 nodes, so a unit's work
+outweighs its round trip through the pool.
 
 :func:`materialize_cohort` writes each unit's matrix files in the worker
 that runs it; the matrices reach the workers through ``fork``. Each file
@@ -50,20 +50,19 @@ matrix. Of several bad subjects the first in order is reported. Every
 extraction runs in a unit, so the features do not depend on the thread
 count; reading the first subject here calls no BLAS.
 
-:func:`write_feature_csvs` quotes the row prefixes, writes the headers and
-writes every file here. Its units are (measure, run of subjects) pairs; a
-unit formats one run's rows and returns their UTF-8 bytes, which are
-written in (measure, subject) order, so the files do not depend on the
-number of workers. Each file is written under a temporary name in
-the output directory; the three replace their targets only once the last
-is complete.
+In the feature store every file is one unit, both ways.
+:func:`write_feature_csvs` quotes the row prefixes here; each unit
+writes its file's header and rows, in subject order, under a temporary
+name in the output directory, so the files do not depend on the number
+of workers. The three replace their targets here once the last is
+complete.
 
 :func:`load_feature_csvs` fills the same kind of shared buffer, sized
 here from the weights file without converting a value: a row per line
 break (a quoted id may span lines), the header's fields less two per
-measure. Every file is one unit, parsed row by row into its measure's
-slot; its ids, labels and width come back and are checked here in file
-order, and the cohort keeps the first row per subject. A cell must be a
+measure. Each unit parses its file row by row into its measure's slot;
+its ids, labels and width come back and are checked here in file order,
+and the cohort keeps the first row per subject. A cell must be a
 finite plain ASCII numeral, parsed as :func:`load_matrix_file` parses it;
 an error names the file and the physical line. So does a record that
 :mod:`csv` refuses (a field over its size limit), in manifests too.
@@ -436,11 +435,10 @@ def _feature_buffer(n_subjects: int, width: int) -> np.ndarray:
     )
 
 
-#: Cells per unit of the ordered pool, in the cohort fill, the feature
-#: writer and the matrix writer: four subjects at 120 nodes. A 40-node
-#: subject takes about 1 ms to extract, less than a unit's round trip
-#: through the pool (2 cores), so units of four such subjects cost as much
-#: in round trips as in work.
+#: Cells per unit of the ordered pool, in the cohort fill and the matrix
+#: writer: four subjects at 120 nodes. A 40-node subject takes about 1 ms
+#: to extract, less than a unit's round trip through the pool (2 cores),
+#: so units of four such subjects cost as much in round trips as in work.
 _CELLS_PER_UNIT = 4 * feature_length(120)
 
 
@@ -658,33 +656,30 @@ def _csv_records(rows) -> list[str]:
     return records
 
 
-def _format_rows(state, unit) -> bytes:
-    """The UTF-8 feature-file rows of one ``(measure index, subjects)``
-    unit, ``subjects`` a range from :func:`_subject_units`.
-
-    ``state`` is ``(matrices, prefixes)``, the prefixes UTF-8. A row is its
-    prefix, then ``,`` and the ``%.17g`` text of each cell, formatted by
-    :func:`_cell_rows`, then ``\r\n``.
-    """
-    matrices, prefixes = state
-    measure_index, subjects = unit
-    chunk = slice(subjects.start, subjects.stop)
-    return b"".join(
-        prefix + cells + b"\r\n"
-        for prefix, cells in zip(
-            prefixes[chunk], _cell_rows(matrices[measure_index][chunk])
-        )
-    )
+def _write_feature_file(state, measure_index) -> None:
+    """Write the header and rows of one measure's file to its temporary; a
+    row is its prefix, then ``,`` and the ``%.17g`` text of each cell
+    (:func:`_cell_rows`), then ``\\r\\n``. ``state`` is ``(matrices,
+    prefixes, temporaries)``, the prefixes UTF-8."""
+    matrices, prefixes, temporaries = state
+    matrix = matrices[measure_index]
+    header = ["subject_id", "label"] + [
+        f"f{i}" for i in range(matrix.shape[1])
+    ]
+    with temporaries[measure_index].open("wb") as handle:
+        handle.write(_csv_records([header])[0].encode("utf-8"))
+        for prefix, cells in zip(prefixes, _cell_rows(matrix)):
+            handle.write(prefix + cells + b"\r\n")
 
 
 def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
     """One CSV per measure: subject_id, label, then the feature columns.
 
-    The rows are formatted on every core available to the process and
-    written here in subject order (module docstring, Ingest and the
-    feature store). Each file is written under a temporary name in ``out_dir``
-    and all three replace their targets only after the last row is
-    written, so a failure part-way leaves an earlier store as it was.
+    Each file is one unit of the ordered pool, written on every core
+    available to the process (module docstring, Ingest and the feature
+    store). Each file is written under a temporary name in ``out_dir``
+    and all three replace their targets only after the last is written,
+    so a failure part-way leaves an earlier store as it was.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -696,28 +691,14 @@ def write_feature_csvs(cohort: LabeledCohort, out_dir) -> list[Path]:
             for subject_id, label in zip(cohort.subject_ids, cohort.labels)
         )
     ]
-    runs = _subject_units(cohort.size, matrices[0].shape[1])
-    units = [
-        (measure_index, subjects)
-        for measure_index in range(len(MEASURES))
-        for subjects in runs
-    ]
     paths = [out_dir / f"features_{measure}.csv" for measure in MEASURES]
     temporaries = [
         path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths
     ]
+    state = (matrices, prefixes, temporaries)
     try:
-        with contextlib.closing(
-            ordered_map(_format_rows, (matrices, prefixes), units)
-        ) as chunks:
-            for temporary, matrix in zip(temporaries, matrices):
-                header = ["subject_id", "label"] + [
-                    f"f{i}" for i in range(matrix.shape[1])
-                ]
-                with temporary.open("wb") as handle:
-                    handle.write(_csv_records([header])[0].encode("utf-8"))
-                    for _ in runs:
-                        handle.write(next(chunks))
+        for _ in ordered_map(_write_feature_file, state, range(len(paths))):
+            pass
         for temporary, path in zip(temporaries, paths):
             os.replace(temporary, path)
     finally:

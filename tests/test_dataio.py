@@ -8,8 +8,8 @@ import json
 import multiprocessing
 import os
 import re
+import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -1333,8 +1333,8 @@ def awkward_ids_cohort(tmp_path):
 
 
 def many_units_cohort(tmp_path):
-    # 3 measures x 15 runs of 2 subjects at 20 cells per unit: more units
-    # than five workers hold in flight.
+    # Thirty 6-node subjects: at 20 cells per unit the fill forms 15 units
+    # of two, more than five workers.
     cfg = SyntheticCohortConfig(n_nodes=6, n_hc=12, n_mci=18, seed=2)
     return generate_synthetic_cohort(cfg)
 
@@ -1389,18 +1389,19 @@ class TestParallelWriter:
         cohort = many_units_cohort(tmp_path)
         formed = few_cells_per_unit(monkeypatch)
         parent = os.getpid()
-        original = dataio._format_rows
+        original = dataio._write_feature_file
 
-        def die_in_worker(state, unit):
-            if os.getpid() != parent and unit[0] == 1 and 8 in unit[1]:
+        def die_in_worker(state, measure_index):
+            if os.getpid() != parent and measure_index == 1:
                 os._exit(1)
-            return original(state, unit)
+            return original(state, measure_index)
 
-        monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
+        monkeypatch.setattr(dataio, "_write_feature_file", die_in_worker)
         monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(cohort, tmp_path)
-        assert formed == [45]
+        assert formed == [3]
+        assert not list(tmp_path.glob(".features_*.tmp"))
 
     def test_a_failed_write_leaves_the_earlier_store_whole(
         self, tmp_path, monkeypatch
@@ -1411,18 +1412,19 @@ class TestParallelWriter:
         before = {path.name: path.read_bytes() for path in written}
         formed = few_cells_per_unit(monkeypatch)
         parent = os.getpid()
-        original = dataio._format_rows
+        original = dataio._write_feature_file
 
-        def die_in_worker(state, unit):
-            if os.getpid() != parent and unit[0] == 1 and 8 in unit[1]:
+        def die_in_worker(state, measure_index):
+            if os.getpid() != parent and measure_index == 1:
                 os._exit(1)
-            return original(state, unit)
+            return original(state, measure_index)
 
-        monkeypatch.setattr(dataio, "_format_rows", die_in_worker)
+        monkeypatch.setattr(dataio, "_write_feature_file", die_in_worker)
         monkeypatch.setattr(pool, "available_cores", lambda: 2)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             write_feature_csvs(many_units_cohort(tmp_path), store)
-        assert formed[-1] == 45
+        assert formed[-1] == 3
+        assert not list(store.glob(".features_*.tmp"))
         after = {path.name: path.read_bytes() for path in store.iterdir()}
         assert after == before
         reloaded = load_feature_csvs(store)
@@ -1449,24 +1451,48 @@ class TestParallelWriter:
             list(pool.ordered_map(work, None, range(6)))
         assert workers_seen == [2]
 
-    def test_at_most_two_results_per_worker_are_in_flight(self, monkeypatch):
-        submitted = []
+    def test_a_failed_first_unit_cancels_the_units_not_started(
+        self, tmp_path, monkeypatch
+    ):
+        parent = os.getpid()
 
-        class CountingPool(ProcessPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(fn, *args, **kwargs)
+        def work(state, unit):
+            (tmp_path / f"unit_{unit}").touch()
+            if os.getpid() == parent:
+                raise RuntimeError(f"unit {unit} failed in the caller")
+            time.sleep(0.05)
+            return unit
 
-        monkeypatch.setattr(pool, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(pool, "available_cores", lambda: 2)
-        results = pool.ordered_map(
-            lambda offset, unit: unit + offset, 100, range(20)
-        )
+        with time_limit(60), pytest.raises(
+            RuntimeError, match="^unit 0 failed in the caller$"
+        ):
+            list(pool.ordered_map(work, None, range(40)))
+        # Without the cancel, shutting the pool down would run all 40.
+        recorded = {path.name for path in tmp_path.glob("unit_*")}
+        assert "unit_0" in recorded
+        assert len(recorded) < 40
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_no_file_bytes_cross_the_pool(
+        self, tmp_path, monkeypatch, workers
+    ):
+        cohort = many_units_cohort(tmp_path)
+        units_seen, results = [], []
+        original = dataio.ordered_map
+
+        def recording(work, state, units):
+            units_seen.append(list(units))
+            for result in original(work, state, units):
+                results.append(result)
+                yield result
+
+        monkeypatch.setattr(dataio, "ordered_map", recording)
+        monkeypatch.setattr(pool, "available_cores", lambda: workers)
         with time_limit(60):
-            for consumed, result in enumerate(results, start=1):
-                assert result == 100 + consumed - 1
-                # Unit 0 runs in this process and is never submitted.
-                assert len(submitted) == min(consumed - 1 + 2 * 2, 19)
+            write_feature_csvs(cohort, tmp_path)
+        assert units_seen == [[0, 1, 2]]
+        assert results == [None, None, None]
 
 
 @needs_openblas
