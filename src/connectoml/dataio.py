@@ -67,6 +67,21 @@ finite plain ASCII numeral, parsed as :func:`load_matrix_file` parses it;
 an error names the file and the physical line. So does a record that
 :mod:`csv` refuses (a field over its size limit), in manifests too.
 
+Readers
+-------
+:func:`load_matrix_file` reads a file as text once, with universal
+newlines, and keeps its data lines: each stripped of ASCII whitespace,
+blank ones dropped. When the text is ASCII, holds no ``_`` and none of
+``\\x1c``-``\\x1f`` (numpy's text reader strips those from a cell as
+whitespace, while ``float`` refuses them), and every data line has as
+many commas, one ``np.loadtxt`` call, numpy's C text reader, converts
+them all; it rounds each cell as ``float`` does. Every other file, one
+that is not UTF-8 and one that ``np.loadtxt`` refuses, goes to the line
+parser, :func:`_load_matrix_lines`, which converts row by row with
+:func:`_parse_cells` and names the first bad line. So the files the
+C reader takes are exactly the files accepted, and every error message
+comes from the line parser.
+
 Writers
 -------
 :func:`write_matrix_file` and the feature-file units format their cells
@@ -140,9 +155,50 @@ def _parse_cells(text, cells, path, line_number) -> np.ndarray:
         raise ValidationError(f"{path}: line {line_number}: {exc}") from exc
 
 
+#: The underscore, which ``float`` accepts in a numeral and the readers
+#: refuse by their own check, and ``\x1c``-``\x1f``, which numpy's text
+#: reader strips from a cell as whitespace and ``float`` refuses: a file
+#: holding one of them is left to the line parser.
+_LINE_PARSER_ONLY = ("_", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_matrix_file(path) -> np.ndarray:
     """Parse a comma-separated numeric grid; errors carry the physical line
-    number, and the first bad line in the file is reported."""
+    number, and the first bad line in the file is reported.
+
+    An ASCII file with no underscore, no ``\\x1c``-``\\x1f`` and as many
+    commas on every data line is converted by numpy's C text reader in one
+    call; every other file, and one that reader refuses, by the line parser
+    :func:`_load_matrix_lines`, which names the first bad line (module
+    docstring, Readers)."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        return _load_matrix_lines(path)
+    # split("\n"), not splitlines(), which also breaks at \v, \f, \x1c-\x1e
+    # and \x85; the reader's universal newlines leave only \n.
+    lines = [
+        line
+        for line in (raw.strip(string.whitespace) for raw in text.split("\n"))
+        if line
+    ]
+    if (
+        lines
+        and text.isascii()
+        and not any(char in text for char in _LINE_PARSER_ONLY)
+        and len({line.count(",") for line in lines}) == 1
+    ):
+        with contextlib.suppress(ValueError):
+            return np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64
+            )
+    return _load_matrix_lines(path)
+
+
+def _load_matrix_lines(path) -> np.ndarray:
+    """:func:`load_matrix_file` line by line, each row by
+    :func:`_parse_cells`; the first bad line in the file is reported."""
     path = Path(path)
     rows = []
     with _read_errors(path), path.open("r", encoding="utf-8-sig") as handle:

@@ -66,6 +66,90 @@ def tiny_matrix_file(path, weights):
 PYTHON_ONLY_NUMERALS = ["1_0", "\u0661\u0662", "\u00a01"]
 
 
+#: Tokens of the contract fuzz's cells: numeral parts, ASCII whitespace
+#: that both converters strip from a cell, and characters the readers
+#: refuse (numpy's text reader strips \x1c-\x1f and a no-break space as
+#: whitespace, and reads an Arabic-Indic digit).
+NUMERAL_TOKENS = [*"0123456789", ".", "e", "E", "+", "-",
+                  "inf", "nan", "infinity"]
+PAD_TOKENS = [" ", "\t", "\v", "\f"]
+ODD_TOKENS = ["\x1c", "\x1d", "\x1e", "\x1f", "_", "\u0661", "\u00a0", "x"]
+
+
+def fuzz_numeral(rng):
+    """A numeral ``float`` reads: a signed decimal with an optional
+    exponent, or a signed inf/nan word."""
+    sign = rng.choice(["", "+", "-"])
+    if rng.random() < 0.15:
+        return sign + rng.choice(["inf", "nan", "infinity", "Inf", "NAN"])
+    digits = "".join(rng.choice(list("0123456789"), rng.integers(1, 6)))
+    point = rng.integers(0, len(digits) + 1)
+    if rng.random() < 0.5:
+        digits = digits[:point] + "." + digits[point:]
+    if rng.random() < 0.3:
+        digits += rng.choice(["e", "E"]) + rng.choice(["", "+", "-"])
+        digits += str(rng.integers(0, 400))
+    return sign + digits
+
+
+def fuzz_cell(rng, noise):
+    """One cell: a numeral or, at rate ``noise``, a run of any tokens or
+    nothing, padded either side with whitespace and, at rate ``noise``,
+    odd characters."""
+    if rng.random() < noise:
+        tokens = NUMERAL_TOKENS + PAD_TOKENS + ODD_TOKENS
+        body = "".join(rng.choice(tokens, rng.integers(0, 5)))
+    else:
+        body = fuzz_numeral(rng)
+    pads = []
+    for _ in range(2):
+        pad = "".join(rng.choice(PAD_TOKENS, rng.integers(0, 3)))
+        if rng.random() < noise:
+            pad += rng.choice(ODD_TOKENS)
+        pads.append(pad)
+    return pads[0] + body + pads[1]
+
+
+def fuzz_matrix_file(rng) -> bytes:
+    """A small matrix file: 1-4 rows of 1-4 columns (a row ragged at the
+    file's noise rate), blank and whitespace-only lines between them, LF,
+    CRLF or CR endings or a mix, a leading BOM, and now and then a byte
+    that is not UTF-8."""
+    noise = rng.choice([0.0, 0.0, 0.02, 0.1, 0.5])
+    columns = rng.integers(1, 5)
+    ending = rng.choice(["\n", "\r\n", "\r", "mixed"])
+    lines = []
+    for _ in range(rng.integers(1, 5)):
+        while rng.random() < 0.2:
+            blanks = PAD_TOKENS + ([rng.choice(ODD_TOKENS)] if noise else [])
+            lines.append("".join(rng.choice(blanks, rng.integers(0, 3))))
+        width = columns + (rng.choice([-1, 1]) if rng.random() < noise else 0)
+        lines.append(",".join(fuzz_cell(rng, noise) for _ in range(width)))
+    endings = [
+        rng.choice(["\n", "\r\n", "\r"]) if ending == "mixed" else ending
+        for _ in lines
+    ]
+    if rng.random() < 0.3:
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    data = ("\ufeff" if rng.random() < 0.3 else "").encode() + text.encode()
+    if rng.random() < 0.03:
+        at = rng.integers(0, len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def read_outcome(read, path):
+    """``read(path)`` as comparable data: the array's dtype, shape, layout
+    and bytes, or the exception's type and message."""
+    try:
+        values = read(path)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    layout = values.dtype, values.shape, values.flags.c_contiguous
+    return "values", *layout, values.tobytes()
+
+
 class TestMatrixFiles:
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -107,7 +191,10 @@ class TestMatrixFiles:
             load_matrix_file(path)
 
     @pytest.mark.parametrize(
-        "cell", ["0x10", "", "1__0", "1.5e", "١x", *PYTHON_ONLY_NUMERALS]
+        "cell",
+        ["0x10", "", "1__0", "1.5e", "١x", *PYTHON_ONLY_NUMERALS,
+         # numpy's text reader would strip these as whitespace.
+         "\x1c1", "1\x1f"],
     )
     def test_rejected_cell_message_is_pinned(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
@@ -163,6 +250,67 @@ class TestMatrixFiles:
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_matrix_file(path)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_c_reader_matches_the_line_parser(self, tmp_path, monkeypatch,
+                                              seed):
+        # Every file the grammar makes reads the same through
+        # load_matrix_file and the line parser alone: the same values bit
+        # for bit, or the same error.
+        converted = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            values = loadtxt(*args, **kwargs)
+            converted.append(values)
+            return values
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "fuzz.csv"
+        accepted = 0
+        for _ in range(1000):
+            data = fuzz_matrix_file(rng)
+            path.write_bytes(data)
+            outcome = read_outcome(load_matrix_file, path)
+            assert outcome == read_outcome(dataio._load_matrix_lines, path), data
+            accepted += outcome[0] == "values"
+        # Both outcomes are common, and every accepted file took the C
+        # reader.
+        assert 300 < accepted < 700
+        assert len(converted) == accepted
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 8, 120, "edge_values"])
+    def test_written_files_take_the_c_reader(self, tmp_path, monkeypatch,
+                                             n_nodes):
+        # The line parser is only for files the C reader refuses; the
+        # writers' files, and a Windows-style copy of them, never reach it.
+        if n_nodes == "edge_values":
+            weights = np.array(
+                [[0.0, -0.0, 5e-324], [1.7976931348623157e308, 1 / 3, -2.0],
+                 [30.0, 1e22, 0.1]]
+            )
+        else:
+            rng = np.random.default_rng(n_nodes)
+            weights = mixed_cells(rng, n_nodes * n_nodes)
+            weights = weights.reshape(n_nodes, n_nodes)
+        path = tmp_path / "m.csv"
+        write_matrix_file(path, weights)
+        windows = tmp_path / "windows.csv"
+        text = path.read_text(encoding="ascii").replace("\n", "\r\n")
+        windows.write_bytes(("\ufeff" + text + "\r\n \r\n").encode())
+        expected = dataio._load_matrix_lines(path)
+        assert np.array_equal(expected, weights, equal_nan=True)
+
+        def refuse(path):
+            raise AssertionError(f"{path} reached the line parser")
+
+        monkeypatch.setattr(dataio, "_load_matrix_lines", refuse)
+        for written in (path, windows):
+            values = load_matrix_file(written)
+            assert values.shape == weights.shape
+            assert values.flags.c_contiguous
+            assert values.tobytes() == expected.tobytes()
 
 
 def percent_template_rows(values):
