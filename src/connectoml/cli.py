@@ -242,7 +242,7 @@ def main(argv=None) -> int:
         parser.error("--dump-folds must name a different file from --out")
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, FileNotFoundError, FileExistsError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, np.linalg.LinAlgError) as exc:

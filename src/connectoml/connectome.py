@@ -74,8 +74,9 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
     Parameters
     ----------
     raw : array_like
-        Square matrix of edge weights. The diagonal is forced to zero
-        regardless of its input values, first. Small asymmetries (parser
+        Square matrix of edge weights. A non-finite entry is refused
+        wherever it is; then the diagonal is forced to zero whatever its
+        finite values, before any other check. Small asymmetries (parser
         rounding noise, up to :data:`DEFAULT_SYMMETRY_TOLERANCE` relative to
         the largest off-diagonal weight) are tolerated and averaged away.
     subject_id : str
@@ -104,15 +105,14 @@ def validate_matrix(raw, subject_id: str = "") -> ConnectivityMatrix:
         raise ValidationError(
             f"non-finite entry at ({i}, {j}) in connectivity matrix{tag}"
         )
-    off_diagonal = ~np.eye(weights.shape[0], dtype=bool)
-    negative = (weights < 0) & off_diagonal
+    np.fill_diagonal(weights, 0.0)
+    negative = weights < 0
     if negative.any():
         i, j = np.argwhere(negative)[0]
         raise ValidationError(
             f"negative weight {weights[i, j]} at ({i}, {j})"
             f" in connectivity matrix{tag}"
         )
-    np.fill_diagonal(weights, 0.0)
     # Under max / (2n) no pair sum overflows, nor a node strength, which is
     # at most (n - 1) / (2n) of max.
     ceiling = np.finfo(np.float64).max / (2 * weights.shape[0])

@@ -73,12 +73,12 @@ Readers
 newlines, and keeps its data lines: each stripped of ASCII whitespace,
 blank ones dropped. When the text is ASCII, holds no ``_`` and none of
 ``\\x1c``-``\\x1f`` (numpy's text reader strips those from a cell as
-whitespace, while ``float`` refuses them), and every data line has as
-many commas, one ``np.loadtxt`` call, numpy's C text reader, converts
-them all; it rounds each cell as ``float`` does. Every other file, one
-that is not UTF-8 and one that ``np.loadtxt`` refuses, goes to the line
-parser, :func:`_load_matrix_lines`, which converts row by row with
-:func:`_parse_cells` and names the first bad line. So the files the
+whitespace, while ``float`` refuses them), one ``np.loadtxt`` call,
+numpy's C text reader, converts them all; it rounds each cell as
+``float`` does, and refuses rows of different lengths itself. Every other
+file, one that is not UTF-8 and one that ``np.loadtxt`` refuses, goes to
+the line parser, :func:`_load_matrix_lines`, which converts row by row
+with :func:`_parse_cells` and names the first bad line. So the files the
 C reader takes are exactly the files accepted, and every error message
 comes from the line parser.
 
@@ -166,11 +166,11 @@ def load_matrix_file(path) -> np.ndarray:
     """Parse a comma-separated numeric grid; errors carry the physical line
     number, and the first bad line in the file is reported.
 
-    An ASCII file with no underscore, no ``\\x1c``-``\\x1f`` and as many
-    commas on every data line is converted by numpy's C text reader in one
-    call; every other file, and one that reader refuses, by the line parser
-    :func:`_load_matrix_lines`, which names the first bad line (module
-    docstring, Readers)."""
+    An ASCII file with no underscore and no ``\\x1c``-``\\x1f`` is
+    converted by numpy's C text reader in one call, which itself refuses
+    rows of different lengths; every other file, and one that reader
+    refuses, by the line parser :func:`_load_matrix_lines`, which names the
+    first bad line (module docstring, Readers)."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -187,7 +187,6 @@ def load_matrix_file(path) -> np.ndarray:
         lines
         and text.isascii()
         and not any(char in text for char in _LINE_PARSER_ONLY)
-        and len({line.count(",") for line in lines}) == 1
     ):
         with contextlib.suppress(ValueError):
             return np.loadtxt(

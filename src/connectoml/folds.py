@@ -30,22 +30,10 @@ def derive_seed(master_seed: int, *stream: int) -> int:
 
 
 def check_fold_minimum(k: int) -> None:
-    """``ValidationError`` unless k >= 2: the part of
-    :func:`check_fold_count` that needs no labels."""
+    """``ValidationError`` unless k >= 2: the fold check that needs no
+    labels."""
     if k < 2:
         raise ValidationError("k must be at least 2")
-
-
-def check_fold_count(labels, k: int) -> None:
-    """``ValidationError`` unless k >= 2 and every class has k members."""
-    check_fold_minimum(k)
-    classes, counts = np.unique(np.asarray(labels), return_counts=True)
-    for cls, count in zip(classes, counts):
-        if count < k:
-            raise ValidationError(
-                f"class {int(cls)} has {int(count)} members,"
-                f" fewer than k={k} folds"
-            )
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
@@ -58,14 +46,21 @@ def stratified_kfold(labels, k: int, seed: int) -> list[FoldAssignment]:
     stratification. Fold f trains on every other index, ascending. Both
     index arrays are int64.
 
-    Raises ``ValidationError`` as :func:`check_fold_count` does.
+    Raises ``ValidationError`` unless k >= 2 and every class has at least
+    k members; the lowest short class is named.
     """
     labels = np.asarray(labels)
-    check_fold_count(labels, k)
+    check_fold_minimum(k)
+    classes, counts = np.unique(labels, return_counts=True)
+    for cls, count in zip(classes, counts):
+        if count < k:
+            raise ValidationError(
+                f"class {int(cls)} has {int(count)} members,"
+                f" fewer than k={k} folds"
+            )
     rng = np.random.default_rng(seed)
     dealt = [
-        rng.permutation(np.flatnonzero(labels == cls))
-        for cls in np.unique(labels)
+        rng.permutation(np.flatnonzero(labels == cls)) for cls in classes
     ]
     everything = np.arange(labels.size, dtype=np.int64)
     folds = []

@@ -58,10 +58,25 @@ class TestValidateMatrix:
         with pytest.raises(ValidationError, match="negative weight"):
             validate_matrix(raw)
 
-    def test_non_finite_rejected(self):
-        raw = np.array([[0.0, np.nan], [np.nan, 0.0]])
-        with pytest.raises(ValidationError, match="non-finite"):
-            validate_matrix(raw)
+    @pytest.mark.parametrize(
+        ("raw", "where"),
+        [
+            pytest.param([[0.0, np.nan], [np.nan, 0.0]], "(0, 1)", id="nan"),
+            # On the diagonal: refused before the diagonal is zeroed.
+            pytest.param([[np.nan, 1.0], [1.0, 0.0]], "(0, 0)", id="nan-diag"),
+            pytest.param([[np.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf-diag"),
+        ],
+    )
+    def test_non_finite_rejected(self, raw, where):
+        message = f"non-finite entry at {where} in connectivity matrix"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_matrix(np.array(raw))
+
+    def test_negative_diagonal_zeroed(self):
+        raw = np.array([[-2.0, 1.0], [1.0, -0.5]])
+        m = validate_matrix(raw)
+        assert np.array_equal(m.weights, [[0.0, 1.0], [1.0, 0.0]])
+        assert not np.signbit(np.diag(m.weights)).any()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="not square"):

@@ -116,13 +116,20 @@ class TestStratifiedKfold:
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want)
 
-    def test_class_smaller_than_k_rejected(self):
-        labels = np.concatenate([np.zeros(3), np.ones(30)]).astype(int)
+    @pytest.mark.parametrize(
+        ("labels", "k", "short"),
+        [
+            pytest.param([0] * 3 + [1] * 30, 5, "class 0 has 3", id="3-of-5"),
+            pytest.param([0, 0, 1, 1, 1], 3, "class 0 has 2", id="2-of-3"),
+            # Both classes short: the lower label is named.
+            pytest.param([1, 1, 0, 0], 3, "class 0 has 2", id="both-short"),
+            pytest.param([2, 1, 1, 2], 3, "class 1 has 2", id="both-1-2"),
+        ],
+    )
+    def test_class_smaller_than_k_rejected(self, labels, k, short):
         with pytest.raises(ValidationError) as excinfo:
-            stratified_kfold(labels, k=5, seed=0)
-        assert str(excinfo.value) == (
-            "class 0 has 3 members, fewer than k=5 folds"
-        )
+            stratified_kfold(labels, k=k, seed=0)
+        assert str(excinfo.value) == f"{short} members, fewer than k={k} folds"
 
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_fewer_than_two_folds_rejected(self, k):
